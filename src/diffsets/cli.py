@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import math
 import sys
 import time
 from dataclasses import dataclass, field
@@ -52,7 +51,16 @@ from .core_sets import (
     trivial_bounds,
     verify_certificate,
 )
-from .solver import SearchConfig, alpha_exact, beta_exact, eta_exact, gamma_exact
+from .solver import (
+    ExtremalResult,
+    SearchConfig,
+    alpha_exact,
+    beta_exact,
+    eta_exact,
+    gamma_exact,
+    ratio_report,
+    ratio_rows,
+)
 
 __all__ = ["RunManifest", "dispatch", "main"]
 
@@ -448,12 +456,7 @@ def _cmd_bridge_torus(args, run):
 
 
 def _cmd_solve(args, run):
-    kwargs = {
-        "translation_fix": not args.no_pin,
-        "confirm_window": not args.no_confirm,
-    }
-    if args.window is not None:
-        kwargs["window"] = args.window
+    kwargs = {"translation_fix": not args.no_pin}
     if args.budget is not None:
         kwargs["node_budget"] = args.budget
     cfg = SearchConfig(**kwargs)
@@ -475,41 +478,13 @@ def _cmd_solve(args, run):
 
 
 def _cmd_report_ratios(args, run):
-    ledger = BoundsLedger()
-    rows = []
-    code = 0
-    for path in args.results:
-        data = run.load_json(path)
-        quantity, g, value = data["quantity"], data["g"], data["value"]
-        param = data["N"] if "N" in data else math.prod(data["group"])
-        flag = "ok"
-        if (
-            quantity == "eta"
-            and data.get("exhaustive")
-            and not ledger.eta_ratio_ok(value, g, param)
-        ):
-            flag = "FATAL"
-            code = 1
-        rows.append(
-            {
-                "quantity": quantity,
-                "g": g,
-                "param": param,
-                "value": value,
-                "ratio": round(value / math.sqrt(g * param), 6),
-                "flag": flag,
-            }
-        )
+    results = [ExtremalResult.from_json(run.load_json(path)) for path in args.results]
+    rows = ratio_rows(results)
+    code = 1 if any(r["flag"] == "FATAL" for r in rows) else 0
     summary = f"{len(rows)} rows, {'all ok' if code == 0 else 'FATAL flags present'}"
     if args.json:
         return code, {"rows": rows}, summary
-    lines = ["quantity,g,param,value,ratio,flag"]
-    for r in rows:
-        lines.append(
-            f"{r['quantity']},{r['g']},{r['param']},{r['value']},"
-            f"{r['ratio']:.6f},{r['flag']}"
-        )
-    return code, "\n".join(lines) + "\n", summary
+    return code, ratio_report(results), summary
 
 
 def _cmd_bounds(args, run):
@@ -654,16 +629,16 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--g", type=int, required=True)
     sp.set_defaults(handler=_cmd_bridge_torus)
 
-    solve = sub.add_parser("solve", help="exact extremal search")
+    solve = sub.add_parser(
+        "solve", help="exact extremal search; exhaustive=true means proven optimal"
+    )
     ssub = solve.add_subparsers(dest="quantity", required=True)
     for quantity in ("eta", "gamma", "beta", "alpha"):
         sp = ssub.add_parser(quantity, parents=[common])
         sp.add_argument("--g", type=int, required=True)
         sp.add_argument("--N", type=int, help="interval parameter (eta, beta)")
         sp.add_argument("--factors", type=int, nargs="+", help="group factors (gamma, alpha)")
-        sp.add_argument("--window", type=int, help="search hull for eta, default 2N")
-        sp.add_argument("--budget", type=int, help="node budget before a partial result")
-        sp.add_argument("--no-confirm", action="store_true", help="skip the doubled-window rerun")
+        sp.add_argument("--budget", type=int, help="search nodes, set-up included, before a partial result")
         sp.add_argument("--no-pin", action="store_true", help="search without translation pinning")
         sp.set_defaults(handler=_cmd_solve)
 

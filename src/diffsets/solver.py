@@ -5,17 +5,29 @@ gamma(g, G): smallest g-difference subset of a finite abelian group.
 beta(g, N): largest g-Sidon subset of [1, N].
 alpha(g, G): largest g-Sidon subset of a group.
 
-Covering searches run iterative deepening on the target size with admissible
-deficit pruning; packing searches run branch and bound.  Translation symmetry
-pins min(A) = 0 (interval) or 0 in A (group); witnesses are canonical, the
-lexicographically smallest at the optimal size, so identical inputs always
-reproduce identical tables.
+eta and gamma share one covering search (iterative deepening on the target
+size with admissible deficit pruning); beta and alpha share one packing
+search (branch and bound).  Each search is handed a shift rule: where the
+next element may go, which counters placing it raises, and which elements
+are pinned before the search starts.  Translation symmetry pins min(A) = 0
+(interval) or 0 in A (group).
+
+The eta hull comes from gap compression: shrinking a gap larger than N
+between consecutive elements to exactly N can only raise the counts in
+[1, N] and makes the set lexicographically smaller, so the lex-min optimal
+witness has every gap at most N and each next element lies in
+(last, last + N].  Witnesses are canonical, the lexicographically smallest at
+the optimal size, so identical inputs always reproduce identical tables, and
+exhaustive=True means proven optimal for all four quantities.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
+
+import numpy as np
 
 from .core_sets import (
     BoundsLedger,
@@ -35,6 +47,7 @@ __all__ = [
     "gamma_exact",
     "beta_exact",
     "alpha_exact",
+    "ratio_rows",
     "ratio_report",
 ]
 
@@ -45,22 +58,19 @@ class BudgetExceeded(Exception):
 
 @dataclass(frozen=True)
 class SearchConfig:
-    """Search hull, node budget, and symmetry switches.
+    """Node budget and symmetry switch.
 
-    window: largest element considered for interval searches (default 2N).
-    node_budget: search nodes before giving up with a non-exhaustive result.
+    node_budget: search nodes before giving up with a non-exhaustive result;
+    group operation rows are built as the search places elements, so the
+    budget bounds the set-up too.
     translation_fix: pin min(A) = 0 for eta, 0 in A for gamma/alpha.  False
-    searches unpinned: slower, same value and witness, useful as a symmetry
-    sanity check.  beta has no translation symmetry and ignores the flag.
-    confirm_window: rerun eta at twice the window and require the same value
-    before exhaustive=True (minimal witnesses are only known to normalize
-    into a single cluster; the rerun is the sensitivity check).
+    searches unpinned (eta's first element then ranges over [0, N]): slower,
+    same value and witness, useful as a symmetry sanity check.  beta has no
+    translation symmetry and ignores the flag.
     """
 
-    window: int | None = None
     node_budget: int = 20_000_000
     translation_fix: bool = True
-    confirm_window: bool = True
 
 
 @dataclass(frozen=True)
@@ -103,6 +113,30 @@ class ExtremalResult:
             out["witness"] = [list(v) for v in self.witness.elements]
         return out
 
+    @classmethod
+    def from_json(cls, data: dict) -> "ExtremalResult":
+        """Inverse of to_json; witness and nodes may be absent."""
+        if (
+            not isinstance(data, dict)
+            or not {"quantity", "g", "value"} <= data.keys()
+            or ("N" in data) == ("group" in data)
+        ):
+            raise ValueError("a solve result needs quantity, g, value and one of N or group")
+        group = GroupSpec(tuple(data["group"])) if "group" in data else None
+        witness = data.get("witness")
+        if witness is not None:
+            witness = IntSet.of(witness) if group is None else GroupSubset.of(group, witness)
+        return cls(
+            data["quantity"],
+            data["g"],
+            data.get("N"),
+            group,
+            data["value"],
+            witness,
+            bool(data.get("exhaustive")),
+            data.get("nodes", 0),
+        )
+
 
 class _Budget:
     __slots__ = ("left", "spent")
@@ -119,7 +153,180 @@ class _Budget:
 
 
 # ---------------------------------------------------------------------------
-# eta: minimum g-difference set for [N]
+# shift rules and the two searches
+
+
+@dataclass(frozen=True)
+class _Rule:
+    """How sets of one kind grow; the two searches read nothing else.
+
+    size: number of counters (shifts 1..N, sums 2..2N, or group elements).
+    pinned: elements placed before the search starts.
+    candidates(chosen, left): range for the next element when `left`
+    elements, this one included, remain to be placed.
+    touched(x, chosen): counters that placing x raises, one entry per unit.
+    total(n): the most counts an n-element set adds to the counters.
+    """
+
+    size: int
+    pinned: tuple[int, ...]
+    candidates: Callable[[list[int], int], range]
+    touched: Callable[[int, list[int]], list[int]]
+    total: Callable[[int], int]
+
+
+def _ascending(lo: int, hi: int):
+    """Next element above the last one in [lo, hi), leaving room for the rest."""
+    return lambda chosen, left: range(chosen[-1] + 1 if chosen else lo, hi - left + 1)
+
+
+class _Rows(dict):
+    """Rows of a group operation table, each built the first time it is read."""
+
+    def __init__(self, build):
+        super().__init__()
+        self.build = build
+
+    def __missing__(self, a):
+        row = self[a] = self.build(a)
+        return row
+
+
+def _group_maps(group: GroupSpec, sign: int, scale: int):
+    """Flat-index maps: rows[a][y] = a + sign*y, each row built when first
+    read, and the list y -> scale*y."""
+    axes = np.indices(group.factors).reshape(group.rank, -1)
+
+    def flat(coords) -> list[int]:
+        return np.ravel_multi_index(tuple(coords), group.factors, mode="wrap").tolist()
+
+    rows = _Rows(lambda a: flat(axes[:, a : a + 1] + sign * axes))
+    return rows, flat(scale * axes)
+
+
+def _cover_at_size(rule: _Rule, g: int, k: int, budget: _Budget):
+    """Lexicographically first k-set with every counter at least g, or None."""
+    candidates, touched = rule.candidates, rule.touched
+    counts = [0] * rule.size
+    deficit = g * rule.size
+    # the counts that the elements still to come can add, by current size
+    room = [rule.total(k) - rule.total(s) for s in range(k + 1)]
+    chosen: list[int] = []
+
+    def place(x):
+        nonlocal deficit
+        hit = touched(x, chosen)
+        for d in hit:
+            c = counts[d]
+            if c < g:
+                deficit -= 1
+            counts[d] = c + 1
+        chosen.append(x)
+        return hit
+
+    def unplace(hit):
+        nonlocal deficit
+        chosen.pop()
+        for d in hit:
+            c = counts[d] - 1
+            counts[d] = c
+            if c < g:
+                deficit += 1
+
+    def extend() -> bool:
+        budget.tick()
+        s = len(chosen)
+        if s == k:
+            return deficit == 0
+        t = k - s
+        if deficit > room[s]:
+            return False
+        # one new element raises any one counter by at most 2
+        if g - min(counts) > 2 * t:
+            return False
+        for x in candidates(chosen, t):
+            hit = place(x)
+            if extend():
+                return True
+            unplace(hit)
+        return False
+
+    for x in rule.pinned:
+        place(x)
+    return list(chosen) if extend() else None
+
+
+def _cover(rule: _Rule, g: int, lo: int, fallback: list[int], budget: _Budget):
+    """(elements, exhaustive): the lex-first least cover, deepening from lo.
+
+    `fallback` is a known cover.  The search at its size always succeeds, so
+    deepening stops there; on budget exhaustion the fallback is returned.
+    """
+    try:
+        for k in range(lo, len(fallback) + 1):
+            found = _cover_at_size(rule, g, k, budget)
+            if found is not None:
+                return found, True
+    except BudgetExceeded:
+        return fallback, False
+    raise AssertionError("no cover found at the size of a known one")
+
+
+def _pack(rule: _Rule, g: int, budget: _Budget):
+    """(elements, exhaustive): the lex-first largest set, counters at most g.
+
+    DFS meets sets of equal size in lex order and the bound only cuts
+    branches that cannot beat the best so far, so the first optimum found is
+    the lex-first one.  On budget exhaustion the best set so far is returned.
+    """
+    candidates, touched = rule.candidates, rule.touched
+    counts = [0] * rule.size
+    cap = 0
+    while rule.total(cap + 1) <= g * rule.size:
+        cap += 1
+    chosen: list[int] = []
+    best: list[int] = []
+
+    def place(x):
+        hit = touched(x, chosen)
+        for i, d in enumerate(hit):
+            if counts[d] == g:
+                for e in hit[:i]:
+                    counts[e] -= 1
+                return None
+            counts[d] += 1
+        chosen.append(x)
+        return hit
+
+    def extend():
+        budget.tick()
+        s = len(chosen)
+        if s > len(best):
+            best[:] = chosen
+        if s >= cap:
+            return
+        span = candidates(chosen, 1)
+        for x in span:
+            if s + span.stop - x <= len(best):
+                break
+            hit = place(x)
+            if hit is not None:
+                extend()
+                chosen.pop()
+                for d in hit:
+                    counts[d] -= 1
+
+    for x in rule.pinned:
+        place(x)
+    try:
+        extend()
+    except BudgetExceeded:
+        return best, False
+    return best, True
+
+
+# ---------------------------------------------------------------------------
+# eta and gamma: minimum g-difference sets
 
 
 def _greedy_difference_cover(g: int, N: int) -> IntSet:
@@ -132,395 +339,105 @@ def _greedy_difference_cover(g: int, N: int) -> IntSet:
     return out
 
 
-def _eta_search_at_size(g: int, N: int, W: int, k: int, budget: _Budget, pin: bool):
-    """Lexicographically first A with |A| = k and all counts >= g, or None.
-
-    Any witness translates down to min 0, which is also lex-smaller, so
-    pinning 0 loses nothing; pin=False explores translates anyway.
-    """
-    counts = [0] * (N + 1)  # counts[m] for shifts 1..N
-    deficit_total = g * N
-
-    def deficits_after(x, chosen, add):
-        nonlocal deficit_total
-        for a in chosen:
-            d = x - a
-            if 1 <= d <= N:
-                before = counts[d]
-                counts[d] = before + add
-                if add > 0 and before < g:
-                    deficit_total -= min(add, g - before)
-                elif add < 0 and counts[d] < g:
-                    deficit_total += min(-add, g - counts[d])
-
-    chosen = []
-
-    def extend(start: int) -> bool:
-        budget.tick()
-        s = len(chosen)
-        if s == k:
-            return deficit_total == 0
-        t = k - s
-        # t more elements: total coverage gain <= t*s + t(t-1)/2
-        if deficit_total > t * s + t * (t - 1) // 2:
-            return False
-        # per-shift gain <= 2t
-        for m in range(1, N + 1):
-            if g - counts[m] > 2 * t:
-                return False
-        for x in range(start, W + 1):
-            if W - x < t - 1:
-                break
-            chosen.append(x)
-            deficits_after(x, chosen[:-1], +1)
-            if extend(x + 1):
-                return True
-            deficits_after(x, chosen[:-1], -1)
-            chosen.pop()
-        return False
-
-    if pin:
-        chosen.append(0)
-        found = extend(1)
-    else:
-        found = extend(0)
-    if found:
-        return IntSet.of(chosen)
-    return None
-
-
 def eta_exact(g: int, N: int, cfg: SearchConfig = SearchConfig()) -> ExtremalResult:
     """Minimum size of a g-difference set for [N], with lex-min witness.
 
-    Iterative deepening from the covering bound ceil(sqrt(2gN)), capped at
-    2g times that bound.  The search hull is [0, W]; exhaustive=True only
-    after the doubled-window rerun reproduces the value.
+    Iterative deepening from the covering bound ceil(sqrt(2gN)) up to the
+    size of an explicit cover, with every gap at most N (gap compression).
     """
     g, N = int(g), int(N)
     if g < 1 or N < 1:
         raise ValueError("need g >= 1 and N >= 1")
-    W = cfg.window if cfg.window is not None else 2 * N
-    if W < N:
-        raise ValueError("window must be at least N")
-    lo = ceil_sqrt(2 * g * N)
-    cap = 2 * g * lo
-    fallback = _greedy_difference_cover(g, N)
+
+    def candidates(chosen, left):
+        return range(chosen[-1] + 1, chosen[-1] + N + 1) if chosen else range(N + 1)
+
+    rule = _Rule(
+        size=N,  # counter m - 1 holds shift m
+        pinned=(0,) if cfg.translation_fix else (),
+        candidates=candidates,
+        touched=lambda x, chosen: [x - a - 1 for a in chosen if x - a <= N],
+        total=lambda n: n * (n - 1) // 2,
+    )
+    fallback = list(_greedy_difference_cover(g, N).elements)
     budget = _Budget(cfg.node_budget)
-    witness = None
-    value = None
-    try:
-        for k in range(max(2, lo), cap + 1):
-            found = _eta_search_at_size(g, N, W, k, budget, cfg.translation_fix)
-            if found is not None:
-                witness, value = found, k
-                break
-    except BudgetExceeded:
-        best = witness if witness is not None else fallback
-        return ExtremalResult(
-            "eta", g, N, None, best.size, best, False, budget.spent
-        )
-    if witness is None:
-        # cap exhausted inside the window; fall back to the explicit cover
-        witness, value = fallback, fallback.size
-        exhaustive = False
-    else:
-        exhaustive = True
-        if cfg.confirm_window:
-            wide = eta_exact(
-                g,
-                N,
-                SearchConfig(
-                    window=2 * W,
-                    node_budget=budget.left,
-                    translation_fix=cfg.translation_fix,
-                    confirm_window=False,
-                ),
-            )
-            budget.spent += wide.nodes
-            exhaustive = wide.exhaustive and wide.value == value
-            if wide.value < value:
-                witness, value = wide.witness, wide.value
-                exhaustive = False
+    elems, exhaustive = _cover(rule, g, max(2, ceil_sqrt(2 * g * N)), fallback, budget)
+    witness = IntSet.of(elems)
     assert verify_certificate(witness, g=g, N=N, mode="difference").passed
-    return ExtremalResult("eta", g, N, None, value, witness, exhaustive, budget.spent)
-
-
-# ---------------------------------------------------------------------------
-# gamma: minimum g-difference subset of a group
-
-
-def _gamma_search_at_size(group: GroupSpec, g: int, k: int, budget: _Budget, pin: bool):
-    order = group.order
-    table = _difference_table(group)
-    counts = [0] * order
-    deficit_total = g * order
-
-    def apply(x, chosen, add):
-        nonlocal deficit_total
-        row = table[x]
-        for a in chosen:
-            for d in (row[a], table[a][x]):
-                before = counts[d]
-                counts[d] = before + add
-                if add > 0 and before < g:
-                    deficit_total -= 1
-                elif add < 0 and counts[d] < g:
-                    deficit_total += 1
-        before = counts[0]
-        counts[0] = before + add
-        if add > 0 and before < g:
-            deficit_total -= 1
-        elif add < 0 and counts[0] < g:
-            deficit_total += 1
-
-    chosen = []
-
-    def extend(start: int) -> bool:
-        budget.tick()
-        s = len(chosen)
-        if s == k:
-            return deficit_total == 0
-        t = k - s
-        if deficit_total > t * (2 * s + 1) + t * (t - 1):
-            return False
-        step = max(g - min(counts), 0)
-        if step > 2 * t:
-            return False
-        for x in range(start, order):
-            if order - x < t:
-                break
-            apply(x, chosen, +1)
-            chosen.append(x)
-            if extend(x + 1):
-                return True
-            chosen.pop()
-            apply(x, chosen, -1)
-        return False
-
-    if pin:
-        apply(0, [], +1)
-        chosen.append(0)
-        found = extend(1)
-    else:
-        found = extend(0)
-    if found:
-        return [group.unflatten(x) for x in chosen]
-    return None
-
-
-def _difference_table(group: GroupSpec):
-    """table[x][y] = flat index of x - y."""
-    order = group.order
-    elems = [group.unflatten(i) for i in range(order)]
-    table = []
-    for x in elems:
-        row = [
-            group.flatten(tuple((a - b) % n for a, b, n in zip(x, y, group.factors)))
-            for y in elems
-        ]
-        table.append(row)
-    return table
+    return ExtremalResult("eta", g, N, None, witness.size, witness, exhaustive, budget.spent)
 
 
 def gamma_exact(g: int, group: GroupSpec, cfg: SearchConfig = SearchConfig()) -> ExtremalResult:
     """Minimum size of a g-difference subset of a finite abelian group.
 
     0 is pinned into A (any witness translates to one through 0).  Deepening
-    starts at the strict half-plus-root covering bound.
+    starts at the strict half-plus-root covering bound; the whole group is
+    the fallback on budget exhaustion.
     """
     g = int(g)
     if g < 1 or g > group.order:
         raise ValueError("need 1 <= g <= |G|")
-    tb = trivial_bounds(g, group=group)
-    lo = max(tb.sharper_cover_lower, g, 1)
+    rows, neg = _group_maps(group, -1, -1)
+
+    def touched(x, chosen):
+        hit = [0]
+        for a in chosen:
+            d = rows[a][x]  # a - x
+            hit.append(d)
+            hit.append(neg[d])
+        return hit
+
+    rule = _Rule(
+        size=group.order,
+        pinned=(0,) if cfg.translation_fix else (),
+        candidates=_ascending(0, group.order),
+        touched=touched,
+        total=lambda n: n * n,
+    )
+    lo = max(trivial_bounds(g, group=group).sharper_cover_lower, g, 1)
     budget = _Budget(cfg.node_budget)
-    witness = None
-    value = None
-    try:
-        for k in range(lo, group.order + 1):
-            found = _gamma_search_at_size(group, g, k, budget, cfg.translation_fix)
-            if found is not None:
-                witness, value = GroupSubset.of(group, found), k
-                break
-    except BudgetExceeded:
-        full = GroupSubset.of(group, group.elements())
-        best = witness if witness is not None else full
-        return ExtremalResult(
-            "gamma", g, None, group, best.size, best, False, budget.spent
-        )
-    assert witness is not None  # the full group always certifies
-    assert verify_certificate(witness, g=g, mode="difference").passed
-    return ExtremalResult("gamma", g, None, group, value, witness, True, budget.spent)
+    flats, exhaustive = _cover(rule, g, lo, list(range(group.order)), budget)
+    witness = GroupSubset.of(group, (group.unflatten(x) for x in flats))
+    if exhaustive:
+        assert verify_certificate(witness, g=g, mode="difference").passed
+    return ExtremalResult(
+        "gamma", g, None, group, witness.size, witness, exhaustive, budget.spent
+    )
 
 
 # ---------------------------------------------------------------------------
-# beta / alpha: maximum g-Sidon sets
-
-
-def _beta_max_size(g: int, N: int, budget: _Budget) -> tuple[int, list[int], bool]:
-    cap = math.isqrt(g * max(2 * N - 1, 1))  # sum of q over [2,2N] is |A|^2
-    qcounts = [0] * (2 * N + 1)
-    best_size = 0
-    best_set: list[int] = []
-    chosen: list[int] = []
-
-    def can_add(x) -> bool:
-        if qcounts[2 * x] + 1 > g:
-            return False
-        for a in chosen:
-            if qcounts[a + x] + 2 > g:
-                return False
-        return True
-
-    def apply(x, add):
-        for a in chosen:
-            qcounts[a + x] += add
-        qcounts[2 * x] += add
-
-    def extend(start: int):
-        nonlocal best_size, best_set
-        budget.tick()
-        if len(chosen) > best_size:
-            best_size = len(chosen)
-            best_set = list(chosen)
-        if len(chosen) + (N - start + 1) <= best_size or len(chosen) >= cap:
-            return
-        for x in range(start, N + 1):
-            if len(chosen) + (N - x + 1) <= best_size:
-                break
-            if can_add(x):
-                apply(x, +2)
-                qcounts[2 * x] -= 1  # the diagonal pair counts once
-                chosen.append(x)
-                extend(x + 1)
-                chosen.pop()
-                qcounts[2 * x] += 1
-                apply(x, -2)
-
-    complete = True
-    try:
-        extend(1)
-    except BudgetExceeded:
-        complete = False
-    return best_size, best_set, complete
-
-
-def _beta_first_at_size(g: int, N: int, M: int, budget: _Budget):
-    """Lexicographically first g-Sidon subset of [1, N] with exactly M elements."""
-    qcounts = [0] * (2 * N + 1)
-    chosen: list[int] = []
-
-    def extend(start: int) -> bool:
-        budget.tick()
-        if len(chosen) == M:
-            return True
-        for x in range(start, N + 1):
-            if len(chosen) + (N - x + 1) < M:
-                break
-            ok = qcounts[2 * x] + 1 <= g and all(
-                qcounts[a + x] + 2 <= g for a in chosen
-            )
-            if ok:
-                for a in chosen:
-                    qcounts[a + x] += 2
-                qcounts[2 * x] += 1
-                chosen.append(x)
-                if extend(x + 1):
-                    return True
-                chosen.pop()
-                qcounts[2 * x] -= 1
-                for a in chosen:
-                    qcounts[a + x] -= 2
-        return False
-
-    if extend(1):
-        return chosen
-    return None
+# beta and alpha: maximum g-Sidon sets
 
 
 def beta_exact(g: int, N: int, cfg: SearchConfig = SearchConfig()) -> ExtremalResult:
     """Maximum size of a g-Sidon subset of [1, N], with lex-min witness.
 
-    Branch and bound finds the optimum, then a second pass pins the
-    lexicographically first witness of that size.  On budget exhaustion the
-    best packing found so far is returned (the singleton {1} at worst) with
-    exhaustive=False; the value is then only a lower bound.
+    On budget exhaustion the best packing found so far is returned (the
+    singleton {1} at worst) with exhaustive=False; the value is then only a
+    lower bound.
     """
     g, N = int(g), int(N)
     if g < 1 or N < 1:
         raise ValueError("need g >= 1 and N >= 1")
+
+    def touched(x, chosen):
+        sums = [a + x - 2 for a in chosen]
+        return [2 * x - 2, *sums, *sums]  # ordered pairs: a + x counts twice
+
+    rule = _Rule(
+        size=2 * N - 1,  # counter s - 2 holds the sum s
+        pinned=(),
+        candidates=_ascending(1, N + 1),
+        touched=touched,
+        total=lambda n: n * n,
+    )
     budget = _Budget(cfg.node_budget)
-    _, rough, exhaustive = _beta_max_size(g, N, budget)
-    elems = rough if rough else [1]
-    if exhaustive:
-        try:
-            first = _beta_first_at_size(g, N, len(rough), budget)
-            if first is not None:
-                elems = first
-        except BudgetExceeded:
-            exhaustive = False
-    witness = IntSet.of(elems)
+    elems, exhaustive = _pack(rule, g, budget)
+    witness = IntSet.of(elems or [1])
     assert verify_certificate(witness, g=g, N=N, mode="sidon").passed
     return ExtremalResult(
         "beta", g, N, None, witness.size, witness, exhaustive, budget.spent
     )
-
-
-def _alpha_max(group: GroupSpec, g: int, budget: _Budget, pin: bool):
-    order = group.order
-    sum_table = _sum_table(group)
-    cap = math.isqrt(g * order)  # sum of q over G is |A|^2
-    qcounts = [0] * order
-    best: list[list[int]] = [[]]
-
-    def extend(start: int, chosen: list[int]):
-        budget.tick()
-        if len(chosen) > len(best[0]):
-            best[0] = list(chosen)
-        if len(chosen) + (order - start) <= len(best[0]) or len(chosen) >= cap:
-            return
-        for x in range(start, order):
-            if len(chosen) + (order - x) <= len(best[0]):
-                break
-            row = sum_table[x]
-            if qcounts[row[x]] + 1 > g:
-                continue
-            if any(qcounts[row[a]] + 2 > g for a in chosen):
-                continue
-            for a in chosen:
-                qcounts[row[a]] += 2
-            qcounts[row[x]] += 1
-            chosen.append(x)
-            extend(x + 1, chosen)
-            chosen.pop()
-            qcounts[row[x]] -= 1
-            for a in chosen:
-                qcounts[row[a]] -= 2
-
-    complete = True
-    try:
-        if pin:
-            # translation moves any witness onto one containing 0
-            qcounts[sum_table[0][0]] += 1
-            extend(1, [0])
-        else:
-            extend(0, [])
-    except BudgetExceeded:
-        complete = False
-    return best[0], complete
-
-
-def _sum_table(group: GroupSpec):
-    """table[x][y] = flat index of x + y."""
-    order = group.order
-    elems = [group.unflatten(i) for i in range(order)]
-    return [
-        [
-            group.flatten(tuple((a + b) % n for a, b, n in zip(x, y, group.factors)))
-            for y in elems
-        ]
-        for x in elems
-    ]
 
 
 def alpha_exact(g: int, group: GroupSpec, cfg: SearchConfig = SearchConfig()) -> ExtremalResult:
@@ -534,89 +451,62 @@ def alpha_exact(g: int, group: GroupSpec, cfg: SearchConfig = SearchConfig()) ->
     g = int(g)
     if g < 1:
         raise ValueError("need g >= 1")
+    rows, double = _group_maps(group, 1, 2)
+
+    def touched(x, chosen):
+        sums = [rows[a][x] for a in chosen]
+        return [double[x], *sums, *sums]
+
+    rule = _Rule(
+        size=group.order,
+        pinned=(0,) if cfg.translation_fix else (),
+        candidates=_ascending(0, group.order),
+        touched=touched,
+        total=lambda n: n * n,
+    )
     budget = _Budget(cfg.node_budget)
-    rough, exhaustive = _alpha_max(group, g, budget, cfg.translation_fix)
-    flats = rough if rough else [0]
-    if exhaustive:
-        try:
-            first = _alpha_first_flat(group, g, len(rough), budget, cfg.translation_fix)
-            if first is not None:
-                flats = first
-        except BudgetExceeded:
-            exhaustive = False
-    witness = GroupSubset.of(group, (group.unflatten(x) for x in flats))
+    flats, exhaustive = _pack(rule, g, budget)
+    witness = GroupSubset.of(group, (group.unflatten(x) for x in flats or [0]))
     assert verify_certificate(witness, g=g, mode="sidon").passed
     return ExtremalResult(
         "alpha", g, None, group, witness.size, witness, exhaustive, budget.spent
     )
 
 
-def _alpha_first_flat(group: GroupSpec, g: int, M: int, budget: _Budget, pin: bool):
-    order = group.order
-    sum_table = _sum_table(group)
-    qcounts = [0] * order
-    chosen: list[int] = []
-
-    def extend(start: int) -> bool:
-        budget.tick()
-        if len(chosen) == M:
-            return True
-        for x in range(start, order):
-            if len(chosen) + (order - x) < M:
-                break
-            row = sum_table[x]
-            if qcounts[row[x]] + 1 > g:
-                continue
-            if any(qcounts[row[a]] + 2 > g for a in chosen):
-                continue
-            for a in chosen:
-                qcounts[row[a]] += 2
-            qcounts[row[x]] += 1
-            chosen.append(x)
-            if extend(x + 1):
-                return True
-            chosen.pop()
-            qcounts[row[x]] -= 1
-            for a in chosen:
-                qcounts[row[a]] -= 2
-        return False
-
-    if pin:
-        qcounts[sum_table[0][0]] += 1
-        chosen.append(0)
-        found = extend(1)
-    else:
-        found = extend(0)
-    if found:
-        return list(chosen)
-    return None
-
-
 # ---------------------------------------------------------------------------
 # ratio table
 
 
-def ratio_report(results, ledger: BoundsLedger = BoundsLedger()) -> str:
-    """CSV table of extremal values against square-root scaling.
+def ratio_rows(results, ledger: BoundsLedger = BoundsLedger()) -> list[dict]:
+    """One row per result: value/sqrt(g * param) to 6 places and a flag.
 
-    Interval rows report value/sqrt(gN), group rows value/sqrt(g|G|).  An
-    exhaustive eta row below the published tau lower bound is flagged FATAL
-    (it would contradict the covering theorem); that check squares both
-    sides, rationals only.
+    param is N for interval rows and |G| for group rows.  An exhaustive eta
+    row below the published tau lower bound is flagged FATAL (it would
+    contradict the covering theorem); that check squares both sides,
+    rationals only.
     """
-    lines = ["quantity,g,size-param,value,ratio,bound-flag"]
+    rows = []
     for r in results:
-        if r.quantity in ("eta", "beta"):
-            denom_sq = r.g * r.N
-        else:
-            denom_sq = r.g * r.group.order
-        ratio = r.value / math.sqrt(denom_sq)
-        flag = "ok"
-        if r.quantity == "eta" and r.exhaustive and not ledger.eta_ratio_ok(
-            r.value, r.g, r.N
-        ):
-            flag = "FATAL"
+        fatal = r.quantity == "eta" and r.exhaustive and not ledger.eta_ratio_ok(r.value, r.g, r.N)
+        rows.append(
+            {
+                "quantity": r.quantity,
+                "g": r.g,
+                "param": r.size_param,
+                "value": r.value,
+                "ratio": round(r.ratio(), 6),
+                "flag": "FATAL" if fatal else "ok",
+            }
+        )
+    return rows
+
+
+def ratio_report(results, ledger: BoundsLedger = BoundsLedger()) -> str:
+    """CSV of ratio_rows under the header quantity,g,param,value,ratio,flag."""
+    lines = ["quantity,g,param,value,ratio,flag"]
+    for row in ratio_rows(results, ledger):
         lines.append(
-            f"{r.quantity},{r.g},{r.size_param},{r.value},{ratio:.3f},{flag}"
+            f"{row['quantity']},{row['g']},{row['param']},{row['value']},"
+            f"{row['ratio']:.6f},{row['flag']}"
         )
     return "\n".join(lines) + "\n"

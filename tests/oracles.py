@@ -74,13 +74,23 @@ def is_g_sidon_group(factors, vectors, g):
 
 
 def naive_eta(g, N):
-    """Smallest g-difference set for [N] inside [0, 2N], full enumeration."""
-    universe = range(0, 2 * N + 1)
-    for size in range(1, 2 * N + 2):
-        for cand in combinations(universe, size):
+    """Smallest g-difference set for [N], lex-first, full enumeration.
+
+    Candidates start at 0 and have every consecutive gap in [1, N], which
+    loses nothing: a gap wider than N can be shrunk to N without lowering any
+    count in [1, N] (a pair across it differed by more than N before), and
+    the shrunk set is lexicographically smaller.  Gap tuples are listed in
+    lex order, which is the lex order of the sets they build.
+    """
+    size = 1
+    while True:
+        for gaps in product(range(1, N + 1), repeat=size - 1):
+            cand = [0]
+            for gap in gaps:
+                cand.append(cand[-1] + gap)
             if is_g_difference_interval(cand, g, N):
-                return size, cand
-    return None
+                return size, tuple(cand)
+        size += 1
 
 
 def naive_gamma(factors, g):

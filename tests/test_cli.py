@@ -344,12 +344,18 @@ class TestBridge:
 
 class TestSolveAndReport:
     def test_solve_eta_spec_example(self, capsys):
-        code, payload, _ = run_json(
-            capsys, "solve", "eta", "--g", "1", "--N", "3", "--window", "6"
-        )
+        code, payload, _ = run_json(capsys, "solve", "eta", "--g", "1", "--N", "3")
         assert code == 0
         assert payload["value"] == 3
         assert payload["witness"] == [0, 1, 3]
+        assert payload["exhaustive"] is True
+
+    def test_solve_eta_threefold_cover(self, capsys):
+        # four consecutive integers cover shift 1 three times
+        code, payload, _ = run_json(capsys, "solve", "eta", "--g", "3", "--N", "1")
+        assert code == 0
+        assert payload["value"] == 4
+        assert payload["witness"] == [0, 1, 2, 3]
         assert payload["exhaustive"] is True
 
     def test_solve_all_quantities(self, capsys):
@@ -372,6 +378,9 @@ class TestSolveAndReport:
         assert code == 2 and "--N" in err
         code, _, err = run_cli(capsys, "solve", "gamma", "--g", "1")
         assert code == 2 and "--factors" in err
+        for flag in (["--window", "6"], ["--no-confirm"]):
+            code, _, _ = run_cli(capsys, "solve", "eta", "--g", "1", "--N", "3", *flag)
+            assert code == 2
 
     def test_report_ratios_csv(self, capsys, tmp_path):
         paths = []
@@ -408,6 +417,12 @@ class TestSolveAndReport:
             capsys, "report", "ratios", "--results", str(fake)
         )
         assert code == 1 and payload["rows"][0]["flag"] == "FATAL"
+
+    def test_report_rejects_malformed_result(self, capsys, tmp_path):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"quantity": "eta", "g": 1, "value": 3}))
+        code, _, err = run_cli(capsys, "report", "ratios", "--results", str(bad))
+        assert code == 2 and "one of N or group" in err
 
 
 class TestBounds:

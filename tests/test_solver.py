@@ -3,6 +3,7 @@
 import csv
 import io
 import math
+import time
 
 import pytest
 
@@ -55,14 +56,17 @@ def test_eta_frozen_values():
 
 
 def test_eta_oracle_agreement():
-    # the naive search uses the same universe [0, 2N] as the default window
-    for g in (1, 2):
-        for N in range(1, 7):
-            size, cand = oracles.naive_eta(g, N)
-            r = eta_exact(g, N)
-            assert r.value == size
-            assert r.witness.elements == cand
-            assert r.exhaustive
+    cases = (
+        [(g, N) for g in (1, 2) for N in range(1, 7)]
+        + [(3, N) for N in range(1, 5)]
+        + [(4, 1), (4, 2)]
+    )
+    for g, N in cases:
+        size, cand = oracles.naive_eta(g, N)
+        r = eta_exact(g, N)
+        assert r.value == size
+        assert r.witness.elements == cand
+        assert r.exhaustive
 
 
 def test_eta_witnesses_verify():
@@ -82,18 +86,6 @@ def test_eta_monotone_in_N_and_g():
     assert vals == sorted(vals)
     at4 = [eta_exact(g, 4).value for g in (1, 2, 3)]
     assert at4 == sorted(at4)
-
-
-def test_eta_window_options():
-    r = eta_exact(1, 6, SearchConfig(window=6))
-    assert r.value == 4 and r.witness.elements == (0, 1, 4, 6)
-    assert max(r.witness.elements) <= 6
-    with pytest.raises(ValueError):
-        eta_exact(1, 6, SearchConfig(window=5))
-    quick = eta_exact(1, 6, SearchConfig(confirm_window=False))
-    full = eta_exact(1, 6)
-    assert quick.value == full.value and quick.exhaustive
-    assert quick.nodes <= full.nodes
 
 
 def test_eta_budget_partial_is_valid_cover():
@@ -162,6 +154,16 @@ def test_gamma_budget_partial_is_valid():
     r = gamma_exact(1, GroupSpec((7,)), SearchConfig(node_budget=1))
     assert not r.exhaustive
     assert r.witness.size == 7  # falls back to the full group
+    assert verify_certificate(r.witness, g=1, mode="difference").passed
+
+
+def test_gamma_budget_bounds_setup():
+    # group rows are built as elements are placed, so ten nodes on a group
+    # of order 2000 cost ten rows, not the |G|^2 table
+    start = time.perf_counter()
+    r = gamma_exact(1, GroupSpec((2000,)), SearchConfig(node_budget=10))
+    assert time.perf_counter() - start < 2.0
+    assert not r.exhaustive
     assert verify_certificate(r.witness, g=1, mode="difference").passed
 
 
@@ -326,15 +328,15 @@ def test_ratio_report_known_rows():
     table = ratio_report(results)
     assert table.endswith("\n")
     rows = list(csv.reader(io.StringIO(table)))
-    assert rows[0] == ["quantity", "g", "size-param", "value", "ratio", "bound-flag"]
-    assert rows[1] == ["eta", "1", "1", "2", "2.000", "ok"]
-    assert rows[2] == ["eta", "1", "3", "3", "1.732", "ok"]
-    assert rows[3] == ["gamma", "1", "7", "3", "1.134", "ok"]
+    assert rows[0] == ["quantity", "g", "param", "value", "ratio", "flag"]
+    assert rows[1] == ["eta", "1", "1", "2", "2.000000", "ok"]
+    assert rows[2] == ["eta", "1", "3", "3", "1.732051", "ok"]
+    assert rows[3] == ["gamma", "1", "7", "3", "1.133893", "ok"]
     assert all(len(row) == 6 for row in rows)
     assert all(row[5] == "ok" for row in rows[1:])
     # the printed ratio is the record's own ratio
     for row, r in zip(rows[1:], results):
-        assert row[4] == f"{r.ratio():.3f}"
+        assert row[4] == f"{r.ratio():.6f}"
 
 
 def test_ratio_report_fatal_flag():
@@ -342,7 +344,7 @@ def test_ratio_report_fatal_flag():
     # fabricate one to check the tripwire
     fake = ExtremalResult("eta", 1, 100, None, 10, None, True, 0)
     table = ratio_report([fake])
-    assert "eta,1,100,10,1.000,FATAL" in table
+    assert "eta,1,100,10,1.000000,FATAL" in table
     unconfirmed = ExtremalResult("eta", 1, 100, None, 10, None, False, 0)
     assert "FATAL" not in ratio_report([unconfirmed])
     fine = ExtremalResult("eta", 1, 100, None, 16, None, True, 0)
