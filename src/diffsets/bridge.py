@@ -8,11 +8,21 @@ coefficients so every comparison here is exact (rationals and integers only).
 
 Family F holds functions with autocorrelation >= 1 on [0,1]; family E holds
 functions supported in [0,1] with autoconvolution <= 1 everywhere.
+
+Both checks run one integer kernel, _kink_sweep.  With jumps d_i at the
+breakpoints b_i, (f*f)(x) = -sum_{i,j} d_i d_j (b_j - b_i - x)_+ and
+(f.f)(x) = sum_{i,j} d_i d_j (x - b_i - b_j)_+: piecewise linear, with kinks
+only at breakpoint differences or sums.  A minimum over [lo, hi] is first
+attained at lo or a kink, a maximum over R at a kink; one sort and one sweep
+of running integer totals evaluate every candidate exactly.  More than
+_PAIR_LIMIT breakpoint pairs are refused with a ValueError before any pair
+work.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -258,121 +268,99 @@ def set_to_step(A: IntSet, g: int, N: int) -> StepFunction:
     return StepFunction(tuple(bps), tuple(vals), Fraction(N, g))
 
 
-def _overlap(a1: Fraction, a2: Fraction, b1: Fraction, b2: Fraction) -> Fraction:
-    lo = a1 if a1 > b1 else b1
-    hi = a2 if a2 < b2 else b2
-    return hi - lo if hi > lo else _ZERO
+# 447 breakpoints at most: larger inputs are refused before any pair work.
+_PAIR_LIMIT = 200_000
+
+
+def _kink_sweep(f: StepFunction, sums: bool, lo: Fraction, hi: Fraction):
+    """Min of (f*f), or max of (f.f) if sums, over [lo, hi], and its first point.
+
+    Scaled by the breakpoints' common denominator P and the jumps' D, the
+    module identity is (f o f)(x) = unit * G(xP), unit < 0 for (f.f), with
+    G(X) = sum_k w_k (X - k)_+ over integer kinks k and weights w_k (ramps
+    (k - X)_+ give the same sum: the jumps and their first moments sum to
+    zero).  G's first minimiser is lo or a kink; one ascending sweep of
+    s0 = sum w_k and s1 = sum k w_k gives G = k s0 - s1 at each kink.
+    """
+    bps = f.breakpoints
+    if len(bps) ** 2 > _PAIR_LIMIT:
+        raise ValueError(f"{len(bps)} breakpoints: over {_PAIR_LIMIT} pairs for the kink scan")
+    jumps = [f.values[0], *(v - u for u, v in zip(f.values, f.values[1:])), -f.values[-1]]
+    pitch = math.lcm(*(b.denominator for b in bps))
+    den = math.lcm(*(d.denominator for d in jumps))
+    B = [int(b * pitch) for b in bps]
+    J = [int(d * den) for d in jumps]
+    weight: dict[int, int] = {}
+    for bi, ji in zip(B if sums else [-b for b in B], J):
+        for bj, jj in zip(B, J):
+            k = bi + bj
+            weight[k] = weight.get(k, 0) - ji * jj
+    kinks = sorted(weight)
+    start = bisect_right(kinks, math.floor(lo * pitch))
+    stop = bisect_left(kinks, math.ceil(hi * pitch))
+    s0 = sum(weight[k] for k in kinks[:start])
+    s1 = sum(k * weight[k] for k in kinks[:start])
+    best, arg = lo * pitch * s0 - s1, lo
+    low = low_k = None
+    for k in kinks[start:stop]:
+        g = k * s0 - s1
+        if low is None or g < low:
+            low, low_k = g, k
+        s0 += weight[k]
+        s1 += k * weight[k]
+    if low is not None and low < best:
+        best, arg = low, Fraction(low_k, pitch)
+    at_hi = hi * pitch * s0 - s1
+    if at_hi < best:
+        best, arg = at_hi, hi
+    unit = f._scale_fraction() / (den * den * pitch)
+    return best * (-unit if sums else unit), arg
 
 
 def autocorrelation(f: StepFunction, x) -> Fraction:
     """Exact (f*f)(x) = integral of f(t) f(t+x) dt, a rational number."""
     x = Fraction(x)
-    if f.is_zero:
-        return _ZERO
-    total = _ZERO
-    pieces = f.pieces()
-    for b1, b2, v in pieces:
-        if v == 0:
-            continue
-        for c1, c2, w in pieces:
-            if w == 0:
-                continue
-            ov = _overlap(b1, b2, c1 - x, c2 - x)
-            if ov > 0:
-                total += v * w * ov
-    return total * f._scale_fraction()
+    return _ZERO if f.is_zero else _kink_sweep(f, False, x, x)[0]
 
 
 def autoconvolution(f: StepFunction, x) -> Fraction:
     """Exact (f.f)(x) = integral of f(t) f(x-t) dt, a rational number."""
     x = Fraction(x)
-    if f.is_zero:
-        return _ZERO
-    total = _ZERO
-    pieces = f.pieces()
-    for b1, b2, v in pieces:
-        if v == 0:
-            continue
-        for c1, c2, w in pieces:
-            if w == 0:
-                continue
-            ov = _overlap(b1, b2, x - c2, x - c1)
-            if ov > 0:
-                total += v * w * ov
-    return total * f._scale_fraction()
-
-
-_GRID_LIMIT = 4096
-_CANDIDATE_LIMIT = 200_000
-
-
-def _grid_pitch(f: StepFunction) -> int | None:
-    """Common denominator of all breakpoints when small enough."""
-    pitch = 1
-    for b in f.breakpoints:
-        pitch = pitch * b.denominator // math.gcd(pitch, b.denominator)
-        if pitch > _GRID_LIMIT:
-            return None
-    return pitch
+    return _ZERO if f.is_zero else _kink_sweep(f, True, x, x)[0]
 
 
 def autocorrelation_min(f: StepFunction, lo=0, hi=1) -> tuple[Fraction, Fraction]:
     """Exact minimum of (f*f) over [lo, hi] and its smallest attaining point.
 
-    The autocorrelation of a step function is piecewise linear with kinks
-    only at differences of breakpoints, so scanning those candidates (or the
-    common grid when the breakpoints share a small denominator) is exact.
+    (f*f)(x) = -sum_{i,j} d_i d_j (b_j - b_i - x)_+ over the jumps d_i at the
+    breakpoints b_i, so the candidates are lo, hi and the breakpoint
+    differences between them, all evaluated by one integer sweep.  More than
+    _PAIR_LIMIT breakpoint pairs raise a ValueError before any pair work.
     """
     lo, hi = Fraction(lo), Fraction(hi)
     if lo > hi:
         raise ValueError("empty interval")
     if f.is_zero:
         return _ZERO, lo
-    pitch = _grid_pitch(f)
-    candidates = {lo, hi}
-    if pitch is not None and (hi - lo) * pitch <= _CANDIDATE_LIMIT:
-        start = math.ceil(lo * pitch)
-        stop = math.floor(hi * pitch)
-        for k in range(start, stop + 1):
-            candidates.add(Fraction(k, pitch))
-    else:
-        bps = f.breakpoints
-        if len(bps) ** 2 > _CANDIDATE_LIMIT:
-            raise ValueError("too many kink candidates for exact scan")
-        for b in bps:
-            for c in bps:
-                d = b - c
-                if lo <= d <= hi:
-                    candidates.add(d)
-    best_val, best_x = None, None
-    for x in sorted(candidates):
-        val = autocorrelation(f, x)
-        if best_val is None or val < best_val:
-            best_val, best_x = val, x
-    return best_val, best_x
+    return _kink_sweep(f, False, lo, hi)
 
 
 def autoconvolution_max(f: StepFunction, in_E: bool = False) -> tuple[Fraction, Fraction]:
     """Exact maximum of (f.f) over R and its smallest attaining point.
 
-    Kinks sit at sums of breakpoints.  With in_E=True the support must lie
-    inside [0,1] (the family-E side condition) or a ValueError is raised.
+    (f.f)(x) = sum_{i,j} d_i d_j (x - b_i - b_j)_+ over the jumps d_i at the
+    breakpoints b_i, so the candidates are the breakpoint sums, all
+    evaluated by one integer sweep.  More than _PAIR_LIMIT breakpoint pairs
+    raise a ValueError before any pair work.  With in_E=True the support
+    must lie inside [0,1] (the family-E side condition) or a ValueError is
+    raised.
     """
     if f.is_zero:
         return _ZERO, _ZERO
     sup = f.support()
     if in_E and (sup[0] < 0 or sup[1] > 1):
         raise ValueError("support outside [0,1]")
-    bps = f.breakpoints
-    if len(bps) ** 2 > _CANDIDATE_LIMIT:
-        raise ValueError("too many kink candidates for exact scan")
-    candidates = sorted({b + c for b in bps for c in bps})
-    best_val, best_x = None, None
-    for x in candidates:
-        val = autoconvolution(f, x)
-        if best_val is None or val > best_val:
-            best_val, best_x = val, x
-    return best_val, best_x
+    return _kink_sweep(f, True, 2 * sup[0], 2 * sup[1])
 
 
 # ---------------------------------------------------------------------------

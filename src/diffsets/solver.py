@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -158,9 +158,9 @@ class _Budget:
 
 @dataclass(frozen=True)
 class _Rule:
-    """How sets of one kind grow; the two searches read nothing else.
+    """How difference sets of one kind grow; the cover search reads nothing else.
 
-    size: number of counters (shifts 1..N, sums 2..2N, or group elements).
+    size: number of counters (shifts 1..N or group elements).
     pinned: elements placed before the search starts.
     candidates(chosen, left): range for the next element when `left`
     elements, this one included, remain to be placed.
@@ -173,6 +173,22 @@ class _Rule:
     candidates: Callable[[list[int], int], range]
     touched: Callable[[int, list[int]], list[int]]
     total: Callable[[int], int]
+
+
+@dataclass(frozen=True)
+class _Sums:
+    """How Sidon sets of one kind grow; the pack search reads nothing else.
+
+    Elements of `universe` are placed in ascending order, `pinned` first.
+    Counters count sums of ordered pairs: placing x adds 1 to double[x] (x + x)
+    and 2 to row(a)[x] (a + x) for each a placed before; these are distinct.
+    """
+
+    size: int
+    universe: range
+    pinned: tuple[int, ...]
+    double: Sequence[int]
+    row: Callable[[int], Sequence[int]]
 
 
 def _ascending(lo: int, hi: int):
@@ -272,31 +288,28 @@ def _cover(rule: _Rule, g: int, lo: int, fallback: list[int], budget: _Budget):
     raise AssertionError("no cover found at the size of a known one")
 
 
-def _pack(rule: _Rule, g: int, budget: _Budget):
+def _pack(rule: _Sums, g: int, budget: _Budget):
     """(elements, exhaustive): the lex-first largest set, counters at most g.
 
     DFS meets sets of equal size in lex order and the bound only cuts
     branches that cannot beat the best so far, so the first optimum found is
-    the lex-first one.  On budget exhaustion the best set so far is returned.
+    the lex-first one.  A candidate is dropped at the first counter without
+    room, before any counter is raised.  On budget exhaustion the best set
+    so far is returned.
     """
-    candidates, touched = rule.candidates, rule.touched
+    double, row, top = rule.double, rule.row, rule.universe.stop
     counts = [0] * rule.size
-    cap = 0
-    while rule.total(cap + 1) <= g * rule.size:
-        cap += 1
+    cap = math.isqrt(g * rule.size)  # an n-set adds n^2 counts in all
     chosen: list[int] = []
+    rows: list[Sequence[int]] = []  # row(a) for each chosen a
     best: list[int] = []
 
     def place(x):
-        hit = touched(x, chosen)
-        for i, d in enumerate(hit):
-            if counts[d] == g:
-                for e in hit[:i]:
-                    counts[e] -= 1
-                return None
-            counts[d] += 1
+        counts[double[x]] += 1
+        for r in rows:
+            counts[r[x]] += 2
         chosen.append(x)
-        return hit
+        rows.append(row(x))
 
     def extend():
         budget.tick()
@@ -305,16 +318,22 @@ def _pack(rule: _Rule, g: int, budget: _Budget):
             best[:] = chosen
         if s >= cap:
             return
-        span = candidates(chosen, 1)
-        for x in span:
-            if s + span.stop - x <= len(best):
+        for x in range(chosen[-1] + 1 if chosen else rule.universe.start, top):
+            if s + top - x <= len(best):
                 break
-            hit = place(x)
-            if hit is not None:
+            if counts[double[x]] == g:
+                continue
+            for r in rows:
+                if counts[r[x]] > g - 2:
+                    break
+            else:
+                place(x)
                 extend()
                 chosen.pop()
-                for d in hit:
-                    counts[d] -= 1
+                rows.pop()
+                counts[double[x]] -= 1
+                for r in rows:
+                    counts[r[x]] -= 2
 
     for x in rule.pinned:
         place(x)
@@ -420,16 +439,12 @@ def beta_exact(g: int, N: int, cfg: SearchConfig = SearchConfig()) -> ExtremalRe
     if g < 1 or N < 1:
         raise ValueError("need g >= 1 and N >= 1")
 
-    def touched(x, chosen):
-        sums = [a + x - 2 for a in chosen]
-        return [2 * x - 2, *sums, *sums]  # ordered pairs: a + x counts twice
-
-    rule = _Rule(
+    rule = _Sums(
         size=2 * N - 1,  # counter s - 2 holds the sum s
+        universe=range(1, N + 1),
         pinned=(),
-        candidates=_ascending(1, N + 1),
-        touched=touched,
-        total=lambda n: n * n,
+        double=range(-2, 2 * N, 2),
+        row=lambda a: range(a - 2, a + N),
     )
     budget = _Budget(cfg.node_budget)
     elems, exhaustive = _pack(rule, g, budget)
@@ -453,16 +468,12 @@ def alpha_exact(g: int, group: GroupSpec, cfg: SearchConfig = SearchConfig()) ->
         raise ValueError("need g >= 1")
     rows, double = _group_maps(group, 1, 2)
 
-    def touched(x, chosen):
-        sums = [rows[a][x] for a in chosen]
-        return [double[x], *sums, *sums]
-
-    rule = _Rule(
+    rule = _Sums(
         size=group.order,
+        universe=range(group.order),
         pinned=(0,) if cfg.translation_fix else (),
-        candidates=_ascending(0, group.order),
-        touched=touched,
-        total=lambda n: n * n,
+        double=double,
+        row=rows.__getitem__,
     )
     budget = _Budget(cfg.node_budget)
     flats, exhaustive = _pack(rule, g, budget)

@@ -6,6 +6,7 @@ library against these on small instances and on instances sized to force
 each production backend.
 """
 
+from fractions import Fraction
 from itertools import combinations, product
 
 
@@ -121,3 +122,31 @@ def naive_alpha(factors, g):
             if is_g_sidon_group(factors, cand, g):
                 return size, cand
     return 0, ()
+
+
+def _overlap(a1, a2, b1, b2):
+    lo = max(a1, b1)
+    hi = min(a2, b2)
+    return hi - lo if hi > lo else 0
+
+
+def _pair_overlaps(f, x, reflect):
+    """Sum over piece pairs of v * w * |piece_i meets (shifted) piece_j|."""
+    x = Fraction(x)
+    pieces = list(zip(f.breakpoints, f.breakpoints[1:], f.values))
+    total = Fraction(0)
+    for b1, b2, v in pieces:
+        for c1, c2, w in pieces:
+            other = (x - c2, x - c1) if reflect else (c1 - x, c2 - x)
+            total += v * w * _overlap(b1, b2, *other)
+    return total * (1 if f.scale_sqrt is None else f.scale_sqrt)
+
+
+def naive_autocorrelation(f, x):
+    """(f*f)(x) = integral of f(t) f(t+x) dt, piece pair by piece pair."""
+    return _pair_overlaps(f, x, reflect=False)
+
+
+def naive_autoconvolution(f, x):
+    """(f.f)(x) = integral of f(t) f(x-t) dt, piece pair by piece pair."""
+    return _pair_overlaps(f, x, reflect=True)

@@ -1,11 +1,13 @@
 """Exactness tests for step functions, averages, and the torus bridge."""
 
 import dataclasses
+import operator
 import random
 from fractions import Fraction
 
 import pytest
 
+import oracles
 from diffsets.bridge import (
     AveragesSeq,
     ProbSeq,
@@ -184,8 +186,8 @@ class TestAutocorrelation:
             x = F(rng.randrange(0, 1000), 1000)
             assert autocorrelation(f, x) >= mn
 
-    def test_min_without_small_grid(self):
-        # denominator 8191 exceeds the grid limit: kink-difference path
+    def test_min_with_off_grid_breakpoints(self):
+        # breakpoints over the prime 8191: no kink lies on a coarse grid
         p = 8191
         f = StepFunction((F(0), F(3, p), F(5, p), F(8, p)), (F(1), F(0), F(2)))
         mn, arg = autocorrelation_min(f, 0, F(8, p))
@@ -194,6 +196,69 @@ class TestAutocorrelation:
             x = F(rng.randrange(0, 8 * 50), p * 50)
             assert autocorrelation(f, x) >= mn
         assert autocorrelation(f, arg) == mn
+
+    def test_flat_minimum_takes_smallest_point(self):
+        # blocks [0,1) and [2,4): (f*f) = 1 on all of [1,3]
+        f = StepFunction((F(0), F(1), F(2), F(4)), (F(1), F(0), F(1)))
+        assert autocorrelation_min(f, F(1, 2), 3) == (1, 1)
+        assert autocorrelation_min(f, F(3, 2), 3) == (1, F(3, 2))
+        assert autocorrelation_min(f, F(5, 2), F(5, 2)) == (1, F(5, 2))
+
+
+def _random_step(rng, den, lo_num):
+    n = rng.randrange(1, 6)
+    bps = sorted(rng.sample(range(lo_num, lo_num + 3 * den), n + 1))
+    vals = [F(rng.randrange(0, 5), rng.choice((1, 2, 3))) for _ in range(n)]
+    scale = rng.choice((None, None, F(2), F(3, 5)))
+    return StepFunction(tuple(F(b, den) for b in bps), tuple(vals), scale)
+
+
+def _oracle_extreme(evaluate, candidates, better):
+    """First of the sorted candidates with the best oracle value."""
+    best_val, best_x = None, None
+    for x in sorted(set(candidates)):
+        val = evaluate(x)
+        if best_val is None or better(val, best_val):
+            best_val, best_x = val, x
+    return best_val, best_x
+
+
+class TestKinkSweepAgainstOracle:
+    """The integer kink sweep equals a scan of the pairwise-overlap oracle
+    over every breakpoint difference or sum (plus lo and hi)."""
+
+    @pytest.mark.parametrize("den", [12, 8191])
+    def test_min_and_max(self, den):
+        rng = random.Random(den)
+        for _ in range(60):
+            f = _random_step(rng, den, rng.choice((0, -2 * den)))
+            if f.is_zero:
+                continue
+            bps = f.breakpoints
+            lo = F(rng.randrange(-2 * den, 2 * den), rng.choice((den, 7 * den)))
+            hi = lo if rng.random() < 0.2 else lo + F(rng.randrange(0, 3 * den), den)
+            diffs = [b - c for b in bps for c in bps if lo <= b - c <= hi]
+            want = _oracle_extreme(
+                lambda x: oracles.naive_autocorrelation(f, x), [lo, hi, *diffs], operator.lt
+            )
+            assert autocorrelation_min(f, lo, hi) == want
+            sums = [b + c for b in bps for c in bps]
+            want = _oracle_extreme(
+                lambda x: oracles.naive_autoconvolution(f, x), sums, operator.gt
+            )
+            assert autoconvolution_max(f) == want
+            x = F(rng.randrange(-4 * den, 4 * den), rng.choice((den, 5 * den)))
+            assert autocorrelation(f, x) == oracles.naive_autocorrelation(f, x)
+            assert autoconvolution(f, x) == oracles.naive_autoconvolution(f, x)
+
+    def test_refuses_too_many_breakpoints(self):
+        # 500 breakpoints on the 1/4096 grid: 250,000 pairs
+        bps = tuple(F(k, 4096) for k in range(500))
+        f = StepFunction(bps, tuple(F(k % 2 + 1) for k in range(499)))
+        with pytest.raises(ValueError):
+            autoconvolution_max(f)
+        with pytest.raises(ValueError):
+            autocorrelation_min(f, 0, 1)
 
 
 class TestAutoconvolution:

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import time
 
 import pytest
 
@@ -304,6 +305,19 @@ class TestBridge:
         code, payload, _ = run_json(capsys, "bridge", "fn-check", "--fn", str(unit))
         assert code == 1 and payload["passes"] is False
         assert payload["min"] == "0" and payload["argmin"] == "1"
+
+    def test_fn_check_refuses_too_many_breakpoints(self, capsys, tmp_path):
+        # 1000 pieces on the 1/4096 grid: refused before any pair work
+        fn = tmp_path / "big.json"
+        fn.write_text(json.dumps({
+            "breakpoints": [f"{k}/4096" for k in range(1001)],
+            "values": [str(k % 2 + 1) for k in range(1000)],
+            "scale_sqrt": None,
+        }))
+        start = time.perf_counter()
+        code, _, err = run_cli(capsys, "bridge", "fn-check", "--fn", str(fn))
+        assert code == 2 and "breakpoints" in err
+        assert time.perf_counter() - start < 1.0
 
     def test_averages_and_probs(self, capsys, tmp_path, int_set_file):
         fn = tmp_path / "fn.json"
