@@ -31,6 +31,7 @@ from .core_sets import (
     GroupSpec,
     GroupSubset,
     IntSet,
+    _convolve,
     _group_counts,
     format_fraction,
     parse_fraction,
@@ -383,39 +384,20 @@ def window_radius(N: int, tau_hat: Fraction) -> int:
     return _ceil_cbrt_ratio(p**3 * N * N, 8 * q**3)
 
 
-def _int_correlations(values: list[int], m_max: int) -> list[int]:
-    """Sum_i v[i]*v[i+m] for m = 0..m_max via one big-integer product.
+def _correlations(coeffs: dict, m_lo: int, m_hi: int) -> tuple[list[int], int]:
+    """den^2 * sum_i c_i c_{i+m} for m = m_lo..m_hi, and den, exactly.
 
-    Values are packed into byte-aligned slots wide enough that no slot can
-    carry into its neighbor, so every extracted digit is an exact integer
-    correlation.
+    den is the least common denominator of the nonnegative rationals c; the
+    integers c * den over the support's hull are convolved with their own
+    reverse by core_sets._convolve.  Shifts past the hull correlate to 0.
     """
-    n = len(values)
-    if n == 0:
-        return [0] * (m_max + 1)
-    vmax = max(values)
-    if vmax == 0:
-        return [0] * (m_max + 1)
-    bound = sum(values) * vmax
-    width_bytes = max(1, (bound.bit_length() + 8) // 8)
-    fwd = bytearray(n * width_bytes)
-    rev = bytearray(n * width_bytes)
-    for i, v in enumerate(values):
-        if v:
-            chunk = v.to_bytes((v.bit_length() + 7) // 8, "little")
-            fwd[i * width_bytes : i * width_bytes + len(chunk)] = chunk
-            j = n - 1 - i
-            rev[j * width_bytes : j * width_bytes + len(chunk)] = chunk
-    prod = int.from_bytes(fwd, "little") * int.from_bytes(rev, "little")
-    raw = prod.to_bytes((2 * n) * width_bytes, "little")
-    out = []
-    for m in range(m_max + 1):
-        if m >= n:
-            out.append(0)
-            continue
-        s = (n - 1 + m) * width_bytes
-        out.append(int.from_bytes(raw[s : s + width_bytes], "little"))
-    return out
+    support = sorted(coeffs)
+    dense = [coeffs.get(i, _ZERO) for i in range(support[0], support[-1] + 1)]
+    den = math.lcm(*(c.denominator for c in dense))
+    ints = [c.numerator * (den // c.denominator) for c in dense]
+    n = len(ints)
+    z = _convolve(ints, ints[::-1])
+    return [int(z[n - 1 + m]) if m < n else 0 for m in range(m_lo, m_hi + 1)], den
 
 
 @dataclass(frozen=True)
@@ -570,24 +552,18 @@ def _check_conditions(seq: AveragesSeq, f: StepFunction, lam: Fraction) -> Condi
     max_c = max(seq.coeffs.values())
     cond2_ok = (max_c * seq.tau_hat) ** 3 * N * N <= total**3
     # condition (3): exact integer correlations over the contiguous support
-    support = seq.support
-    i0, i1 = support[0], support[-1]
-    dense = [seq.coeffs.get(i, _ZERO) for i in range(i0, i1 + 1)]
-    den = 1
-    for c in dense:
-        den = den * c.denominator // math.gcd(den, c.denominator)
-    ints = [int(c * den) for c in dense]
     m_hi = N if seq.stretch != 1 else N - (2 * L - 1)
     m_hi = max(m_hi, 1)
-    corr = _int_correlations(ints, m_hi)
+    corr, den = _correlations(seq.coeffs, 1, m_hi)
     rad = seq.radicand
-    best_m = min(range(1, m_hi + 1), key=lambda m: corr[m])
-    cond3_min = Fraction(corr[best_m], den * den) * rad
+    best = min(range(m_hi), key=corr.__getitem__)
+    best_m = best + 1
+    cond3_min = Fraction(corr[best], den * den) * rad
     threshold = Fraction((2 * L - 1) * N, 2 * L)
     # compare corr[m]*rad/den^2 >= threshold without per-m Fractions
     lhs_scale = rad.numerator
     rhs = threshold * den * den * rad.denominator
-    cond3_ok = all(corr[m] * lhs_scale >= rhs for m in range(1, m_hi + 1))
+    cond3_ok = all(c * lhs_scale >= rhs for c in corr)
     return ConditionsReport(
         sum_identity_ok=sum_identity_ok,
         cond2_ok=cond2_ok,
@@ -717,18 +693,11 @@ def prob_correlation_minimum(probs: ProbSeq, m_lo: int, m_hi: int) -> tuple[Frac
     """
     if m_lo < 1 or m_lo > m_hi:
         raise ValueError("need 1 <= m_lo <= m_hi")
-    support = probs.support
-    if not support:
+    if not probs.coeffs:
         return _ZERO, m_lo
-    i0, i1 = support[0], support[-1]
-    dense = [probs.coeffs.get(i, _ZERO) for i in range(i0, i1 + 1)]
-    den = 1
-    for c in dense:
-        den = den * c.denominator // math.gcd(den, c.denominator)
-    ints = [int(c * den) for c in dense]
-    corr = _int_correlations(ints, m_hi)
-    best_m = min(range(m_lo, m_hi + 1), key=lambda m: corr[m])
-    return Fraction(corr[best_m], den * den), best_m
+    corr, den = _correlations(probs.coeffs, m_lo, m_hi)
+    best = min(range(len(corr)), key=corr.__getitem__)
+    return Fraction(corr[best], den * den), m_lo + best
 
 
 # ---------------------------------------------------------------------------

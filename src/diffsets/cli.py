@@ -9,6 +9,7 @@ check, 1 certificate violation found, 2 usage or input error.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import sys
@@ -510,7 +511,9 @@ def _cmd_bounds(args, run):
 # Parser plumbing
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The CLI parser, built on the first dispatch and reused after."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=0, help="master seed for any randomized path")
     common.add_argument("--json", action="store_true", help="emit the full JSON report")

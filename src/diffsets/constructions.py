@@ -763,9 +763,9 @@ def _make_sequence_trial(model: RandomModel, delta: Fraction, epsilon: Fraction)
                 "probe_count": 0,
                 "success": False,
             }
-        counts = _pair_counts(A.elements, "difference")
-        r_min, _ = counts.scan_min(1, N)
-        probe_count = counts.get(probe_m)
+        start, offsets, counts = _pair_counts(A.elements, "difference", 1, N)
+        r_min = int(counts.min()) if len(counts) == N else 0
+        probe_count = int(counts[offsets == probe_m - start].sum())
         ok = Fraction(r_min) ** 3 >= count_floor_cubed
         if scale_n is None:
             ok = ok and A.size <= size_cap_plain

@@ -4,15 +4,27 @@ Counts are over ordered pairs: the difference count of A at shift m is
 |{(a, b) in A x A : a - b = m}| and the sum count at m is
 |{(a, b) in A x A : a + b = m}|.  A is a "g-difference set" for a domain of
 shifts when every difference count there is >= g, and a "g-Sidon set" when
-every sum count is <= g.  Everything here is exact integer arithmetic; numpy
-is used only as an int64 pair-counting backend.
+every sum count is <= g.  Everything here is exact integer arithmetic.
+
+All counts come from one kernel, _convolve: the indicator of the set's hull
+(or of its group, each axis padded to 2n-1) convolved with its reverse or
+itself, as one product of packed decimal integers.  libmpdec, the C library
+behind the decimal module, multiplies large operands by a number-theoretic
+transform.  Only where the k^2 ordered pairs cost less, for a hull of more
+than k^2/128 cells on the line or a padded group of more than k^2 cells, are
+the pairs binned directly with numpy instead; on the line that path keeps
+memory at O(k^2) however wide the hull.  Importing this module fails
+without the C decimal module: the pure-Python fallback would make the same
+products orders of magnitude slower.
 """
 
 from __future__ import annotations
 
+import decimal
 import math
-from collections import Counter
+import sys
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
 from itertools import product
 
@@ -38,11 +50,30 @@ __all__ = [
     "parse_fraction",
 ]
 
-# Dispatch thresholds for the counting backends.  Dense sets go through
-# vectorized bincount over the hull; tiny or hull-sparse sets through a dict.
-_DICT_PAIR_LIMIT = 250_000
-_ARRAY_SPAN_LIMIT = 8_000_000
+try:
+    import _decimal
+except ImportError:
+    _decimal = None
+if _decimal is None or decimal.Decimal is not _decimal.Decimal:
+    raise ImportError("diffsets needs the C decimal module (libmpdec), not _pydecimal")
+
+# Packed products are exact integers: any rounding raises instead.
+_EXACT = decimal.Context(
+    prec=decimal.MAX_PREC,
+    Emax=decimal.MAX_EMAX,
+    Emin=decimal.MIN_EMIN,
+    traps=[decimal.Inexact, decimal.Rounded, decimal.Overflow, decimal.InvalidOperation],
+)
+# Pair cells per numpy chunk on the pair path.
 _CHUNK_CELLS = 2_000_000
+# Widest shift window the pair path bins densely (128 MB of int64 counts);
+# wider windows sort the pairs that land in them instead.
+_DENSE_CELLS = 16_000_000
+# On the line a hull cell costs the decimal path about as much as 128 pairs
+# cost the numpy pair path: the measured crossover lies between 60 and 270
+# pairs per cell for hulls of 6e4 to 1e6 cells.  In a group the pair path's
+# modular arithmetic moves the crossover to about one pair per padded cell.
+_CELL_PAIRS = 128
 
 
 class CertificateError(ValueError):
@@ -263,153 +294,140 @@ class Verdict:
 
 
 # ---------------------------------------------------------------------------
-# Counting backends.  Both are exact; they differ only in speed envelope.
+# Counting: one exact convolution kernel, and a pair fallback for sparse input
 
 
-class _DictCounts:
-    __slots__ = ("counter",)
+def _convolve(x, y):
+    """Exact linear convolution z[k] = sum_i x[i] y[k-i] of two nonnegative
+    integer sequences (int64 arrays or lists of ints), as one decimal product.
 
-    def __init__(self, counter: Counter):
-        self.counter = counter
-
-    def get(self, m: int) -> int:
-        return self.counter.get(m, 0)
-
-    def scan_min(self, lo: int, hi: int):
-        best, best_m = None, None
-        for m in range(lo, hi + 1):
-            c = self.counter.get(m, 0)
-            if best is None or c < best:
-                best, best_m = c, m
-                if best == 0:
-                    break
-        return best, best_m
-
-    def scan_max(self, lo: int, hi: int):
-        best, best_m = None, None
-        # only realized shifts can attain a positive max
-        realized = [m for m in self.counter if lo <= m <= hi]
-        if not realized:
-            return 0, lo
-        for m in sorted(realized):
-            c = self.counter[m]
-            if best is None or c > best:
-                best, best_m = c, m
-        return best, best_m
-
-    def first_below(self, lo: int, hi: int, g: int):
-        for m in range(lo, hi + 1):
-            if self.counter.get(m, 0) < g:
-                return m
-        return None
-
-    def first_above(self, lo: int, hi: int, g: int):
-        realized = sorted(m for m in self.counter if lo <= m <= hi)
-        for m in realized:
-            if self.counter[m] > g:
-                return m
-        return None
+    Entry i of each sequence fills the w-digit slot at 10^(w i) of one
+    Decimal integer, where w is the digit count of the largest value any
+    z[k] can take, min(sum x * max y, sum y * max x); no slot can carry, so
+    the product's slots are z.  The product runs in _EXACT, where rounding
+    traps, and the unpacked slots must sum to sum x * sum y, which fails if
+    any slot had carried.  Returns an int64 array when w <= 18, else a list
+    of Python ints.
+    """
+    x, y = (v if isinstance(v, np.ndarray) else np.array(v, dtype=object) for v in (x, y))
+    if min(x.min(), y.min()) < 0:
+        raise ValueError("convolution operands must be nonnegative")
+    sx, sy = _total(x), _total(y)
+    w = _digits(min(sx * int(y.max()), sy * int(x.max())))
+    slots = len(x) + len(y) - 1
+    product = _EXACT.multiply(_pack(x, w), _pack(y, w))
+    # a carry out of the top slot is cut off here; the sum check catches it
+    digits = str(product).rjust(slots * w, "0")[-slots * w :]
+    if w <= 18:
+        d = np.frombuffer(digits.encode("ascii"), dtype=np.uint8).reshape(slots, w)
+        z = np.zeros(slots, dtype=np.int64)
+        for j in range(w):
+            z = z * 10 + (d[:, j] - 48)
+        z = z[::-1].copy()
+        total = _total(z)
+    else:
+        to_int = int if _str_safe(w) else lambda s: int(Decimal(s))
+        z = [to_int(digits[i : i + w]) for i in range(len(digits) - w, -1, -w)]
+        total = sum(z)
+    if total != sx * sy:
+        raise ArithmeticError("convolution slot overflow")
+    return z
 
 
-class _ArrayCounts:
-    __slots__ = ("base", "arr")
-
-    def __init__(self, base: int, arr: np.ndarray):
-        self.base = base
-        self.arr = arr
-
-    def get(self, m: int) -> int:
-        i = m - self.base
-        if 0 <= i < len(self.arr):
-            return int(self.arr[i])
-        return 0
-
-    def _window(self, lo: int, hi: int):
-        top = self.base + len(self.arr) - 1
-        wlo, whi = max(lo, self.base), min(hi, top)
-        inside = wlo <= whi
-        clipped = lo < self.base or hi > top
-        return wlo, whi, inside, clipped
-
-    def scan_min(self, lo: int, hi: int):
-        wlo, whi, inside, clipped = self._window(lo, hi)
-        if not inside:
-            return 0, lo
-        sl = self.arr[wlo - self.base : whi - self.base + 1]
-        i = int(np.argmin(sl))
-        val, m = int(sl[i]), wlo + i
-        if clipped and val > 0:
-            return 0, lo if lo < self.base else whi + 1
-        return val, m
-
-    def scan_max(self, lo: int, hi: int):
-        wlo, whi, inside, _ = self._window(lo, hi)
-        if not inside:
-            return 0, lo
-        sl = self.arr[wlo - self.base : whi - self.base + 1]
-        i = int(np.argmax(sl))
-        return int(sl[i]), wlo + i
-
-    def first_below(self, lo: int, hi: int, g: int):
-        wlo, whi, inside, _ = self._window(lo, hi)
-        if lo < self.base:
-            return lo
-        if not inside:
-            return lo
-        sl = self.arr[wlo - self.base : whi - self.base + 1]
-        hits = np.nonzero(sl < g)[0]
-        if hits.size:
-            return wlo + int(hits[0])
-        if hi > whi:
-            return whi + 1
-        return None
-
-    def first_above(self, lo: int, hi: int, g: int):
-        wlo, whi, inside, _ = self._window(lo, hi)
-        if not inside:
-            return None
-        sl = self.arr[wlo - self.base : whi - self.base + 1]
-        hits = np.nonzero(sl > g)[0]
-        if hits.size:
-            return wlo + int(hits[0])
-        return None
+def _digits(n: int) -> int:
+    """Decimal digit count of n >= 0 (1 for 0), from its bit length."""
+    # 0.30103 > log10(2), so w is the digit count or one more
+    w = 1 + n.bit_length() * 30103 // 100000
+    return w - (w > 1 and 10 ** (w - 1) > n)
 
 
-def _pair_counts(elements: tuple[int, ...], mode: str):
-    """Exact ordered-pair difference or sum counts for a set of integers."""
+def _str_safe(w: int) -> bool:
+    """Whether str(int) and int(str) accept w digits; Decimal has no limit."""
+    limit = sys.get_int_max_str_digits()
+    return limit == 0 or w <= limit
+
+
+def _total(a: np.ndarray) -> int:
+    """Exact sum of an int64 or object array of ints, free of int64 overflow."""
+    if a.dtype == object:
+        return int(a.sum())
+    return (int((a >> 32).sum()) << 32) + int((a & 0xFFFFFFFF).sum())
+
+
+def _pack(a: np.ndarray, w: int) -> Decimal:
+    """sum_i a[i] 10^(w i) as a Decimal, built from its digit string."""
+    if w > 18:
+        to_str = str if _str_safe(w) else lambda v: str(Decimal(v))
+        return Decimal("".join(to_str(v).zfill(w) for v in a[::-1]))
+    a = a[::-1].astype(np.int64)
+    d = np.empty((len(a), w), dtype=np.uint8)
+    for j in range(w - 1, -1, -1):
+        d[:, j] = a % 10 + 48
+        a //= 10
+    return Decimal(d.tobytes().decode("ascii"))
+
+
+def _pair_counts(elements: tuple[int, ...], mode: str, lo: int, hi: int):
+    """Exact ordered-pair difference or sum counts at the shifts lo..hi.
+
+    Returns (start, offsets, counts): the shifts start + offsets, ascending,
+    are the shifts of the window that some pair reaches, each with its
+    positive count; every other shift counts 0.  The window is first
+    clipped to the reachable shifts, so nothing is allocated for the rest.
+    The counts are the hull's indicator convolved with its reverse
+    (differences) or itself (sums); when the hull has more than
+    k^2/_CELL_PAIRS cells, the pairs are binned directly instead, in a dense
+    window of at most _DENSE_CELLS cells or else by sorting, which keeps
+    memory at O(k^2) however far apart the elements lie.
+    """
     k = len(elements)
     if k == 0:
         raise ValueError("empty set")
-    lo, hi = elements[0], elements[-1]
-    span = hi - lo
-    if k * k > _DICT_PAIR_LIMIT and span <= _ARRAY_SPAN_LIMIT:
-        e = np.asarray(elements, dtype=np.int64) - lo
-        length = 2 * span + 1
-        out = np.zeros(length, dtype=np.int64)
-        rows = max(1, _CHUNK_CELLS // max(k, 1))
-        for i0 in range(0, k, rows):
-            block = e[i0 : i0 + rows, None]
-            if mode == "difference":
-                d = block - e[None, :] + span
-            else:
-                d = block + e[None, :]
-            out += np.bincount(d.ravel(), minlength=length)
-        # difference d = a-b sits at index d+span, sum s = a+b at s-2lo
-        return _ArrayCounts(-span if mode == "difference" else 2 * lo, out)
-    counter: Counter = Counter()
-    if mode == "difference":
-        for a in elements:
-            for b in elements:
-                counter[a - b] += 1
-    else:
-        for a in elements:
-            for b in elements:
-                counter[a + b] += 1
-    return _DictCounts(counter)
+    first, span = elements[0], elements[-1] - elements[0]
+    if span >= 2**62:
+        raise ValueError("set spans more than 2^62")
+    # the set reaches shifts base..base+2*span
+    base = -span if mode == "difference" else 2 * first
+    wlo, whi = max(lo, base), min(hi, base + 2 * span)
+    if wlo > whi:
+        empty = np.zeros(0, dtype=np.int64)
+        return lo, empty, empty
+    e = np.fromiter((a - first for a in elements), dtype=np.int64, count=k)
+    if (span + 1) * _CELL_PAIRS <= k * k:
+        ind = np.zeros(span + 1, dtype=np.int64)
+        ind[e] = 1
+        z = _convolve(ind, ind[::-1] if mode == "difference" else ind)
+        window = z[wlo - base : whi - base + 1]
+        offsets = np.flatnonzero(window)
+        return wlo, offsets, window[offsets]
+    # with e the offsets from the first element, pair (a, b) lands at
+    # offset e[a] + other[b] of the window
+    other = (span - e if mode == "difference" else e) - (wlo - base)
+    n = whi - wlo + 1
+    dense = np.zeros(n, dtype=np.int64) if n <= _DENSE_CELLS else None
+    hits = []
+    rows = max(1, _CHUNK_CELLS // k)
+    for i0 in range(0, k, rows):
+        z = (e[i0 : i0 + rows, None] + other[None, :]).ravel()
+        z = z[(z >= 0) & (z < n)]
+        if dense is None:
+            hits.append(z)
+        else:
+            dense += np.bincount(z, minlength=n)
+    if dense is None:
+        offsets, counts = np.unique(np.concatenate(hits), return_counts=True)
+        return wlo, offsets, counts.astype(np.int64)
+    offsets = np.flatnonzero(dense)
+    return wlo, offsets, dense[offsets]
 
 
 def _group_counts(subset: GroupSubset, mode: str) -> np.ndarray:
-    """Exact counts over every group element, indexed by flattened residue."""
+    """Exact counts over every group element, indexed by flattened residue.
+
+    Each axis is padded to 2n-1 so the linear convolution of the indicators
+    cannot wrap, then folded mod n.  When the padded box holds more cells
+    than the k^2 pairs, the pairs are binned directly instead.
+    """
     if subset.size == 0:
         raise ValueError("empty set")
     spec = subset.group
@@ -419,6 +437,22 @@ def _group_counts(subset: GroupSubset, mode: str) -> np.ndarray:
     x = np.asarray(subset.elements, dtype=np.int64)  # (k, d)
     k, d = x.shape
     factors = np.asarray(spec.factors, dtype=np.int64)
+    padded = tuple(2 * n - 1 for n in spec.factors)
+    if math.prod(padded) <= k * k:
+        # reversing the flat indicator maps b to (n-1-b) on every axis, so
+        # a - b lands at a - b + n - 1 before the fold: residue t + 1 mod n
+        pstrides = np.asarray(GroupSpec(padded).strides(), dtype=np.int64)
+        ind = np.zeros(int((factors - 1) @ pstrides) + 1, dtype=np.int64)
+        ind[x @ pstrides] = 1
+        box = _convolve(ind, ind[::-1] if mode == "difference" else ind).reshape(padded)
+        for axis, n in enumerate(spec.factors):
+            box = np.moveaxis(box, axis, 0)
+            folded = box[:n].copy()
+            folded[: n - 1] += box[n:]
+            if mode == "difference":
+                folded = np.roll(folded, 1, axis=0)
+            box = np.moveaxis(folded, 0, axis)
+        return box.reshape(order)
     strides = np.asarray(spec.strides(), dtype=np.int64)
     out = np.zeros(order, dtype=np.int64)
     rows = max(1, _CHUNK_CELLS // max(k * d, 1))
@@ -437,28 +471,26 @@ def _group_counts(subset: GroupSubset, mode: str) -> np.ndarray:
 # Profiles
 
 
-def rep_diff_profile(A: IntSet, shifts: tuple[int, int]) -> RepProfile:
-    """Difference counts of A at every shift in the inclusive interval."""
+def _profile(A: IntSet, kind: str, shifts: tuple[int, int]) -> RepProfile:
     lo, hi = int(shifts[0]), int(shifts[1])
     if lo > hi:
         raise ValueError("empty shift interval")
     if hi - lo + 1 > 5_000_000:
         raise ValueError("shift interval too large to materialize")
-    counts = _pair_counts(A.elements, "difference")
-    table = {m: counts.get(m) for m in range(lo, hi + 1)}
-    return RepProfile.build("difference", f"[{lo},{hi}]", table)
+    start, offsets, counts = _pair_counts(A.elements, kind, lo, hi)
+    table = dict.fromkeys(range(lo, hi + 1), 0)
+    table.update(zip((start + o for o in offsets.tolist()), counts.tolist()))
+    return RepProfile.build(kind, f"[{lo},{hi}]", table)
+
+
+def rep_diff_profile(A: IntSet, shifts: tuple[int, int]) -> RepProfile:
+    """Difference counts of A at every shift in the inclusive interval."""
+    return _profile(A, "difference", shifts)
 
 
 def rep_sum_profile(A: IntSet, shifts: tuple[int, int]) -> RepProfile:
     """Sum counts of A at every shift in the inclusive interval."""
-    lo, hi = int(shifts[0]), int(shifts[1])
-    if lo > hi:
-        raise ValueError("empty shift interval")
-    if hi - lo + 1 > 5_000_000:
-        raise ValueError("shift interval too large to materialize")
-    counts = _pair_counts(A.elements, "sum")
-    table = {m: counts.get(m) for m in range(lo, hi + 1)}
-    return RepProfile.build("sum", f"[{lo},{hi}]", table)
+    return _profile(A, "sum", shifts)
 
 
 def group_rep_profile(A: GroupSubset, mode: str = "difference") -> RepProfile:
@@ -494,24 +526,14 @@ def verify_certificate(A, g: int, N: int | None = None, mode: str = "difference"
     if isinstance(A, GroupSubset):
         if N is not None:
             raise ValueError("N applies only to integer sets")
-        arr = _group_counts(A, "difference" if mode == "difference" else "sum")
         if mode == "difference":
-            i = int(np.argmin(arr))
-            achieved = int(arr[i])
-            passed = achieved >= g
-            witness = None
-            if not passed:
-                bad = int(np.nonzero(arr < g)[0][0])
-                witness = A.group.unflatten(bad)
-            return Verdict(passed, achieved, witness)
-        i = int(np.argmax(arr))
-        achieved = int(arr[i])
-        passed = achieved <= g
-        witness = None
-        if not passed:
-            bad = int(np.nonzero(arr > g)[0][0])
-            witness = A.group.unflatten(bad)
-        return Verdict(passed, achieved, witness)
+            arr = _group_counts(A, "difference")
+            achieved, bad = int(arr.min()), np.flatnonzero(arr < g)
+        else:
+            arr = _group_counts(A, "sum")
+            achieved, bad = int(arr.max()), np.flatnonzero(arr > g)
+        witness = A.group.unflatten(int(bad[0])) if bad.size else None
+        return Verdict(witness is None, achieved, witness)
     if not isinstance(A, IntSet):
         raise TypeError("expected IntSet or GroupSubset")
     if N is None:
@@ -522,17 +544,23 @@ def verify_certificate(A, g: int, N: int | None = None, mode: str = "difference"
     if A.size == 0:
         raise ValueError("empty set")
     if mode == "difference":
-        counts = _pair_counts(A.elements, "difference")
-        achieved, _ = counts.scan_min(1, N)
-        witness = counts.first_below(1, N, g)
+        start, offsets, counts = _pair_counts(A.elements, "difference", 1, N)
+        # 0-based positions in 1..N of the shifts that reach g, ascending
+        good = offsets[counts >= g] + (start - 1)
+        gaps = np.flatnonzero(good != np.arange(len(good)))
+        if gaps.size:
+            witness = int(gaps[0]) + 1
+        else:
+            witness = len(good) + 1 if len(good) < N else None
+        achieved = int(counts.min()) if len(counts) == N else 0
         return Verdict(witness is None, achieved, witness)
-    # Sidon over [N]: support must lie in [1, N]
+    # Sidon over [N]: support must lie in [1, N], so every sum is in [2, 2N]
     if A.elements[0] < 1 or A.elements[-1] > N:
         raise ValueError("support outside [1,N]")
-    counts = _pair_counts(A.elements, "sum")
-    achieved, _ = counts.scan_max(2, 2 * N)
-    witness = counts.first_above(2, 2 * N, g)
-    return Verdict(witness is None, achieved, witness)
+    start, offsets, counts = _pair_counts(A.elements, "sum", 2, 2 * N)
+    hits = np.flatnonzero(counts > g)
+    witness = start + int(offsets[hits[0]]) if hits.size else None
+    return Verdict(witness is None, int(counts.max()), witness)
 
 
 # ---------------------------------------------------------------------------

@@ -30,6 +30,15 @@ def sum_counts(elements):
     return out
 
 
+def convolution(x, y):
+    """z[k] = sum_i x[i] * y[k - i], one product at a time."""
+    out = [0] * (len(x) + len(y) - 1)
+    for i, a in enumerate(x):
+        for j, b in enumerate(y):
+            out[i + j] += a * b
+    return out
+
+
 def group_diff_counts(factors, vectors):
     """Difference counts over a product of cyclic groups, all elements."""
     out = {v: 0 for v in product(*(range(n) for n in factors))}

@@ -3,6 +3,7 @@
 import dataclasses
 import operator
 import random
+from bisect import bisect_right
 from fractions import Fraction
 
 import pytest
@@ -13,7 +14,6 @@ from diffsets.bridge import (
     ProbSeq,
     SqrtScaled,
     StepFunction,
-    _int_correlations,
     autocorrelation,
     autocorrelation_min,
     autoconvolution,
@@ -32,6 +32,7 @@ from diffsets.core_sets import (
     GroupSpec,
     GroupSubset,
     IntSet,
+    _convolve,
     group_rep_profile,
     rep_diff_profile,
     verify_certificate,
@@ -47,12 +48,12 @@ def riemann_autocorrelation(f: StepFunction, x: float, grid: int = 20000) -> flo
         return 0.0
     lo, hi = float(sup[0]), float(sup[1])
     scale = 1.0 if f.scale_sqrt is None else float(f.scale_sqrt)
+    bps = [float(b) for b in f.breakpoints]
+    vals = [float(v) for v in f.values]
 
     def at(t):
-        for b1, b2, v in f.pieces():
-            if float(b1) <= t < float(b2):
-                return float(v)
-        return 0.0
+        i = bisect_right(bps, t) - 1  # the piece [bps[i], bps[i+1]) holding t
+        return vals[i] if 0 <= i < len(vals) else 0.0
 
     h = (hi - lo) / grid
     return scale * h * sum(at(lo + (i + 0.5) * h) * at(lo + (i + 0.5) * h + x) for i in range(grid))
@@ -295,22 +296,32 @@ class TestAutoconvolution:
 
 
 class TestIntCorrelations:
+    """sum_i v[i] v[i+m] is slot n-1+m of v convolved with its reverse."""
+
     def test_against_direct_sums(self):
         rng = random.Random(31337)
         for _ in range(40):
             n = rng.randrange(1, 40)
             vals = [rng.randrange(0, 1000) for _ in range(n)]
-            m_max = rng.randrange(0, n + 5)
-            got = _int_correlations(vals, m_max)
-            want = [
-                sum(vals[i] * vals[i + m] for i in range(n - m)) if m < n else 0
-                for m in range(m_max + 1)
-            ]
-            assert got == want
+            z = _convolve(vals, vals[::-1])
+            want = oracles.convolution(vals, vals[::-1])
+            assert [int(v) for v in z] == want
+            for m in range(n):
+                assert z[n - 1 + m] == sum(vals[i] * vals[i + m] for i in range(n - m))
 
     def test_wide_values(self):
+        # slots of 19 digits or more unpack by string slices into Python ints
         vals = [10**9, 2, 10**9]
-        assert _int_correlations(vals, 2) == [2 * 10**18 + 4, 4 * 10**9, 10**18]
+        z = _convolve(vals, vals[::-1])
+        assert isinstance(z, list)
+        assert z[2:] == [2 * 10**18 + 4, 4 * 10**9, 10**18]
+
+    def test_prob_correlation_minimum_over_window(self):
+        # q = (1/2, 1/3, 1/6): correlations 1/6+1/18, 1/12, 0 beyond the hull
+        probs = ProbSeq({0: F(1, 2), 1: F(1, 3), 2: F(1, 6)})
+        assert prob_correlation_minimum(probs, 1, 2) == (F(1, 12), 2)
+        assert prob_correlation_minimum(probs, 1, 1) == (F(1, 6) + F(1, 18), 1)
+        assert prob_correlation_minimum(probs, 2, 5) == (0, 3)
 
 
 class TestLocalAverages:

@@ -2,10 +2,14 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 import time
 
 import pytest
 
+from diffsets import cli
 from diffsets.cli import dispatch
 from diffsets.constructions import parabola_set, random_group_subset
 from diffsets.core_sets import GroupSpec
@@ -502,6 +506,29 @@ class TestPlumbing:
             digest = hashlib.sha256(fh.read()).hexdigest()
         assert data["input_digests"] == {int_set_file: digest}
         assert "wall_clock_seconds" in data and "cmdline" in data
+
+    def test_reused_parser_matches_fresh_processes(self, capsys, int_set_file, group_set_file):
+        # one cached parser serves every dispatch; a usage error in between
+        # must not leak into the commands after it
+        commands = [
+            ["verify", "--set", int_set_file, "--g", "1", "--N", "3", "--json"],
+            ["verify", "--unknown-flag"],
+            ["bounds", "--g", "2", "--N", "5", "--json"],
+            ["verify", "--set", group_set_file, "--g", "1"],
+            ["verify", "--set", int_set_file, "--g", "2", "--N", "3"],
+        ]
+        in_process = [run_cli(capsys, *argv) for argv in commands]
+        assert cli._build_parser() is cli._build_parser()
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        script = "import sys; from diffsets.cli import dispatch; sys.exit(dispatch(sys.argv[1:]))"
+        for argv, (code, out, err) in zip(commands, in_process):
+            fresh = subprocess.run(
+                [sys.executable, "-c", script, *argv], capture_output=True, env=env
+            )
+            assert (fresh.returncode, fresh.stdout, fresh.stderr) == (
+                code, out.encode(), err.encode()
+            ), argv
+        assert [c for c, _, _ in in_process] == [0, 2, 0, 0, 1]
 
     def test_help_exits_zero(self, capsys):
         assert run_cli(capsys, "--help")[0] == 0

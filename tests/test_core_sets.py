@@ -1,11 +1,19 @@
 """Profiles, certificates, and bounds against independent oracles."""
 
+import decimal
+import os
 import random
+import subprocess
+import sys
+import time
+from bisect import bisect_right
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 import oracles
+from diffsets import core_sets
 from diffsets.core_sets import (
     BoundsLedger,
     GroupSpec,
@@ -89,6 +97,8 @@ def test_verify_argument_errors():
         verify_certificate(GroupSubset.of(GroupSpec((5,)), [(0,)]), g=1, N=5)
     with pytest.raises(ValueError, match="empty"):
         rep_diff_profile(IntSet.of([]), (0, 1))
+    with pytest.raises(ValueError, match="2\\^62"):
+        verify_certificate(IntSet.of([0, 2**62]), g=1, N=5)
 
 
 def test_trivial_bounds_interval():
@@ -144,8 +154,22 @@ def test_interval_profiles_match_oracle_randomized():
         assert prof.counts == {m: want.get(m, 0) for m in range(lo, hi + 1)}
 
 
-def test_dense_set_forces_array_backend_and_agrees():
-    # k^2 > 250_000 routes through the vectorized backend
+@pytest.fixture
+def convolutions(monkeypatch):
+    """Lengths of the operands of every kernel call; none means the pair path."""
+    calls = []
+    real = core_sets._convolve
+
+    def spy(x, y):
+        calls.append((len(x), len(y)))
+        return real(x, y)
+
+    monkeypatch.setattr(core_sets, "_convolve", spy)
+    return calls
+
+
+def test_dense_set_takes_decimal_path_and_agrees(convolutions):
+    # a hull of 1800 cells against 1.44M pairs: one packed decimal product
     elems = list(range(0, 1200, 2)) + list(range(1200, 1800))
     A = IntSet.of(elems)
     want = oracles.diff_counts(elems)
@@ -153,12 +177,165 @@ def test_dense_set_forces_array_backend_and_agrees():
     assert prof.counts == {m: want.get(m, 0) for m in range(-40, 41)}
     v = verify_certificate(A, g=min(want.get(m, 0) for m in range(1, 101)), N=100)
     assert v.passed
+    assert convolutions == [(1800, 1800), (1800, 1800)]
 
 
-def test_sparse_wide_set_uses_dict_backend():
+def test_sparse_wide_set_takes_pair_path(convolutions):
     elems = [0, 10_000_000, 30_000_001]
     prof = rep_diff_profile(IntSet.of(elems), (9_999_999, 10_000_001))
     assert prof.counts == {9_999_999: 0, 10_000_000: 1, 10_000_001: 0}
+    assert convolutions == []
+
+
+@pytest.mark.parametrize(
+    "cell_pairs, dense_cells",
+    [(0, 10**18), (10**18, 10**18), (10**18, 0)],
+    ids=["decimal", "pairs-dense", "pairs-sorted"],
+)
+def test_pair_counts_windows_against_oracle(monkeypatch, convolutions, cell_pairs, dense_cells):
+    # negative elements, windows inside, across and outside the hull; the
+    # cost constants are pinned so that every set takes the path under test
+    monkeypatch.setattr(core_sets, "_CELL_PAIRS", cell_pairs)
+    monkeypatch.setattr(core_sets, "_DENSE_CELLS", dense_cells)
+    rng = random.Random(2024)
+    for _ in range(30):
+        width = rng.choice([60, 2000])
+        elems = sorted(rng.sample(range(-width, width), rng.randint(1, 40)))
+        span = elems[-1] - elems[0]
+        for mode, oracle in (("difference", oracles.diff_counts), ("sum", oracles.sum_counts)):
+            want = oracle(elems)
+            reach = [min(want), max(want)]
+            centre = rng.choice(reach + [rng.randint(*reach)])
+            lo = centre - rng.randint(0, 50)
+            hi = centre + rng.randint(0, 50)
+            start, offsets, counts = core_sets._pair_counts(tuple(elems), mode, lo, hi)
+            shifts = [start + o for o in offsets.tolist()]
+            assert shifts == sorted(m for m in want if lo <= m <= hi)
+            assert counts.tolist() == [want[m] for m in shifts]
+            assert offsets.dtype == counts.dtype == np.int64
+            assert len(counts) <= 2 * span + 1
+    assert bool(convolutions) == (cell_pairs == 0)
+
+
+@pytest.mark.parametrize(
+    "factors, k, decimal_path",
+    [((60, 90), 150, True), ((2,) * 12, 60, False)],
+    ids=["plane-decimal", "cube-pairs"],
+)
+def test_group_counts_paths_against_oracle(convolutions, factors, k, decimal_path):
+    # Z/60 x Z/90 pads to 119 x 179 cells, under k^2; (Z/2)^12 pads to 3^12
+    spec = GroupSpec(factors)
+    rng = random.Random(sum(factors))
+    A = GroupSubset.of(spec, rng.sample(list(spec.elements()), k))
+    for mode in ("difference", "sum"):
+        oracle = oracles.group_diff_counts if mode == "difference" else oracles.group_sum_counts
+        arr = core_sets._group_counts(A, mode).tolist()
+        assert dict(zip(spec.elements(), arr)) == oracle(factors, A.elements)
+    assert bool(convolutions) == decimal_path
+
+
+def test_convolve_matches_oracle():
+    rng = random.Random(808)
+    for _ in range(200):
+        top = rng.choice([1, 9, 10**6, 10**17, 10**30])
+        x = [rng.randint(0, top) for _ in range(rng.randint(1, 25))]
+        y = [rng.randint(0, top) for _ in range(rng.randint(1, 25))]
+        want = oracles.convolution(x, y)
+        assert [int(v) for v in core_sets._convolve(x, y)] == want
+        if top < 2**63:
+            arrays = (np.asarray(x, dtype=np.int64), np.asarray(y, dtype=np.int64))
+            assert [int(v) for v in core_sets._convolve(*arrays)] == want
+    assert core_sets._convolve([0, 0], [0]).tolist() == [0, 0]
+
+
+def test_convolve_refuses_negative_and_traps_rounding():
+    with pytest.raises(ValueError, match="nonnegative"):
+        core_sets._convolve([1, -1], [1])
+    with pytest.raises(decimal.Inexact):
+        core_sets._EXACT.to_integral_exact(decimal.Decimal("1.5"))
+
+
+def test_digits_is_the_decimal_digit_count():
+    for n in [0, 1, 9, 10, 99, 100, 2**63 - 1, 2**63, 10**40 - 1, 10**40]:
+        assert core_sets._digits(n) == len(str(n))
+    assert core_sets._digits(10**4400) == 4401
+    assert core_sets._digits(10**4400 - 1) == 4400
+
+
+@pytest.mark.parametrize(
+    "x, y", [([9, 9], [9, 9]), ([5, 7, 3] * 20, [8, 1]), ([10**20, 1], [10**20, 3])]
+)
+def test_convolve_detects_a_slot_one_digit_short(monkeypatch, x, y):
+    # slots one digit narrower than the largest value carry into their
+    # neighbours; the sum check, not rounding, must catch it
+    assert [int(v) for v in core_sets._convolve(x, y)] == oracles.convolution(x, y)
+    real = core_sets._digits
+    monkeypatch.setattr(core_sets, "_digits", lambda n: real(n) - 1)
+    with pytest.raises(ArithmeticError, match="slot overflow"):
+        core_sets._convolve(x, y)
+
+
+def test_convolve_slots_wider_than_int_str_limit():
+    # 5000-digit slots: str(int) and int(str) refuse them, Decimal does not
+    x = [10**4999 + 3, 0, 7]
+    y = [2, 10**4998]
+    assert core_sets._convolve(x, y) == oracles.convolution(x, y)
+
+
+def test_verify_huge_N_without_an_O_N_array():
+    t0 = time.perf_counter()
+    v = verify_certificate(IntSet.of([0, 1, 3]), 1, N=10**12)
+    assert (v.passed, v.achieved_g, v.witness) == (False, 0, 4)
+    start, offsets, counts = core_sets._pair_counts((0, 1, 3), "difference", 1, 10**12)
+    assert (start, offsets.tolist(), counts.tolist()) == (1, [0, 1, 2], [1, 1, 1])
+    assert time.perf_counter() - t0 < 1.0
+
+
+def test_verify_far_apart_elements_in_O_k2_memory():
+    # hulls of 10^12 cells: neither the product nor a dense window is built
+    t0 = time.perf_counter()
+    v = verify_certificate(IntSet.of([0, 10**12]), 1, N=10**12)
+    assert (v.passed, v.achieved_g, v.witness) == (False, 0, 1)
+    v = verify_certificate(IntSet.of([1, 10**12]), 1, N=10**12, mode="sidon")
+    assert (v.passed, v.achieved_g, v.witness) == (False, 2, 10**12 + 1)
+    v = verify_certificate(IntSet.of([1, 10**12]), 2, N=10**12, mode="sidon")
+    assert (v.passed, v.achieved_g, v.witness) == (True, 2, None)
+    elems = [0, 10**11, 10**11 + 1, 3 * 10**11]
+    start, offsets, counts = core_sets._pair_counts(tuple(elems), "difference", 1, 10**12)
+    want = oracles.diff_counts(elems)
+    assert [start + o for o in offsets.tolist()] == sorted(m for m in want if m >= 1)
+    assert counts.tolist() == [want[m] for m in sorted(m for m in want if m >= 1)]
+    assert time.perf_counter() - t0 < 1.0
+
+
+@pytest.mark.parametrize("k, span", [(1000, 10**7), (2000, 4 * 10**6)])
+def test_verify_sparse_set_over_wide_span_is_fast(convolutions, k, span):
+    # k^2 pairs binned within [1, 1000] cost far less than a product over
+    # the hull, which took 3.8 s for 2000 elements over 4e6
+    rng = random.Random(17)
+    elems = sorted(rng.sample(range(span), k))
+    t0 = time.perf_counter()
+    v = verify_certificate(IntSet.of(elems), 1, N=1000)
+    assert time.perf_counter() - t0 < 1.0
+    assert convolutions == []
+    counts = [0] * 1001
+    for a in elems:
+        for b in elems[bisect_right(elems, a) : bisect_right(elems, a + 1000)]:
+            counts[b - a] += 1
+    assert v.achieved_g == min(counts[1:])
+    assert v.witness == counts.index(0, 1)
+
+
+def test_import_refuses_pure_python_decimal():
+    code = (
+        "import sys; sys.modules['_decimal'] = None\n"
+        "try:\n    import diffsets.core_sets\n"
+        "except ImportError as exc:\n    print(exc)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert out.returncode == 0, out.stderr
+    assert "C decimal module" in out.stdout
 
 
 def test_group_profiles_match_oracle_randomized():
