@@ -17,14 +17,26 @@ attained at lo or a kink, a maximum over R at a kink; one sort and one sweep
 of running integer totals evaluate every candidate exactly.  More than
 _PAIR_LIMIT breakpoint pairs are refused with a ValueError before any pair
 work.
+
+Window averages and inclusion probabilities are stored as (start, nums,
+den): integer numerators over one denominator on a contiguous index range.
+The integral sweep, the averages conditions, the probabilities and the Monte
+Carlo decisions run on these integers; rationals appear only at the edges
+(coeffs, JSON, dicts).  Over _SPAN_LIMIT indices are refused up front.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field
+from collections.abc import Mapping
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from functools import cached_property
+from types import MappingProxyType
+
+import numpy as np
 
 from .core_sets import (
     CertificateError,
@@ -368,6 +380,11 @@ def autoconvolution_max(f: StepFunction, in_E: bool = False) -> tuple[Fraction, 
 # Window averages and probability sequences
 
 
+# 2^22 indices (N about 2.1e6 for a support of length 2) take about 21 s and
+# 0.95 GB in local_averages; longer sequences are refused before allocation.
+_SPAN_LIMIT = 1 << 22
+
+
 def _ceil_cbrt_ratio(num: int, den: int) -> int:
     """Smallest integer L with L^3 * den >= num, exactly."""
     if num <= 0:
@@ -384,20 +401,51 @@ def window_radius(N: int, tau_hat: Fraction) -> int:
     return _ceil_cbrt_ratio(p**3 * N * N, 8 * q**3)
 
 
-def _correlations(coeffs: dict, m_lo: int, m_hi: int) -> tuple[list[int], int]:
-    """den^2 * sum_i c_i c_{i+m} for m = m_lo..m_hi, and den, exactly.
+def _correlations(nums, m_lo: int, m_hi: int) -> list[int]:
+    """sum_i n_i n_{i+m} for m = m_lo..m_hi over nonnegative integers, exactly:
+    one core_sets._convolve of n with its reverse (0 past its length)."""
+    n = len(nums)
+    z = _convolve(nums, nums[::-1])
+    return [int(z[n - 1 + m]) if m < n else 0 for m in range(m_lo, m_hi + 1)]
 
-    den is the least common denominator of the nonnegative rationals c; the
-    integers c * den over the support's hull are convolved with their own
-    reverse by core_sets._convolve.  Shifts past the hull correlate to 0.
-    """
-    support = sorted(coeffs)
-    dense = [coeffs.get(i, _ZERO) for i in range(support[0], support[-1] + 1)]
-    den = math.lcm(*(c.denominator for c in dense))
-    ints = [c.numerator * (den // c.denominator) for c in dense]
-    n = len(ints)
-    z = _convolve(ints, ints[::-1])
-    return [int(z[n - 1 + m]) if m < n else 0 for m in range(m_lo, m_hi + 1)], den
+
+def _check_span(span: int) -> None:
+    if span > _SPAN_LIMIT:
+        raise ValueError(f"{span} sequence entries: over the {_SPAN_LIMIT} limit")
+
+
+def _lowest_terms(nums, den: int) -> tuple[tuple[int, ...], int]:
+    """Divide out the common factor: den becomes the least common denominator."""
+    g = math.gcd(den, *nums)
+    if g > 1:
+        nums = [n // g for n in nums]
+    return tuple(nums), den // g
+
+
+class _Numerators:
+    """Entries nums[j] / den at the indices start + j; cached read-only views."""
+
+    @cached_property
+    def coeffs(self) -> MappingProxyType:
+        """Read-only {i: rational entry} over the support."""
+        s, den = self.start, self.den
+        return MappingProxyType({s + j: Fraction(n, den) for j, n in enumerate(self.nums) if n})
+
+    @cached_property
+    def support(self) -> tuple[int, ...]:
+        """Indices of the nonzero entries, ascending."""
+        s = self.start
+        return tuple(s + j for j, n in enumerate(self.nums) if n)
+
+    def _json_coeffs(self) -> list[str]:
+        """format_fraction of each nonzero entry, reduced by one gcd."""
+        den = self.den
+        out = []
+        for n in self.nums:
+            if n:
+                g = math.gcd(n, den)
+                out.append(str(n // g) if g == den else f"{n // g}/{den // g}")
+        return out
 
 
 @dataclass(frozen=True)
@@ -427,12 +475,14 @@ class ConditionsReport:
 
 
 @dataclass(frozen=True)
-class AveragesSeq:
+class AveragesSeq(_Numerators):
     """Window averages a_i = (N/2L) * integral of f over [(i-L)/N, (i+L)/N].
 
-    Coefficients are rational; a common sqrt radicand (from the source step
-    function) is carried separately.  stretch is the dilation factor applied
-    to f before averaging (1 when unstretched).
+    Stored as (start, nums, den): a_i = nums[i - start] / den * sqrt(radicand)
+    over one contiguous index range, den the least common denominator; zero
+    entries stay in nums but not in support, coeffs or the JSON.  The sqrt
+    radicand comes from the source step function.  stretch is the dilation
+    factor applied to f before averaging (1 when unstretched).
     """
 
     N: int
@@ -440,49 +490,55 @@ class AveragesSeq:
     tau_hat: Fraction
     stretch: Fraction
     radicand: Fraction
-    coeffs: dict = field(compare=False)
+    start: int
+    nums: tuple[int, ...]
+    den: int
     conditions: ConditionsReport | None = field(default=None, compare=False)
 
-    @property
-    def support(self) -> tuple[int, ...]:
-        return tuple(sorted(self.coeffs))
-
     def sum_value(self) -> SqrtScaled:
-        return SqrtScaled(Fraction(sum(self.coeffs.values())), self.radicand)
+        return SqrtScaled(Fraction(sum(self.nums), self.den), self.radicand)
 
     def to_json(self) -> dict:
-        keys = sorted(self.coeffs)
         return {
             "N": self.N,
             "L": self.L,
             "tau_hat": format_fraction(self.tau_hat),
             "stretch": format_fraction(self.stretch),
             "radicand": format_fraction(self.radicand),
-            "support": keys,
-            "coeffs": [format_fraction(self.coeffs[k]) for k in keys],
+            "support": list(self.support),
+            "coeffs": self._json_coeffs(),
             "conditions": None if self.conditions is None else self.conditions.to_json(),
         }
 
 
-def _cumulative_at(f: StepFunction, stretch: Fraction, xs: list[Fraction]) -> list[Fraction]:
-    """F(x) = integral of the stretched f up to x, at sorted query points."""
-    pieces = [(b1 * stretch, b2 * stretch, v) for b1, b2, v in f.pieces()]
-    out = []
-    acc = _ZERO
-    pi = 0
-    consumed = _ZERO  # integral of pieces fully before current x
-    for x in xs:
-        while pi < len(pieces) and pieces[pi][1] <= x:
-            b1, b2, v = pieces[pi]
-            consumed += v * (b2 - b1)
-            pi += 1
-        acc = consumed
-        if pi < len(pieces):
-            b1, b2, v = pieces[pi]
-            if x > b1:
-                acc += v * (x - b1)
-        out.append(acc)
-    return out
+def _cumulative_at(f: StepFunction, stretch: Fraction, N: int, lo: int, hi: int):
+    """(scale * F(j/N) for j = lo..hi, scale), F(x) the integral of the stretched f
+    up to x.  The stretched breakpoints and N are scaled by their lcm P, the
+    values by theirs, Dv, and scale = P * Dv; on each piece scale * F(j/N) is
+    base + slope * j, emitted as one integer range."""
+    bps = [b * stretch for b in f.breakpoints]
+    P = math.lcm(N, *(b.denominator for b in bps))
+    Dv = math.lcm(*(v.denominator for v in f.values))
+    B = [b.numerator * (P // b.denominator) for b in bps]
+    V = [v.numerator * (Dv // v.denominator) for v in f.values]
+    step = P // N  # the query point j/N is j * step
+    # (last j, base, slope): 0 up to the support, then one run per piece
+    # (j step in (B_k, B_k+1]), then the whole integral
+    runs = [(B[0] // step, 0, 0)]
+    acc = 0
+    for b1, b2, v in zip(B, B[1:], V):
+        runs.append((b2 // step, acc - v * b1, v * step))
+        acc += v * (b2 - b1)
+    runs.append((hi, acc, 0))
+    out: list[int] = []
+    j = lo
+    for end, base, slope in runs:
+        stop = min(end, hi) + 1
+        if stop > j:
+            count, first = stop - j, base + slope * j
+            out.extend(range(first, first + slope * count, slope) if slope else [first] * count)
+            j = stop
+    return out, P * Dv
 
 
 def local_averages(
@@ -493,7 +549,8 @@ def local_averages(
     The window half-width is L = ceil((tau_hat/2) N^(2/3)).  With
     stretch=True f is dilated by N/(N-2L+1) first, which extends the
     correlation condition (3) from m <= N-2L+1 to all m in [N].  All three
-    conditions are computed exactly and attached to the result.
+    conditions are computed exactly and attached to the result.  More than
+    _SPAN_LIMIT window endpoints raise a ValueError before any allocation.
     """
     N = int(N)
     tau_hat = Fraction(tau_hat)
@@ -511,176 +568,158 @@ def local_averages(
         raise ValueError("N too small for L")
     lam = Fraction(N, N - 2 * L + 1) if stretch else _ONE
     sup = f.support()
-    lo_x, hi_x = sup[0] * lam, sup[1] * lam
-    # a_i nonzero iff (i+L)/N > lo_x and (i-L)/N < hi_x
-    i_min = math.floor(N * lo_x - L) + 1
-    i_max = math.ceil(N * hi_x + L) - 1
-    xs = [Fraction(j, N) for j in range(i_min - L, i_max + L + 1)]
-    cum = _cumulative_at(f, lam, xs)
-    half = Fraction(N, 2 * L)
-    coeffs = {}
-    offset = -(i_min - L)
-    for i in range(i_min, i_max + 1):
-        hi_idx = i + L + offset
-        lo_idx = i - L + offset
-        c = half * (cum[hi_idx] - cum[lo_idx])
-        if c != 0:
-            coeffs[i] = c
-    radicand = f._scale_fraction()
+    # a_i nonzero only if (i+L)/N > sup[0] lam and (i-L)/N < sup[1] lam
+    i_min = math.floor(N * sup[0] * lam - L) + 1
+    i_max = math.ceil(N * sup[1] * lam + L) - 1
+    _check_span(i_max - i_min + 1 + 2 * L)
+    cum, scale = _cumulative_at(f, lam, N, i_min - L, i_max + L)
+    # a_i = (N/2L) (F((i+L)/N) - F((i-L)/N))
+    nums = list(map(operator.sub, cum[2 * L :], cum[: len(cum) - 2 * L]))
+    nums, den = _lowest_terms(nums, 2 * L * scale // N)
     seq = AveragesSeq(
-        N=N, L=L, tau_hat=tau_hat, stretch=lam, radicand=radicand, coeffs=coeffs
+        N=N, L=L, tau_hat=tau_hat, stretch=lam, radicand=f._scale_fraction(),
+        start=i_min, nums=nums, den=den,
     )
-    conditions = _check_conditions(seq, f, lam)
-    return AveragesSeq(
-        N=N,
-        L=L,
-        tau_hat=tau_hat,
-        stretch=lam,
-        radicand=radicand,
-        coeffs=coeffs,
-        conditions=conditions,
-    )
+    return replace(seq, conditions=_check_conditions(seq, f))
 
 
-def _check_conditions(seq: AveragesSeq, f: StepFunction, lam: Fraction) -> ConditionsReport:
-    N, L = seq.N, seq.L
-    total = Fraction(sum(seq.coeffs.values()))
+def _check_conditions(seq: AveragesSeq, f: StepFunction) -> ConditionsReport:
+    N, L, tau, lam = seq.N, seq.L, seq.tau_hat, seq.stretch
+    nums, den = seq.nums, seq.den
+    total = sum(nums)
     # windows tile R exactly 2L-fold, so sum a_i = N * integral(f_stretched)
-    integral_coeff = f.integral().coeff * lam
-    sum_identity_ok = total == N * integral_coeff
+    integral = N * f.integral().coeff * lam
+    sum_identity_ok = total * integral.denominator == integral.numerator * den
     # condition (2): max a_i * tau_hat * N^(2/3) <= sum a_i, cubed exactly
-    max_c = max(seq.coeffs.values())
-    cond2_ok = (max_c * seq.tau_hat) ** 3 * N * N <= total**3
+    cond2_ok = (max(nums) * tau.numerator) ** 3 * N * N <= (total * tau.denominator) ** 3
     # condition (3): exact integer correlations over the contiguous support
-    m_hi = N if seq.stretch != 1 else N - (2 * L - 1)
-    m_hi = max(m_hi, 1)
-    corr, den = _correlations(seq.coeffs, 1, m_hi)
-    rad = seq.radicand
+    m_hi = max(N if lam != 1 else N - (2 * L - 1), 1)
+    corr = _correlations(nums, 1, m_hi)
     best = min(range(m_hi), key=corr.__getitem__)
-    best_m = best + 1
-    cond3_min = Fraction(corr[best], den * den) * rad
+    cond3_min = Fraction(corr[best], den * den) * seq.radicand
     threshold = Fraction((2 * L - 1) * N, 2 * L)
-    # compare corr[m]*rad/den^2 >= threshold without per-m Fractions
-    lhs_scale = rad.numerator
-    rhs = threshold * den * den * rad.denominator
-    cond3_ok = all(c * lhs_scale >= rhs for c in corr)
     return ConditionsReport(
         sum_identity_ok=sum_identity_ok,
         cond2_ok=cond2_ok,
-        cond3_ok=cond3_ok,
+        cond3_ok=cond3_min >= threshold,
         cond3_min=cond3_min,
-        cond3_argmin=best_m,
+        cond3_argmin=best + 1,
         cond3_threshold=threshold,
         cond3_m_range=(1, m_hi),
         realized_epsilon=lam - 1,
     )
 
 
-@dataclass(frozen=True)
-class ProbSeq:
+def _numerators(ratios: dict) -> tuple[int, list[int], int]:
+    """(start, nums, den) of {index: (numerator, denominator)} over its index hull."""
+    ratios = {i: r for i, r in ratios.items() if r[0]}
+    start, stop = min(ratios, default=0), max(ratios, default=-1) + 1
+    _check_span(stop - start)
+    den = math.lcm(*(q for _, q in ratios.values()))
+    nums = [0] * (stop - start)
+    for i, (p, q) in ratios.items():
+        nums[i - start] = p * (den // q)
+    return start, nums, den
+
+
+@dataclass(frozen=True, init=False)
+class ProbSeq(_Numerators):
     """Inclusion probabilities p_i, exact.
 
-    Entries are p_i = coeffs[i] when cbrt_n is None, otherwise
-    coeffs[i] * cbrt_n^(2/3) (the scale the averages pipeline produces).
-    Comparisons against rationals cube both sides, so membership, bounds and
-    sampling decisions stay exact even when N is not a perfect cube.
+    Stored as (start, nums, den) like AveragesSeq: q_i = nums[i - start] / den
+    and p_i = q_i * cbrt_n^(2/3), or q_i when cbrt_n is None.  The first
+    argument is a mapping {i: rational} or the triple (start, nums, den).
+    Comparisons against rationals cube both sides in integers, so every
+    decision stays exact even when N is not a perfect cube.
     """
 
-    coeffs: dict = field(compare=False)
-    cbrt_n: int | None = None
+    start: int
+    nums: tuple[int, ...]
+    den: int
+    cbrt_n: int | None
 
-    def __post_init__(self):
-        if self.cbrt_n is not None:
-            n = int(self.cbrt_n)
-            r = round(n ** (1.0 / 3.0))
-            for c in (r - 1, r, r + 1):
-                if c >= 0 and c**3 == n:
-                    # perfect cube: fold n^(2/3) = c^2 into the coefficients
-                    folded = {i: q * c * c for i, q in self.coeffs.items()}
-                    object.__setattr__(self, "coeffs", folded)
-                    object.__setattr__(self, "cbrt_n", None)
-                    return
-            object.__setattr__(self, "cbrt_n", n)
-
-    @property
-    def support(self) -> tuple[int, ...]:
-        return tuple(sorted(self.coeffs))
+    def __init__(self, coeffs, cbrt_n: int | None = None):
+        if isinstance(coeffs, Mapping):
+            ratios = {int(i): Fraction(c).as_integer_ratio() for i, c in coeffs.items()}
+            coeffs = _numerators(ratios)
+        start, nums, den = coeffs
+        if cbrt_n is not None:
+            cbrt_n = int(cbrt_n)
+            c = _ceil_cbrt_ratio(cbrt_n, 1)
+            if c**3 == cbrt_n:  # fold n^(2/3) = c^2 into the coefficients
+                nums, cbrt_n = [n * c * c for n in nums], None
+        nums, den = _lowest_terms(nums, den)
+        for name, value in zip(("start", "nums", "den", "cbrt_n"), (start, nums, den, cbrt_n)):
+            object.__setattr__(self, name, value)
 
     def sum_coeff(self) -> Fraction:
-        return Fraction(sum(self.coeffs.values()))
+        return Fraction(sum(self.nums), self.den)
 
-    def p_float(self, i: int) -> float:
-        q = self.coeffs.get(i, _ZERO)
-        if self.cbrt_n is None:
-            return float(q)
-        return float(q) * float(self.cbrt_n) ** (2.0 / 3.0)
+    @cached_property
+    def _in_range(self) -> bool:
+        mx, n = max(self.nums, default=0), self.cbrt_n
+        in_unit = mx <= self.den if n is None else mx**3 * n * n <= self.den**3
+        return in_unit and min(self.nums, default=0) >= 0
 
     def in_unit_range(self) -> bool:
         """Exact check that every p_i lies in [0, 1]."""
-        if not self.coeffs:
-            return True
-        qs = self.coeffs.values()
-        if min(qs) < 0:
-            return False
-        mx = max(qs)
-        if self.cbrt_n is None:
-            return mx <= 1
-        return mx**3 * self.cbrt_n**2 <= 1
+        return self._in_range
+
+    @cached_property
+    def screen(self) -> np.ndarray:
+        """float(q_i) * float(cbrt_n) ** (2/3) over the support; n / den is
+        correctly rounded, so it is the same float as float(q_i)."""
+        den = self.den
+        pf = np.array([n / den for n in self.nums if n], dtype=float)
+        if self.cbrt_n is not None:
+            pf *= float(self.cbrt_n) ** (2.0 / 3.0)
+        return pf
 
     def less_than_p(self, i: int, u: Fraction) -> bool:
         """Exact decision u < p_i for a nonnegative rational u."""
-        q = self.coeffs.get(i, _ZERO)
+        u = Fraction(u)
         if u < 0:
             return True
+        j = i - self.start
+        n = self.nums[j] if 0 <= j < len(self.nums) else 0
+        lhs, rhs = u.numerator * self.den, n * u.denominator
         if self.cbrt_n is None:
-            return u < q
-        if q <= 0:
-            return False
-        return u**3 < q**3 * self.cbrt_n**2
-
-    def expected_size_float(self) -> float:
-        s = float(self.sum_coeff())
-        if self.cbrt_n is not None:
-            s *= float(self.cbrt_n) ** (2.0 / 3.0)
-        return s
+            return lhs < rhs
+        return lhs**3 < rhs**3 * self.cbrt_n**2
 
     def to_json(self) -> dict:
-        keys = sorted(self.coeffs)
         return {
-            "support": keys,
-            "coeffs": [format_fraction(self.coeffs[k]) for k in keys],
+            "support": list(self.support),
+            "coeffs": self._json_coeffs(),
             "cbrt_scale_n": self.cbrt_n,
         }
 
     @classmethod
     def from_json(cls, data) -> "ProbSeq":
-        coeffs = {
-            int(i): parse_fraction(c)
-            for i, c in zip(data["support"], data["coeffs"])
-        }
-        return cls(coeffs, data.get("cbrt_scale_n"))
+        pairs = zip(data["support"], data["coeffs"])
+        ratios = {int(i): parse_fraction(c).as_integer_ratio() for i, c in pairs}
+        return cls(_numerators(ratios), data.get("cbrt_scale_n"))
 
 
 def averages_to_probs(a: AveragesSeq) -> ProbSeq:
     """p_i = tau_hat N^(2/3) a_i / sum(a); exact, with N^(2/3) symbolic.
 
-    The sqrt radicand cancels in the ratio, so coefficients are rational.
-    Sum of p_i equals tau_hat N^(2/3) identically; the p_i <= 1 requirement
-    is exactly condition (2) and is re-checked here.
+    The sqrt radicand and den cancel in the ratio, so the coefficients are
+    nums * tau_hat.numerator over tau_hat.denominator * sum(nums).  Sum of
+    p_i equals tau_hat N^(2/3) identically; the p_i <= 1 requirement is
+    exactly condition (2) and is re-checked here.
     """
-    total = Fraction(sum(a.coeffs.values()))
+    total = sum(a.nums)
     if total <= 0:
         raise ValueError("averages sum to zero")
-    coeffs = {i: a.tau_hat * c / total for i, c in a.coeffs.items()}
-    probs = ProbSeq(coeffs, cbrt_n=a.N)
+    tau = a.tau_hat
+    probs = ProbSeq((a.start, [n * tau.numerator for n in a.nums], tau.denominator * total), a.N)
     if not probs.in_unit_range():
         raise ValueError("condition (2) violated; averages not admissible")
-    # normalization is algebraic; keep a defensive exact check
-    if probs.cbrt_n is not None:
-        assert probs.sum_coeff() == a.tau_hat, "normalization lost"
-    else:
-        c = round(a.N ** (1.0 / 3.0))  # N was a perfect cube, scale folded
-        assert probs.sum_coeff() == a.tau_hat * c * c, "normalization lost"
+    # normalization is algebraic; keep a defensive exact check (a cube N
+    # had its scale folded into the coefficients)
+    fold = 1 if probs.cbrt_n else _ceil_cbrt_ratio(a.N, 1) ** 2
+    assert probs.sum_coeff() == tau * fold, "normalization lost"
     return probs
 
 
@@ -693,11 +732,11 @@ def prob_correlation_minimum(probs: ProbSeq, m_lo: int, m_hi: int) -> tuple[Frac
     """
     if m_lo < 1 or m_lo > m_hi:
         raise ValueError("need 1 <= m_lo <= m_hi")
-    if not probs.coeffs:
+    if not probs.nums:
         return _ZERO, m_lo
-    corr, den = _correlations(probs.coeffs, m_lo, m_hi)
+    corr = _correlations(probs.nums, m_lo, m_hi)
     best = min(range(len(corr)), key=corr.__getitem__)
-    return Fraction(corr[best], den * den), m_lo + best
+    return Fraction(corr[best], probs.den**2), m_lo + best
 
 
 # ---------------------------------------------------------------------------

@@ -355,8 +355,13 @@ def _cmd_construct_blowup(args, run):
     return 0, payload, summary
 
 
-def _tail_violation(report) -> bool:
-    return any(row["empirical"] > row["bound"] for row in report.tail_checks)
+def _validate(args, kind: str, **model):
+    """Seeded Monte Carlo trials; exit 1 when an empirical tail beats its bound."""
+    model = RandomModel(kind, master_seed=args.seed, **model)
+    report = monte_carlo_validate(model, args.trials, args.delta, args.epsilon)
+    summary = f"{report.success_count}/{report.trials} trials within thresholds"
+    violated = any(row["empirical"] > row["bound"] for row in report.tail_checks)
+    return int(violated), report.to_json(), summary
 
 
 def _cmd_random_group(args, run):
@@ -364,12 +369,7 @@ def _cmd_random_group(args, run):
     if args.trials is not None:
         if args.delta is None or args.epsilon is None:
             raise ValueError("--trials needs --delta and --epsilon")
-        model = RandomModel(
-            "group-uniform", master_seed=args.seed, group=group, g=args.g
-        )
-        report = monte_carlo_validate(model, args.trials, args.delta, args.epsilon)
-        summary = f"{report.success_count}/{report.trials} trials within thresholds"
-        return (1 if _tail_violation(report) else 0), report.to_json(), summary
+        return _validate(args, "group-uniform", group=group, g=args.g)
     A = random_group_subset(group, args.g, args.seed)
     payload = {"g": args.g, "seed": args.seed, "size": A.size, "set": A.to_json()}
     return 0, payload, f"sampled {A.size} of {group.order} elements"
@@ -382,15 +382,7 @@ def _cmd_random_sequence(args, run):
             raise ValueError("--trials needs --delta and --epsilon")
         if args.N is None:
             raise ValueError("--trials needs --N (shift range for the check)")
-        model = RandomModel(
-            "sequence-weighted",
-            master_seed=args.seed,
-            probs=probs,
-            target_N=args.N,
-        )
-        report = monte_carlo_validate(model, args.trials, args.delta, args.epsilon)
-        summary = f"{report.success_count}/{report.trials} trials within thresholds"
-        return (1 if _tail_violation(report) else 0), report.to_json(), summary
+        return _validate(args, "sequence-weighted", probs=probs, target_N=args.N)
     A = sequence_random_set(probs, args.seed)
     payload = {"seed": args.seed, "size": A.size, "set": A.to_json()}
     return 0, payload, f"sampled {A.size} indices"
@@ -425,7 +417,7 @@ def _cmd_bridge_averages(args, run):
     c = seq.conditions
     passes = c.sum_identity_ok and c.cond2_ok and c.cond3_ok
     state = "PASS" if passes else "FAIL"
-    summary = f"L={seq.L} support={len(seq.coeffs)} conditions {state}"
+    summary = f"L={seq.L} support={len(seq.support)} conditions {state}"
     return (0 if passes else 1), seq.to_json(), summary
 
 
@@ -433,10 +425,8 @@ def _cmd_bridge_probs(args, run):
     f = StepFunction.from_json(run.load_json(args.fn))
     seq = local_averages(f, args.N, args.tau_hat, stretch=args.stretch)
     probs = averages_to_probs(seq)
-    summary = (
-        f"{len(probs.coeffs)} inclusion probabilities, "
-        f"expected size {probs.expected_size_float():.3f}"
-    )
+    size = float(probs.sum_coeff()) * (probs.cbrt_n or 1) ** (2 / 3)
+    summary = f"{len(probs.support)} inclusion probabilities, expected size {size:.3f}"
     return 0, probs.to_json(), summary
 
 

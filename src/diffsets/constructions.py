@@ -15,6 +15,7 @@ threshold, so a run is reproducible bit for bit from its seed.
 from __future__ import annotations
 
 import math
+import operator
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -470,19 +471,18 @@ def random_group_subset(group: GroupSpec, g: int, seed: int) -> GroupSubset:
 
 
 def sequence_random_set(probs: ProbSeq, seed: int) -> IntSet:
-    """Independent inclusion of index i with probability p_i, decided exactly."""
+    """Independent inclusion of index i with probability p_i, decided exactly.
+
+    One uniform is drawn per index of probs.support, in ascending order, so
+    a zero p_i draws none.  The float screen ProbSeq.screen decides every
+    index whose uniform lies 1e-12 or more from p_i; the rest are decided by
+    ProbSeq.less_than_p.
+    """
     if not probs.in_unit_range():
         raise ValueError("probabilities must lie in [0, 1]")
     support = probs.support
-    if not support:
-        return IntSet.of(())
     u = _uniforms(seed, len(support))
-    if len(support) <= 1024:
-        chosen = [
-            i for i, ui in zip(support, u) if probs.less_than_p(i, Fraction(float(ui)))
-        ]
-        return IntSet.of(chosen)
-    pf = np.array([probs.p_float(i) for i in support])
+    pf = probs.screen
     take = u < pf
     border = np.abs(u - pf) < 1e-12
     for j in np.nonzero(border)[0]:
@@ -633,12 +633,24 @@ def monte_carlo_validate(
     else:
         runner, probe = _make_sequence_trial(model, delta, epsilon)
     seeds = [model.master_seed ^ t for t in range(trials)]
+
+    def row(trial: int, seed: int) -> dict:
+        size, achieved, probe_count, ok = runner(seed)
+        return {
+            "trial": trial,
+            "seed": seed,
+            "size": size,
+            "achieved_g": achieved,
+            "probe_count": probe_count,
+            "success": bool(ok),
+        }
+
     workers = _thread_count()
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(runner, range(trials), seeds))
+            rows = list(pool.map(row, range(trials), seeds))
     else:
-        rows = [runner(t, s) for t, s in zip(range(trials), seeds)]
+        rows = list(map(row, range(trials), seeds))
     success_count = sum(1 for r in rows if r["success"])
     tail_checks = _summarize_tails(rows, probe, delta, trials)
     return MonteCarloReport(
@@ -678,29 +690,14 @@ def _make_group_trial(model: RandomModel, delta: Fraction, epsilon: Fraction):
         ),
     }
 
-    def run(trial: int, seed: int) -> dict:
+    def run(seed: int) -> tuple:
         sub = random_group_subset(group, g, seed)
         if sub.size == 0:
-            return {
-                "trial": trial,
-                "seed": seed,
-                "size": 0,
-                "achieved_g": 0,
-                "probe_count": 0,
-                "success": False,
-            }
+            return 0, 0, 0, False
         counts = _group_counts(sub, "difference")
         achieved = int(counts.min())
-        probe_count = int(counts[probe_flat])
         ok = achieved >= min_floor and sub.size * sub.size <= size_sq_cap
-        return {
-            "trial": trial,
-            "seed": seed,
-            "size": sub.size,
-            "achieved_g": achieved,
-            "probe_count": probe_count,
-            "success": bool(ok),
-        }
+        return sub.size, achieved, int(counts[probe_flat]), ok
 
     return run, probe
 
@@ -715,34 +712,20 @@ def _pick_probe_shift(group: GroupSpec) -> int:
 def _make_sequence_trial(model: RandomModel, delta: Fraction, epsilon: Fraction):
     probs, N = model.probs, model.target_N
     scale_n = probs.cbrt_n
-    sum_c = probs.sum_coeff()
-    # size <= (1+eps) sum p_i, cubed when the scale is symbolic
-    if scale_n is None:
-        size_cap_plain = (1 + epsilon) * sum_c
-    else:
-        size_cap_cubed = ((1 + epsilon) * sum_c) ** 3 * scale_n**2
+    # size <= (1+eps) sum p_i, cubed since the scale may be symbolic
+    size_cap_cubed = ((1 + epsilon) * probs.sum_coeff()) ** 3 * (scale_n or 1) ** 2
     # min_m r(m) >= ((1-eps)/(1+eps))^2 N^(1/3): cube both sides
     rho = ((1 - epsilon) / (1 + epsilon)) ** 2
     count_floor_cubed = rho**3 * N
     probe_m = 1
-    support = probs.support
-    mu_probe = sum(
-        probs.coeffs.get(i, Fraction(0)) * probs.coeffs.get(i + probe_m, Fraction(0))
-        for i in support
-    )
-    if scale_n is not None:
-        mu_probe_float = float(mu_probe) * float(scale_n) ** (4.0 / 3.0)
-    else:
-        mu_probe_float = float(mu_probe)
-    # two parts: odd and even indices keep i and i+1 apart
-    mu_parts = [Fraction(0), Fraction(0)]
-    for i in support:
-        q = probs.coeffs[i] * probs.coeffs.get(i + probe_m, Fraction(0))
-        mu_parts[i % 2] += q
-    if scale_n is not None:
-        mu_parts_float = [float(q) * float(scale_n) ** (4.0 / 3.0) for q in mu_parts]
-    else:
-        mu_parts_float = [float(q) for q in mu_parts]
+    # sum_i q_i q_{i+1} in integers over den^2, split by the parity of i:
+    # the two parts keep i and i+1 apart
+    nums, den = probs.nums, probs.den
+    pair_sums = [sum(map(operator.mul, nums[j::2], nums[j + 1 :: 2])) for j in (0, 1)]
+    mu_parts = pair_sums if probs.start % 2 == 0 else pair_sums[::-1]
+    scale = 1.0 if scale_n is None else float(scale_n) ** (4.0 / 3.0)
+    mu_probe_float = sum(mu_parts) / den**2 * scale
+    mu_parts_float = [q / den**2 * scale for q in mu_parts]
     probe = {
         "kind": "sequence",
         "shift": probe_m,
@@ -752,33 +735,15 @@ def _make_sequence_trial(model: RandomModel, delta: Fraction, epsilon: Fraction)
         "notes": (f"probe shift {probe_m} with parity partition",),
     }
 
-    def run(trial: int, seed: int) -> dict:
+    def run(seed: int) -> tuple:
         A = sequence_random_set(probs, seed)
         if A.size < 2:
-            return {
-                "trial": trial,
-                "seed": seed,
-                "size": A.size,
-                "achieved_g": 0,
-                "probe_count": 0,
-                "success": False,
-            }
+            return A.size, 0, 0, False
         start, offsets, counts = _pair_counts(A.elements, "difference", 1, N)
         r_min = int(counts.min()) if len(counts) == N else 0
         probe_count = int(counts[offsets == probe_m - start].sum())
-        ok = Fraction(r_min) ** 3 >= count_floor_cubed
-        if scale_n is None:
-            ok = ok and A.size <= size_cap_plain
-        else:
-            ok = ok and Fraction(A.size) ** 3 <= size_cap_cubed
-        return {
-            "trial": trial,
-            "seed": seed,
-            "size": A.size,
-            "achieved_g": r_min,
-            "probe_count": probe_count,
-            "success": bool(ok),
-        }
+        ok = r_min**3 >= count_floor_cubed and A.size**3 <= size_cap_cubed
+        return A.size, r_min, probe_count, ok
 
     return run, probe
 

@@ -159,3 +159,23 @@ def naive_autocorrelation(f, x):
 def naive_autoconvolution(f, x):
     """(f.f)(x) = integral of f(t) f(x-t) dt, piece pair by piece pair."""
     return _pair_overlaps(f, x, reflect=True)
+
+
+def naive_window_averages(f, N, L, stretch):
+    """{i: a_i} for every i whose window can meet the stretched support.
+
+    a_i = (N / 2L) * integral of f(x / stretch) over [(i-L)/N, (i+L)/N],
+    summed piece by piece from the overlap of each stretched piece with the
+    window.  Zero averages are included.  The sqrt scale is left out.
+    """
+    pieces = [
+        (b1 * stretch, b2 * stretch, v)
+        for b1, b2, v in zip(f.breakpoints, f.breakpoints[1:], f.values)
+    ]
+    lo, hi = pieces[0][0] * N, pieces[-1][1] * N
+    out = {}
+    for i in range(int(lo) - L - 2, int(hi) + L + 3):
+        w1, w2 = Fraction(i - L, N), Fraction(i + L, N)
+        total = sum(v * _overlap(b1, b2, w1, w2) for b1, b2, v in pieces)
+        out[i] = Fraction(N, 2 * L) * total
+    return out

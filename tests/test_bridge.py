@@ -368,6 +368,49 @@ class TestLocalAverages:
         with pytest.raises(CertificateError):
             local_averages(f, 64, 2)
 
+    @pytest.mark.parametrize("stretch", [False, True])
+    @pytest.mark.parametrize(
+        "f, N, tau, gap",
+        [
+            # off-grid breakpoints under a non-square radicand
+            (StepFunction((F(-1, 7), F(3, 5), F(16, 7)), (F(3, 2), F(4, 3)), F(5, 3)), 81, F(3, 4), False),
+            # a zero gap of width 1/2, wider than the window 2L/N = 1/4
+            (StepFunction((F(0), F(1), F(3, 2), F(5, 2)), (F(2), F(0), F(2))), 64, F(1), True),
+        ],
+    )
+    def test_against_naive_window_averages(self, f, N, tau, gap, stretch):
+        seq = local_averages(f, N, tau, stretch=stretch)
+        L, lam = seq.L, seq.stretch
+        assert lam == (F(N, N - 2 * L + 1) if stretch else 1)
+        want = oracles.naive_window_averages(f, N, L, lam)
+        nonzero = {i: a for i, a in want.items() if a}
+        keys = sorted(nonzero)
+        interior_zeros = [i for i in range(keys[0], keys[-1]) if not want[i]]
+        assert bool(interior_zeros) == gap
+        assert dict(seq.coeffs) == nonzero and seq.support == tuple(keys)
+        payload = seq.to_json()
+        assert payload["support"] == keys
+        assert payload["coeffs"] == [str(nonzero[i]) for i in keys]
+        # conditions recomputed from the oracle's averages with plain rationals
+        rad = f.scale_sqrt or 1
+        assert seq.radicand == rad
+        total = sum(nonzero.values())
+        integral = sum(v * (b2 - b1) for b1, b2, v in f.pieces())
+        m_hi = N if stretch else N - (2 * L - 1)
+        corr = [
+            rad * sum(a * want.get(i + m, 0) for i, a in nonzero.items())
+            for m in range(1, m_hi + 1)
+        ]
+        low = min(corr)
+        threshold = F((2 * L - 1) * N, 2 * L)
+        c = seq.conditions
+        assert c.sum_identity_ok and total == N * lam * integral
+        assert c.cond2_ok == ((max(nonzero.values()) * tau) ** 3 * N * N <= total**3)
+        assert (c.cond3_min, c.cond3_argmin) == (low, corr.index(low) + 1)
+        assert c.cond3_ok == (low >= threshold)
+        assert c.cond3_threshold == threshold and c.cond3_m_range == (1, m_hi)
+        assert c.realized_epsilon == lam - 1
+
     def test_sqrt_scale_carries_through(self):
         A = IntSet.of([0, 1, 3])
         f = set_to_step(A, 1, 3)  # heights sqrt(3)
@@ -398,6 +441,10 @@ class TestProbSeq:
         p = ProbSeq({3: F(1, 7), -2: F(2, 5)}, cbrt_n=100)
         q = ProbSeq.from_json(p.to_json())
         assert q.coeffs == p.coeffs and q.cbrt_n == 100
+
+    def test_rebuild_from_coeffs(self):
+        for p in (ProbSeq({3: F(1, 7), -2: F(2, 5)}, 100), ProbSeq({0: F(1, 100)}, 216)):
+            assert ProbSeq(p.coeffs, p.cbrt_n) == p
 
 
 class TestAveragesToProbs:

@@ -278,6 +278,41 @@ class TestRandom:
         assert payload["model"]["kind"] == "sequence-weighted"
         assert len(payload["per_trial"]) == 3
 
+    def test_sequence_zero_entries_draw_nothing(self, capsys, tmp_path):
+        # an explicit "0" coefficient is the same as an absent index: it is
+        # dropped from the support and uses up no uniform
+        with_zeros = {
+            "support": [0, 1, 2, 3, 5, 8],
+            "coeffs": ["1/2", "0", "1/3", "1/2", "0", "2/3"],
+            "cbrt_scale_n": None,
+        }
+        without = {
+            "support": [0, 2, 3, 8],
+            "coeffs": ["1/2", "1/3", "1/2", "2/3"],
+            "cbrt_scale_n": None,
+        }
+        sets = []
+        for name, data in (("zeros", with_zeros), ("plain", without)):
+            path = tmp_path / f"{name}.json"
+            path.write_text(json.dumps(data))
+            code, payload, _ = run_json(
+                capsys, "random", "sequence", "--probs", str(path), "--seed", "13"
+            )
+            assert code == 0
+            sets.append(payload["set"])
+        assert sets[0] == sets[1] == [2, 3, 8]
+
+    def test_sequence_refuses_sparse_span(self, capsys, tmp_path):
+        # probabilities are stored densely over the index hull
+        path = tmp_path / "sparse.json"
+        path.write_text(json.dumps(
+            {"support": [0, 10**7], "coeffs": ["1/2", "1/2"], "cbrt_scale_n": None}
+        ))
+        code, _, err = run_cli(
+            capsys, "random", "sequence", "--probs", str(path), "--seed", "1"
+        )
+        assert code == 2 and "limit" in err
+
 
 class TestBridge:
     def test_set_to_fn_frozen(self, capsys, int_set_file):
@@ -344,6 +379,43 @@ class TestBridge:
         assert code == 0
         assert payload["cbrt_scale_n"] is None
         assert len(payload["support"]) == len(payload["coeffs"])
+
+    def test_averages_and_probs_bytes_pinned(self, capsys, tmp_path):
+        # payload digests of the perfect ruler {0,1,4,6} at N=2000, frozen
+        # from the Fraction-per-entry implementation
+        ruler, fn = tmp_path / "ruler.json", tmp_path / "fn.json"
+        ruler.write_text(json.dumps([0, 1, 4, 6]))
+        run_cli(
+            capsys, "bridge", "set-to-fn", "--set", str(ruler), "--g", "1",
+            "--N", "6", "--json", "--out", str(fn),
+        )
+        pinned = {
+            "averages": "8de9bd3922c318d3a67474cf4a63fd1a8ceb731cca770b8dcb18071d86efcd1c",
+            "probs": "873df3e4706df475e98b8e8a1c7745996efd8aa08065d9caaf3bcf59db2f3796",
+        }
+        for command, digest in pinned.items():
+            code, out, _ = run_cli(
+                capsys, "bridge", command, "--fn", str(fn), "--N", "2000",
+                "--tau-hat", "1/2", "--stretch", "--json",
+            )
+            assert code == 0
+            assert hashlib.sha256(out.encode()).hexdigest() == digest, command
+
+    def test_averages_refuse_oversized_span(self, capsys, tmp_path, int_set_file):
+        # N = 10^12 would need about 2.3e12 window endpoints
+        fn = tmp_path / "fn.json"
+        run_cli(
+            capsys, "bridge", "set-to-fn", "--set", int_set_file, "--g", "1",
+            "--N", "3", "--json", "--out", str(fn),
+        )
+        for command in ("averages", "probs"):
+            start = time.perf_counter()
+            code, _, err = run_cli(
+                capsys, "bridge", command, "--fn", str(fn), "--N", str(10**12),
+                "--tau-hat", "1/2", "--stretch",
+            )
+            assert code == 2 and "limit" in err
+            assert time.perf_counter() - start < 1.0
 
     def test_torus(self, capsys, group_set_file):
         code, payload, _ = run_json(

@@ -447,6 +447,30 @@ class TestSequenceRandomSet:
         }
         assert set(A.elements) == want
 
+    def test_scaled_screen_matches_exact_decisions(self):
+        # 1500 entries at the non-cube scale 100^(2/3), denominators of 19 or
+        # 20 digits, and every 100th p_i placed within 1e-12 of its uniform
+        n, size, seed = 100, 1500, 33
+        u = _uniforms(seed, size)
+        scale = n ** (2 / 3)
+        rng = random.Random(5)
+        dens = (10**19 + 7, 10**18 + 9, 3 * 10**19 + 1)
+        coeffs = {}
+        for i in range(size):
+            if i % 100 == 0:
+                coeffs[i] = F(float(u[i]) / scale)
+            else:
+                d = dens[i % 3]
+                coeffs[i] = F(rng.randrange(1, d // 22), d)
+        probs = ProbSeq(coeffs, cbrt_n=n)
+        assert probs.cbrt_n == n and probs.in_unit_range()
+        assert len(probs.support) == size and len(str(probs.den)) > 17
+        assert list(probs.screen) == [float(probs.coeffs[i]) * scale for i in range(size)]
+        assert (abs(u - probs.screen) < 1e-12).sum() >= size // 100
+        A = sequence_random_set(probs, seed=seed)
+        want = {i for i in range(size) if probs.less_than_p(i, F(float(u[i])))}
+        assert set(A.elements) == want
+
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError):
             sequence_random_set(ProbSeq({0: F(3, 2)}), seed=0)
