@@ -495,9 +495,6 @@ class AveragesSeq(_Numerators):
     den: int
     conditions: ConditionsReport | None = field(default=None, compare=False)
 
-    def sum_value(self) -> SqrtScaled:
-        return SqrtScaled(Fraction(sum(self.nums), self.den), self.radicand)
-
     def to_json(self) -> dict:
         return {
             "N": self.N,
@@ -552,6 +549,13 @@ def local_averages(
     conditions are computed exactly and attached to the result.  More than
     _SPAN_LIMIT window endpoints raise a ValueError before any allocation.
     """
+    seq = _window_averages(f, N, tau_hat, stretch)
+    return replace(seq, conditions=_check_conditions(seq, f))
+
+
+def _window_averages(f: StepFunction, N: int, tau_hat, stretch: bool) -> AveragesSeq:
+    """local_averages without the conditions report; f is still checked to
+    be in family F."""
     N = int(N)
     tau_hat = Fraction(tau_hat)
     if N < 1 or tau_hat <= 0:
@@ -576,11 +580,10 @@ def local_averages(
     # a_i = (N/2L) (F((i+L)/N) - F((i-L)/N))
     nums = list(map(operator.sub, cum[2 * L :], cum[: len(cum) - 2 * L]))
     nums, den = _lowest_terms(nums, 2 * L * scale // N)
-    seq = AveragesSeq(
+    return AveragesSeq(
         N=N, L=L, tau_hat=tau_hat, stretch=lam, radicand=f._scale_fraction(),
         start=i_min, nums=nums, den=den,
     )
-    return replace(seq, conditions=_check_conditions(seq, f))
 
 
 def _check_conditions(seq: AveragesSeq, f: StepFunction) -> ConditionsReport:

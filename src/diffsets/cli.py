@@ -27,6 +27,7 @@ from .bridge import (
     local_averages,
     set_to_step,
     torus_autocorrelation_min,
+    _window_averages,
 )
 from .constructions import (
     RandomModel,
@@ -423,8 +424,8 @@ def _cmd_bridge_averages(args, run):
 
 def _cmd_bridge_probs(args, run):
     f = StepFunction.from_json(run.load_json(args.fn))
-    seq = local_averages(f, args.N, args.tau_hat, stretch=args.stretch)
-    probs = averages_to_probs(seq)
+    # averages_to_probs re-checks condition (2); condition (3) is not needed
+    probs = averages_to_probs(_window_averages(f, args.N, args.tau_hat, args.stretch))
     size = float(probs.sum_coeff()) * (probs.cbrt_n or 1) ** (2 / 3)
     summary = f"{len(probs.support)} inclusion probabilities, expected size {size:.3f}"
     return 0, probs.to_json(), summary
@@ -632,7 +633,11 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--N", type=int, help="interval parameter (eta, beta)")
         sp.add_argument("--factors", type=int, nargs="+", help="group factors (gamma, alpha)")
         sp.add_argument("--budget", type=int, help="search nodes, set-up included, before a partial result")
-        sp.add_argument("--no-pin", action="store_true", help="search without translation pinning")
+        sp.add_argument(
+            "--no-pin",
+            action="store_true",
+            help="drop every pin (translation, and gamma's flat index 1 or basis) as their check",
+        )
         sp.set_defaults(handler=_cmd_solve)
 
     report = sub.add_parser("report", help="tables over solved results")

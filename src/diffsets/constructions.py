@@ -33,6 +33,7 @@ from .core_sets import (
     _group_counts,
     _pair_counts,
     format_fraction,
+    is_prime,
     verify_certificate,
 )
 
@@ -56,34 +57,6 @@ __all__ = [
     "MonteCarloReport",
     "monte_carlo_validate",
 ]
-
-_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-
-
-def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin; exact for all 64-bit inputs."""
-    n = int(n)
-    if n < 2:
-        return False
-    for p in _MR_WITNESSES:
-        if n % p == 0:
-            return n == p
-    d, s = n - 1, 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
-    for a in _MR_WITNESSES:
-        x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
-
 
 def legendre_symbol(a: int, p: int) -> int:
     """(a/p) in {-1, 0, 1} for an odd prime p, via Euler's criterion."""

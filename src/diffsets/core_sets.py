@@ -45,6 +45,7 @@ __all__ = [
     "verify_certificate",
     "trivial_bounds",
     "ceil_sqrt",
+    "is_prime",
     "floor_sqrt",
     "format_fraction",
     "parse_fraction",
@@ -82,6 +83,34 @@ class CertificateError(ValueError):
     def __init__(self, message, verdict=None):
         super().__init__(message)
         self.verdict = verdict
+
+
+_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
+def is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin; exact for all 64-bit inputs."""
+    n = int(n)
+    if n < 2:
+        return False
+    for p in _MR_WITNESSES:
+        if n % p == 0:
+            return n == p
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _MR_WITNESSES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
 
 
 def ceil_sqrt(n: int) -> int:

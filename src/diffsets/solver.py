@@ -12,6 +12,20 @@ next element may go, which counters placing it raises, and which elements
 are pinned before the search starts.  Translation symmetry pins min(A) = 0
 (interval) or 0 in A (group).
 
+The group cover search pins more.  Fix a size k that has a cover and let L
+be the lex-first k-cover through 0.  If |G| > 1, L contains the element h of
+flat index 1: L - L = G, so a - b = h for some a, b in L, and L - b, a
+k-cover through 0 and h, would be lex-smaller unless h is in L.  In (Z/p)^n,
+L also contains e_n, ..., e_1, of flat indices 1, p, ..., p^(n-1): if L
+contains 0 and e_n, ..., e_(i+1), which span S = [0, p^(n-i)) in flat order,
+L still generates G (L - L = G), so it has a least element y outside S; an
+automorphism fixing S pointwise and moving y to e_i keeps L's elements in S
+and adds p^(n-i), the least flat index outside S, so it would make L
+lex-smaller unless y = e_i.  So the pinned search at size k meets L, and its
+first cover is L: for equal-size sets through the same pins, lex order is
+decided by the least element of their symmetric difference, a free element.
+A size it fails at has no cover.
+
 The eta hull comes from gap compression: shrinking a gap larger than N
 between consecutive elements to exactly N can only raise the counts in
 [1, N] and makes the set lexicographically smaller, so the lex-min optimal
@@ -24,6 +38,7 @@ exhaustive=True means proven optimal for all four quantities.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -35,6 +50,7 @@ from .core_sets import (
     GroupSubset,
     IntSet,
     ceil_sqrt,
+    is_prime,
     trivial_bounds,
     verify_certificate,
 )
@@ -63,10 +79,12 @@ class SearchConfig:
     node_budget: search nodes before giving up with a non-exhaustive result;
     group operation rows are built as the search places elements, so the
     budget bounds the set-up too.
-    translation_fix: pin min(A) = 0 for eta, 0 in A for gamma/alpha.  False
-    searches unpinned (eta's first element then ranges over [0, N]): slower,
-    same value and witness, useful as a symmetry sanity check.  beta has no
-    translation symmetry and ignores the flag.
+    translation_fix: pin min(A) = 0 for eta, 0 in A for gamma/alpha, and
+    for gamma also the element of flat index 1, or e_1, ..., e_n in (Z/p)^n
+    (see the module docstring for the lemmas).  False drops every pin (eta's
+    first element then ranges over [0, N]): slower, same value and witness,
+    useful as a check of the pins.  beta has no translation symmetry and
+    ignores the flag.
     """
 
     node_budget: int = 20_000_000
@@ -161,18 +179,21 @@ class _Rule:
     """How difference sets of one kind grow; the cover search reads nothing else.
 
     size: number of counters (shifts 1..N or group elements).
-    pinned: elements placed before the search starts.
-    candidates(chosen, left): range for the next element when `left`
-    elements, this one included, remain to be placed.
+    pinned: elements placed before the search starts; the others skip them.
+    candidates(last, left): range for the next element after the previous
+    unpinned one (None before the first) when `left` elements, this one
+    included, remain to be placed.
     touched(x, chosen): counters that placing x raises, one entry per unit.
-    total(n): the most counts an n-element set adds to the counters.
+    room(chosen, t): the most counts t more elements add to the counters.
+    step: the most one new element raises any one counter.
     """
 
     size: int
     pinned: tuple[int, ...]
-    candidates: Callable[[list[int], int], range]
+    candidates: Callable[[int | None, int], range]
     touched: Callable[[int, list[int]], list[int]]
-    total: Callable[[int], int]
+    room: Callable[[list[int], int], int]
+    step: int
 
 
 @dataclass(frozen=True)
@@ -193,7 +214,7 @@ class _Sums:
 
 def _ascending(lo: int, hi: int):
     """Next element above the last one in [lo, hi), leaving room for the rest."""
-    return lambda chosen, left: range(chosen[-1] + 1 if chosen else lo, hi - left + 1)
+    return lambda last, left: range(lo if last is None else last + 1, hi - left + 1)
 
 
 class _Rows(dict):
@@ -221,12 +242,14 @@ def _group_maps(group: GroupSpec, sign: int, scale: int):
 
 
 def _cover_at_size(rule: _Rule, g: int, k: int, budget: _Budget):
-    """Lexicographically first k-set with every counter at least g, or None."""
-    candidates, touched = rule.candidates, rule.touched
+    """Lexicographically first k-set through the pins with every counter at
+    least g, or None."""
+    if len(rule.pinned) > k:
+        return None
+    candidates, touched, room, step = rule.candidates, rule.touched, rule.room, rule.step
+    skip = frozenset(rule.pinned)
     counts = [0] * rule.size
     deficit = g * rule.size
-    # the counts that the elements still to come can add, by current size
-    room = [rule.total(k) - rule.total(s) for s in range(k + 1)]
     chosen: list[int] = []
 
     def place(x):
@@ -249,27 +272,27 @@ def _cover_at_size(rule: _Rule, g: int, k: int, budget: _Budget):
             if c < g:
                 deficit += 1
 
-    def extend() -> bool:
+    def extend(last) -> bool:
         budget.tick()
-        s = len(chosen)
-        if s == k:
+        t = k - len(chosen)
+        if t == 0:
             return deficit == 0
-        t = k - s
-        if deficit > room[s]:
+        if deficit > room(chosen, t):
             return False
-        # one new element raises any one counter by at most 2
-        if g - min(counts) > 2 * t:
+        if g - min(counts) > step * t:
             return False
-        for x in candidates(chosen, t):
+        for x in candidates(last, t):
+            if x in skip:
+                continue
             hit = place(x)
-            if extend():
+            if extend(x):
                 return True
             unplace(hit)
         return False
 
     for x in rule.pinned:
         place(x)
-    return list(chosen) if extend() else None
+    return list(chosen) if extend(None) else None
 
 
 def _cover(rule: _Rule, g: int, lo: int, fallback: list[int], budget: _Budget):
@@ -368,15 +391,22 @@ def eta_exact(g: int, N: int, cfg: SearchConfig = SearchConfig()) -> ExtremalRes
     if g < 1 or N < 1:
         raise ValueError("need g >= 1 and N >= 1")
 
-    def candidates(chosen, left):
-        return range(chosen[-1] + 1, chosen[-1] + N + 1) if chosen else range(N + 1)
+    def candidates(last, left):
+        return range(N + 1) if last is None else range(last + 1, last + N + 1)
+
+    def room(chosen, t):
+        # a later x > last pairs only with the live elements, those in
+        # (last - N, last], and the t new elements with each other
+        live = len(chosen) - bisect_right(chosen, chosen[-1] - N) if chosen else 0
+        return t * live + t * (t - 1) // 2
 
     rule = _Rule(
         size=N,  # counter m - 1 holds shift m
         pinned=(0,) if cfg.translation_fix else (),
         candidates=candidates,
         touched=lambda x, chosen: [x - a - 1 for a in chosen if x - a <= N],
-        total=lambda n: n * (n - 1) // 2,
+        room=room,
+        step=1,  # x raises shift m only through x - m
     )
     fallback = list(_greedy_difference_cover(g, N).elements)
     budget = _Budget(cfg.node_budget)
@@ -386,12 +416,22 @@ def eta_exact(g: int, N: int, cfg: SearchConfig = SearchConfig()) -> ExtremalRes
     return ExtremalResult("eta", g, N, None, witness.size, witness, exhaustive, budget.spent)
 
 
+def _basis_pins(group: GroupSpec) -> tuple[int, ...]:
+    """gamma's pins beside 0 (module docstring): the flat indices of e_1,
+    ..., e_n in (Z/p)^n, else flat index 1."""
+    p = group.factors[0]
+    if is_prime(p) and all(m == p for m in group.factors):
+        return group.strides()
+    return (1,) if group.order > 1 else ()
+
+
 def gamma_exact(g: int, group: GroupSpec, cfg: SearchConfig = SearchConfig()) -> ExtremalResult:
     """Minimum size of a g-difference subset of a finite abelian group.
 
-    0 is pinned into A (any witness translates to one through 0).  Deepening
-    starts at the strict half-plus-root covering bound; the whole group is
-    the fallback on budget exhaustion.
+    0 and `_basis_pins(group)` are pinned into A (module docstring: the
+    lex-first witness contains them).  Deepening starts at the strict
+    half-plus-root covering bound; the whole group is the fallback on budget
+    exhaustion.
     """
     g = int(g)
     if g < 1 or g > group.order:
@@ -408,10 +448,11 @@ def gamma_exact(g: int, group: GroupSpec, cfg: SearchConfig = SearchConfig()) ->
 
     rule = _Rule(
         size=group.order,
-        pinned=(0,) if cfg.translation_fix else (),
+        pinned=(0,) + _basis_pins(group) if cfg.translation_fix else (),
         candidates=_ascending(0, group.order),
         touched=touched,
-        total=lambda n: n * n,
+        room=lambda chosen, t: t * (2 * len(chosen) + t),  # (s + t)^2 - s^2
+        step=2,  # x raises d through a = x + d and a = x - d
     )
     lo = max(trivial_bounds(g, group=group).sharper_cover_lower, g, 1)
     budget = _Budget(cfg.node_budget)

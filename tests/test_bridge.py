@@ -416,7 +416,7 @@ class TestLocalAverages:
         f = set_to_step(A, 1, 3)  # heights sqrt(3)
         seq = local_averages(f, 60, F(3, 2), stretch=False)
         assert seq.radicand == 3
-        assert seq.sum_value() == SqrtScaled(F(60) * f.integral().coeff, F(3))
+        assert F(sum(seq.nums), seq.den) == F(60) * f.integral().coeff
         assert seq.conditions.sum_identity_ok
 
 

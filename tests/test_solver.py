@@ -8,6 +8,7 @@ import time
 import pytest
 
 import oracles
+from diffsets import solver
 from diffsets.core_sets import (
     BoundsLedger,
     GroupSpec,
@@ -107,6 +108,15 @@ def test_eta_unpinned_search_matches():
     assert free.nodes >= pinned.nodes
 
 
+def test_eta_live_window_bound_keeps_witness():
+    # witness frozen from the search with the t*s room bound and step 2,
+    # which took 114,741 nodes
+    r = eta_exact(1, 18)
+    assert r.witness.elements == (0, 2, 7, 13, 16, 17, 25)
+    assert r.exhaustive
+    assert r.nodes < 60_000
+
+
 def test_eta_rejects_bad_parameters():
     with pytest.raises(ValueError):
         eta_exact(0, 3)
@@ -131,7 +141,9 @@ def test_gamma_frozen_values():
 
 
 def test_gamma_oracle_agreement():
-    for factors in ((2,), (3,), (4,), (5,), (2, 2), (6,), (7,), (2, 4)):
+    # every group pins flat index 1 beside 0, and (Z/p)^n a basis
+    for factors in ((2,), (3,), (4,), (5,), (2, 2), (6,), (7,), (2, 4),
+                    (8,), (9,), (2, 2, 2), (3, 3), (2, 2, 2, 2)):
         order = math.prod(factors)
         for g in range(1, min(3, order) + 1):
             size, cand = oracles.naive_gamma(factors, g)
@@ -171,6 +183,45 @@ def test_gamma_unpinned_search_matches():
     pinned = gamma_exact(2, GroupSpec((5,)))
     free = gamma_exact(2, GroupSpec((5,)), SearchConfig(translation_fix=False))
     assert (free.value, free.witness.elements) == (pinned.value, pinned.witness.elements)
+
+
+Z3_CUBED_G2_WITNESS = (
+    (0, 0, 0), (0, 0, 1), (0, 0, 2), (0, 1, 0), (0, 1, 1), (0, 1, 2),
+    (1, 0, 0), (1, 1, 0), (1, 2, 0),
+)
+
+
+def test_gamma_basis_pins_prove_sizes_infeasible():
+    # with e_1, e_2, e_3 pinned the proof that 8 is infeasible takes
+    # thousands of nodes, not the 487,928 of the translation pin alone
+    r = gamma_exact(2, GroupSpec((3, 3, 3)))
+    assert r.value == 9 and r.exhaustive
+    assert r.witness.elements == Z3_CUBED_G2_WITNESS
+    assert r.nodes < 10_000
+    r = gamma_exact(1, GroupSpec((2, 2, 2, 2, 2)))
+    assert r.value == 10 and r.exhaustive
+    assert verify_certificate(r.witness, g=1, mode="difference").passed
+
+
+def test_gamma_without_basis_pins_matches(monkeypatch):
+    pinned = gamma_exact(2, GroupSpec((3, 3, 3)))
+    monkeypatch.setattr(solver, "_basis_pins", lambda group: ())
+    free = gamma_exact(2, GroupSpec((3, 3, 3)))
+    assert (free.value, free.witness.elements) == (pinned.value, pinned.witness.elements)
+    assert free.exhaustive
+    assert free.nodes > pinned.nodes
+
+
+def test_gamma_budget_out_falls_back():
+    spec = GroupSpec((3, 3, 3))
+    full = gamma_exact(2, spec).nodes
+    # 1,000 nodes stop inside the proof that size 8 is infeasible; one node
+    # short of the full run stops inside the search at size 9, the last
+    for budget in (1_000, full - 1):
+        r = gamma_exact(2, spec, SearchConfig(node_budget=budget))
+        assert not r.exhaustive
+        assert r.value == spec.order
+        assert verify_certificate(r.witness, g=2, mode="difference").passed
 
 
 def test_gamma_rejects_bad_g():
