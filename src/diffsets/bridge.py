@@ -44,6 +44,7 @@ from .core_sets import (
     GroupSubset,
     IntSet,
     _convolve,
+    _flat,
     _group_counts,
     format_fraction,
     parse_fraction,
@@ -247,7 +248,10 @@ class StepFunction:
         scale = data.get("scale_sqrt")
         radicand = None
         if scale is not None:
-            radicand = Fraction(int(scale["num"]), int(scale["den"]))
+            num, den = int(scale["num"]), int(scale["den"])
+            if den == 0:
+                raise ValueError("zero denominator in scale_sqrt")
+            radicand = Fraction(num, den)
         return cls(
             tuple(parse_fraction(b) for b in data["breakpoints"]),
             tuple(parse_fraction(v) for v in data["values"]),
@@ -613,6 +617,22 @@ def _check_conditions(seq: AveragesSeq, f: StepFunction) -> ConditionsReport:
     )
 
 
+def _parse_ratio(text) -> tuple[int, int]:
+    """(p, q) with p/q = parse_fraction(text), not always in lowest terms.
+
+    The "p/q" and "p" strings of ASCII digits that _json_coeffs writes are
+    split and read with int; any other text, and a zero q, go through
+    parse_fraction, so the accepted inputs and error messages are its own.
+    """
+    s = str(text)
+    p, slash, q = s.partition("/")
+    if p.isascii() and p.isdigit() and (not slash or q.isascii() and q.isdigit()):
+        q = int(q) if slash else 1
+        if q:
+            return int(p), q
+    return parse_fraction(s).as_integer_ratio()
+
+
 def _numerators(ratios: dict) -> tuple[int, list[int], int]:
     """(start, nums, den) of {index: (numerator, denominator)} over its index hull."""
     ratios = {i: r for i, r in ratios.items() if r[0]}
@@ -699,8 +719,14 @@ class ProbSeq(_Numerators):
 
     @classmethod
     def from_json(cls, data) -> "ProbSeq":
-        pairs = zip(data["support"], data["coeffs"])
-        ratios = {int(i): parse_fraction(c).as_integer_ratio() for i, c in pairs}
+        """Inverse of to_json.  support and coeffs must pair up one to one,
+        with no index repeated; each coefficient is read by _parse_ratio."""
+        support, coeffs = data["support"], data["coeffs"]
+        if len(support) != len(coeffs):
+            raise ValueError(f"{len(support)} support indices for {len(coeffs)} coeffs")
+        ratios = dict(zip(map(int, support), map(_parse_ratio, coeffs)))
+        if len(ratios) != len(support):
+            raise ValueError("support repeats an index")
         return cls(_numerators(ratios), data.get("cbrt_scale_n"))
 
 
@@ -838,9 +864,8 @@ def torus_autocorrelation_min(h: TorusStepFunction) -> tuple[Fraction, tuple[int
     if len(distinct) == 1:
         # indicator-type: counts of the support do the work
         val = next(iter(distinct))
-        sub = GroupSubset.of(spec, h.values.keys())
-        counts = _group_counts(sub, "difference")
-        idx = min(range(spec.order), key=lambda i: counts[i])
+        counts = _group_counts(_flat(spec, list(h.values)), spec, "difference")
+        idx = int(counts.argmin())
         best = Fraction(int(counts[idx])) * val * val * h._scale_fraction() / spec.order
         best_vec = spec.unflatten(idx)
     else:

@@ -30,8 +30,10 @@ from .core_sets import (
     GroupSpec,
     GroupSubset,
     IntSet,
+    _flat,
     _group_counts,
     _pair_counts,
+    _residues,
     format_fraction,
     is_prime,
     verify_certificate,
@@ -213,7 +215,7 @@ def best_shift_union(p: int, k: int, cap: int = 10**6, seed: int = 0) -> Parabol
     instance_floor = k * k - 2 * (k - 1) - best_score
     spec = subset.group
     if spec.order <= cap:
-        counts = _group_counts(subset, "difference")
+        counts = _group_counts(_flat(spec, subset.elements), spec, "difference")
         verified_g = int(counts.min())
         nonzero_min = int(np.delete(counts, 0).min()) if spec.order > 1 else verified_g
         mode = "exhaustive"
@@ -329,7 +331,7 @@ def cyclic_pipeline(k: int, s: int, p: int, cap: int = 10**6, seed: int = 0) -> 
     cyclic_g = plane_g * (s - 1)
     verified = 0
     if lifted.group.order <= cap:
-        counts = _group_counts(lifted, "difference")
+        counts = _group_counts(_flat(lifted.group, lifted.elements), lifted.group, "difference")
         verified = int(counts.min())
         if verified < cyclic_g:
             raise CertificateError(
@@ -423,8 +425,8 @@ class RandomModel:
         return out
 
 
-def random_group_subset(group: GroupSpec, g: int, seed: int) -> GroupSubset:
-    """Independent inclusion with probability sqrt(g/|G|), decided exactly.
+def _group_draw(group: GroupSpec, g: int, seed: int) -> np.ndarray:
+    """Ascending flat indices of an independent inclusion at rate sqrt(g/|G|).
 
     Uniform u is accepted iff u^2 < g/|G|; floats decide except within a
     tiny band around the threshold where exact rationals take over.
@@ -439,8 +441,17 @@ def random_group_subset(group: GroupSpec, g: int, seed: int) -> GroupSubset:
     border = np.abs(sq - rf) < 1e-12
     for i in np.nonzero(border)[0]:
         take[i] = Fraction(float(u[i])) ** 2 < ratio
-    idx = np.nonzero(take)[0]
-    return GroupSubset.of(group, (group.unflatten(int(i)) for i in idx))
+    return np.flatnonzero(take)
+
+
+def random_group_subset(group: GroupSpec, g: int, seed: int) -> GroupSubset:
+    """Independent inclusion with probability sqrt(g/|G|), decided exactly.
+
+    The draw of _group_draw, the one the Monte Carlo trial with this seed
+    makes, turned into residue vectors.
+    """
+    x = _residues(group, _group_draw(group, g, seed))
+    return GroupSubset.of(group, map(tuple, x.tolist()))
 
 
 def sequence_random_set(probs: ProbSeq, seed: int) -> IntSet:
@@ -476,64 +487,54 @@ def chernoff_bound(delta, mu) -> float:
     return 2.0 * math.exp(-min(d * d / 4.0, d / 2.0) * m)
 
 
-def _cycle_partition(group: GroupSpec, m_vec: tuple[int, ...]) -> list[list[int]] | None:
-    """Split G so x and x +- m never share a part; parts index flat residues.
+def _shift_map(group: GroupSpec, m_vec) -> np.ndarray:
+    """nxt[x] = flat index of x + m, for every flat index x of G."""
+    x = _residues(group, np.arange(group.order))
+    return _flat(group, (x + group.reduce(m_vec)) % group.factors)
 
-    Walks each coset of <m>.  Order-2 shifts 2-color cleanly; longer cycles
-    get three parts with one element moved to the third when the cycle
-    length is 1 mod 3 (odd cycles cannot be 2-colored).  Returns None for
-    m = 0.
+
+def _cycle_partition(nxt: np.ndarray) -> list[list[int]] | None:
+    """Split G so x and x + m never share a part; nxt is _shift_map(G, m).
+
+    Walks each coset of <m>, from its least flat index.  Order-2 shifts
+    2-color cleanly; longer cycles get three parts with the first element
+    moved to the third when the cycle length is 1 mod 3 (odd cycles cannot
+    be 2-colored).  Returns None for m = 0.
     """
-    order = group.order
-    visited = bytearray(order)
-    strides = group.strides()
-    factors = group.factors
-    m_red = group.reduce(m_vec)
-    if all(x == 0 for x in m_red):
+    nxt = nxt.tolist()
+    if nxt[0] == 0:
         return None
-    r = 1
-    cur = m_red
-    while any(x != 0 for x in cur):
-        cur = tuple((a + b) % n for a, b, n in zip(cur, m_red, factors))
-        r += 1
+    r, x = 1, nxt[0]
+    while x:
+        r, x = r + 1, nxt[x]
     parts = [[], [], []] if r > 2 else [[], []]
-    for start in range(order):
+    moved = 1 if r % 3 == 1 else 0
+    visited = bytearray(len(nxt))
+    for start in range(len(nxt)):
         if visited[start]:
             continue
-        cycle = []
-        vec = group.unflatten(start)
-        flat = start
-        for _ in range(r):
-            cycle.append(flat)
-            visited[flat] = 1
-            vec = tuple((a + b) % n for a, b, n in zip(vec, m_red, factors))
-            flat = sum(x * s for x, s in zip(vec, strides))
-        if r == 2:
-            parts[0].append(cycle[0])
-            parts[1].append(cycle[1])
-            continue
-        for j, x in enumerate(cycle):
-            parts[j % 3].append(x)
-        if r % 3 == 1:
-            # cycle closes 1 -> 0 in colors; move the first element out
-            parts[0].remove(cycle[0])
-            parts[2].append(cycle[0])
+        x = start
+        for j in range(r):
+            visited[x] = 1
+            if j >= moved:
+                parts[j % len(parts)].append(x)
+            x = nxt[x]
+        if moved:
+            # cycle closes 1 -> 0 in colors; its first element goes last
+            parts[2].append(start)
     return parts
 
 
-def _int_partition_check(parts, group, m_red) -> bool:
-    strides = group.strides()
-    factors = group.factors
-    member = {}
-    for j, part in enumerate(parts):
-        for x in part:
-            member[x] = j
-    for x, j in member.items():
-        vec = group.unflatten(x)
-        nxt = tuple((a + b) % n for a, b, n in zip(vec, m_red, factors))
-        if member[sum(v * s for v, s in zip(nxt, strides))] == j:
-            return False
-    return True
+def _int_partition_check(parts, nxt: np.ndarray) -> bool:
+    """Each flat index of G lies in exactly one part, and never in the part
+    of its successor nxt[x] = x + m."""
+    order = len(nxt)
+    flat = np.fromiter((x for part in parts for x in part), dtype=np.int64)
+    if len(flat) != order or (np.bincount(flat, minlength=order) != 1).any():
+        return False
+    label = np.empty(order, dtype=np.int64)
+    label[flat] = np.repeat(np.arange(len(parts)), [len(p) for p in parts])
+    return bool((label[nxt] != label).all())
 
 
 @dataclass(frozen=True)
@@ -642,14 +643,21 @@ _TAIL_MULTIPLIERS = (Fraction(1, 2), Fraction(1), Fraction(3, 2), Fraction(2), F
 
 
 def _make_group_trial(model: RandomModel, delta: Fraction, epsilon: Fraction):
+    """(run, probe) for the group-uniform model, in flat indices throughout.
+
+    The probe partition is built and checked once from the shift map of the
+    probe shift.  run(seed) counts the flat indices that _group_draw returns
+    for seed, so no trial builds a residue tuple or a GroupSubset.
+    """
     group, g = model.group, model.g
     order = group.order
     size_sq_cap = (1 + epsilon) ** 2 * g * order  # size <= (1+eps) sqrt(g|G|)
     min_floor = (1 - delta) * g
     probe_flat = _pick_probe_shift(group)
     m_vec = group.unflatten(probe_flat)
-    parts = _cycle_partition(group, m_vec)
-    assert parts is not None and _int_partition_check(parts, group, group.reduce(m_vec))
+    nxt = _shift_map(group, m_vec)
+    parts = _cycle_partition(nxt)
+    assert parts is not None and _int_partition_check(parts, nxt)
     mu_parts = [Fraction(g * len(part), order) for part in parts]
     mu_total = Fraction(g)  # E r(m) = |G| p^2 exactly, m != 0
     probe = {
@@ -664,22 +672,25 @@ def _make_group_trial(model: RandomModel, delta: Fraction, epsilon: Fraction):
     }
 
     def run(seed: int) -> tuple:
-        sub = random_group_subset(group, g, seed)
-        if sub.size == 0:
+        flat = _group_draw(group, g, seed)
+        size = len(flat)
+        if size == 0:
             return 0, 0, 0, False
-        counts = _group_counts(sub, "difference")
+        counts = _group_counts(flat, group, "difference")
         achieved = int(counts.min())
-        ok = achieved >= min_floor and sub.size * sub.size <= size_sq_cap
-        return sub.size, achieved, int(counts[probe_flat]), ok
+        ok = achieved >= min_floor and size * size <= size_sq_cap
+        return size, achieved, int(counts[probe_flat]), ok
 
     return run, probe
 
 
 def _pick_probe_shift(group: GroupSpec) -> int:
-    """Flat index of a canonical nonzero shift: the last unit vector."""
-    vec = [0] * group.rank
-    vec[-1] = 1
-    return group.flatten(tuple(vec))
+    """Flat index of a canonical nonzero shift: the last unit vector whose
+    factor is above 1.  The trivial group has none."""
+    for n, stride in zip(group.factors[::-1], group.strides()[::-1]):
+        if n > 1:
+            return stride
+    raise ValueError("the trivial group has no nonzero shift")
 
 
 def _make_sequence_trial(model: RandomModel, delta: Fraction, epsilon: Fraction):

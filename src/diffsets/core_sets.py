@@ -140,7 +140,10 @@ def format_fraction(q: Fraction) -> str:
 def parse_fraction(text: str) -> Fraction:
     """Parse 'p/q', an integer string, or a decimal string, exactly."""
     s = str(text).strip()
-    return Fraction(s)
+    try:
+        return Fraction(s)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {s!r}") from None
 
 
 @dataclass(frozen=True)
@@ -450,20 +453,32 @@ def _pair_counts(elements: tuple[int, ...], mode: str, lo: int, hi: int):
     return wlo, offsets, dense[offsets]
 
 
-def _group_counts(subset: GroupSubset, mode: str) -> np.ndarray:
-    """Exact counts over every group element, indexed by flattened residue.
+def _flat(spec: GroupSpec, vectors) -> np.ndarray:
+    """Flat indices of reduced residue vectors, as an int64 array."""
+    x = np.asarray(vectors, dtype=np.int64).reshape(-1, spec.rank)
+    return x @ np.asarray(spec.strides(), dtype=np.int64)
+
+
+def _residues(spec: GroupSpec, flat: np.ndarray) -> np.ndarray:
+    """The (k, d) residue vectors of k flat indices: flat // strides % factors."""
+    strides = np.asarray(spec.strides(), dtype=np.int64)
+    return flat[:, None] // strides % np.asarray(spec.factors, dtype=np.int64)
+
+
+def _group_counts(flat: np.ndarray, spec: GroupSpec, mode: str) -> np.ndarray:
+    """Exact counts over every element of spec, indexed by flattened residue,
+    for the subset given by its distinct flat indices.
 
     Each axis is padded to 2n-1 so the linear convolution of the indicators
     cannot wrap, then folded mod n.  When the padded box holds more cells
     than the k^2 pairs, the pairs are binned directly instead.
     """
-    if subset.size == 0:
+    if len(flat) == 0:
         raise ValueError("empty set")
-    spec = subset.group
     order = spec.order
     if order > 50_000_000:
         raise ValueError("group too large to enumerate")
-    x = np.asarray(subset.elements, dtype=np.int64)  # (k, d)
+    x = _residues(spec, flat)
     k, d = x.shape
     factors = np.asarray(spec.factors, dtype=np.int64)
     padded = tuple(2 * n - 1 for n in spec.factors)
@@ -482,7 +497,6 @@ def _group_counts(subset: GroupSubset, mode: str) -> np.ndarray:
                 folded = np.roll(folded, 1, axis=0)
             box = np.moveaxis(folded, 0, axis)
         return box.reshape(order)
-    strides = np.asarray(spec.strides(), dtype=np.int64)
     out = np.zeros(order, dtype=np.int64)
     rows = max(1, _CHUNK_CELLS // max(k * d, 1))
     for i0 in range(0, k, rows):
@@ -491,8 +505,7 @@ def _group_counts(subset: GroupSubset, mode: str) -> np.ndarray:
             z = (block - x[None, :, :]) % factors
         else:
             z = (block + x[None, :, :]) % factors
-        flat = (z * strides).sum(axis=-1).ravel()
-        out += np.bincount(flat, minlength=order)
+        out += np.bincount(_flat(spec, z), minlength=order)
     return out
 
 
@@ -526,8 +539,8 @@ def group_rep_profile(A: GroupSubset, mode: str = "difference") -> RepProfile:
     """Counts at every element of the ambient group."""
     if mode not in ("difference", "sum"):
         raise ValueError("mode must be 'difference' or 'sum'")
-    arr = _group_counts(A, mode)
     spec = A.group
+    arr = _group_counts(_flat(spec, A.elements), spec, mode)
     table = {v: int(arr[i]) for i, v in enumerate(spec.elements())}
     return RepProfile.build(mode, f"group {spec.label()}", table)
 
@@ -555,11 +568,12 @@ def verify_certificate(A, g: int, N: int | None = None, mode: str = "difference"
     if isinstance(A, GroupSubset):
         if N is not None:
             raise ValueError("N applies only to integer sets")
+        flat = _flat(A.group, A.elements)
         if mode == "difference":
-            arr = _group_counts(A, "difference")
+            arr = _group_counts(flat, A.group, "difference")
             achieved, bad = int(arr.min()), np.flatnonzero(arr < g)
         else:
-            arr = _group_counts(A, "sum")
+            arr = _group_counts(flat, A.group, "sum")
             achieved, bad = int(arr.max()), np.flatnonzero(arr > g)
         witness = A.group.unflatten(int(bad[0])) if bad.size else None
         return Verdict(witness is None, achieved, witness)

@@ -14,6 +14,7 @@ from diffsets.bridge import (
     ProbSeq,
     SqrtScaled,
     StepFunction,
+    _parse_ratio,
     autocorrelation,
     autocorrelation_min,
     autoconvolution,
@@ -34,6 +35,7 @@ from diffsets.core_sets import (
     IntSet,
     _convolve,
     group_rep_profile,
+    parse_fraction,
     rep_diff_profile,
     verify_certificate,
 )
@@ -441,6 +443,34 @@ class TestProbSeq:
         p = ProbSeq({3: F(1, 7), -2: F(2, 5)}, cbrt_n=100)
         q = ProbSeq.from_json(p.to_json())
         assert q.coeffs == p.coeffs and q.cbrt_n == 100
+
+    def test_parse_ratio_matches_parse_fraction(self):
+        # canonical "p/q" and "p" take the split path; the rest fall back
+        rng = random.Random(701)
+        texts = ["2/4", "0", "007/10", " 1/2", "1_0/3", "0.25", "+1/2", "\u0663/4", "1/\u0663"]
+        for _ in range(3000):
+            p, q = rng.randrange(10**rng.randrange(1, 25)), rng.randrange(1, 10**12)
+            texts.append(str(p) if rng.random() < 0.2 else f"{p}/{q}")
+        for text in texts:
+            p, q = _parse_ratio(text)
+            assert Fraction(p, q).as_integer_ratio() == parse_fraction(text).as_integer_ratio()
+
+    def test_parse_ratio_refuses_what_parse_fraction_refuses(self):
+        for text in ("1/0", "00/000", "", "1/", "/2", "1/2/3", "\u00b2/3", "abc"):
+            with pytest.raises(ValueError) as fast:
+                _parse_ratio(text)
+            with pytest.raises(ValueError) as slow:
+                parse_fraction(text)
+            assert str(fast.value) == str(slow.value)
+
+    def test_from_json_refuses_malformed(self):
+        for support, coeffs in (([0], ["1/2", "1/3"]), ([0, 1], ["1/2"]), ([0, 0], ["1/2", "1/3"])):
+            with pytest.raises(ValueError):
+                ProbSeq.from_json({"support": support, "coeffs": coeffs, "cbrt_scale_n": None})
+
+    def test_from_json_unreduced_terms(self):
+        data = {"support": [0, 2], "coeffs": ["2/4", "3/9"], "cbrt_scale_n": None}
+        assert ProbSeq.from_json(data) == ProbSeq({0: F(1, 2), 2: F(1, 3)})
 
     def test_rebuild_from_coeffs(self):
         for p in (ProbSeq({3: F(1, 7), -2: F(2, 5)}, 100), ProbSeq({0: F(1, 100)}, 216)):

@@ -246,6 +246,15 @@ class TestRandom:
         for row in payload["tail_checks"]:
             assert row["empirical"] <= row["bound"]
 
+    def test_group_trials_probe_skips_trivial_factors(self, capsys):
+        # the probe shift is the last unit vector of a factor above 1; the
+        # trivial group has no nonzero shift to probe
+        trials = ("--g", "1", "--trials", "2", "--delta", "1/2", "--epsilon", "1/2")
+        code, payload, _ = run_json(capsys, "random", "group", "--factors", "5", "1", *trials)
+        assert code == 0 and payload["tail_checks"][0]["shift"] == [1, 0]
+        code, _, err = run_cli(capsys, "random", "group", "--factors", "1", *trials)
+        assert code == 2 and "trivial group" in err
+
     def test_trials_need_slacks(self, capsys):
         code, _, err = run_cli(
             capsys, "random", "group", "--factors", "100", "--g", "10",
@@ -301,6 +310,25 @@ class TestRandom:
             assert code == 0
             sets.append(payload["set"])
         assert sets[0] == sets[1] == [2, 3, 8]
+
+    @pytest.mark.parametrize(
+        "support, coeffs, message",
+        [
+            ([0, 1], ["1/2", "1/0"], "zero denominator"),
+            ([0], ["1/2", "1/3"], "support indices"),
+            ([0, 1], ["1/2"], "support indices"),
+            ([0, 2, 0], ["1/2", "1/3", "1/4"], "repeats"),
+        ],
+        ids=["zero-denominator", "short-support", "short-coeffs", "repeated-index"],
+    )
+    def test_sequence_refuses_malformed_probs(self, capsys, tmp_path, support, coeffs, message):
+        path = tmp_path / "probs.json"
+        path.write_text(json.dumps({"support": support, "coeffs": coeffs, "cbrt_scale_n": None}))
+        code, out, err = run_cli(
+            capsys, "random", "sequence", "--probs", str(path), "--seed", "1"
+        )
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and message in err
 
     def test_sequence_refuses_sparse_span(self, capsys, tmp_path):
         # probabilities are stored densely over the index hull
@@ -400,6 +428,47 @@ class TestBridge:
             )
             assert code == 0
             assert hashlib.sha256(out.encode()).hexdigest() == digest, command
+
+    def test_monte_carlo_bytes_pinned(self, capsys, tmp_path):
+        # payload digests frozen from the tuple-per-element group trial and
+        # the Fraction-per-coefficient parse of probability files
+        ruler, fn, probs = (tmp_path / n for n in ("ruler.json", "fn.json", "probs.json"))
+        ruler.write_text(json.dumps([0, 1, 4, 6]))
+        run_cli(
+            capsys, "bridge", "set-to-fn", "--set", str(ruler), "--g", "1",
+            "--N", "6", "--json", "--out", str(fn),
+        )
+        run_cli(
+            capsys, "bridge", "probs", "--fn", str(fn), "--N", "2000",
+            "--tau-hat", "1/2", "--stretch", "--json", "--out", str(probs),
+        )
+        group = ("random", "group", "--g", "4", "--seed", "7", "--json")
+        trials = ("--trials", "3", "--delta", "3/10", "--epsilon", "1/10")
+        sequence = ("random", "sequence", "--probs", str(probs), "--seed", "11", "--json")
+        pinned = {
+            (*group, "--factors", "60", *trials):
+                "b4c1366f7a4b380221270e724047ca500d04b0f1a9b9ee6d4db29f57c204e3f4",
+            (*group, "--factors", "6", "10", *trials):
+                "d3298916805a10e9aff38d25f5206bf8d80a465132e41b9dfcac5ffd3e9b7dbe",
+            (*group, "--factors", "6", "10"):
+                "4956589e4c5068405fbc67fe2f29f498fa24ca4e94d2f1d6a49ddab76b38e3af",
+            (*sequence, "--N", "64", "--trials", "3", "--delta", "1/2", "--epsilon", "1/5"):
+                "6084e2dbbd4db6f417ce1acc4549a6236a0621de921314b8bcd7d790e1d03406",
+            sequence: "197c8ef9ff4be3efa26d0021561779421c3542842f71dba232c009a83c5756c8",
+        }
+        for argv, digest in pinned.items():
+            code, out, _ = run_cli(capsys, *argv)
+            assert code == 0
+            assert hashlib.sha256(out.encode()).hexdigest() == digest, argv
+
+    def test_fn_check_zero_denominator(self, capsys, tmp_path):
+        path = tmp_path / "fn.json"
+        bad_value = {"breakpoints": ["0", "1/2", "1"], "values": ["1", "1/0"], "scale_sqrt": None}
+        bad_scale = dict(bad_value, values=["1", "1"], scale_sqrt={"num": 1, "den": 0})
+        for data in (bad_value, bad_scale):
+            path.write_text(json.dumps(data))
+            code, _, err = run_cli(capsys, "bridge", "fn-check", "--fn", str(path))
+            assert code == 2 and err.startswith("error:") and "zero denominator" in err
 
     def test_averages_refuse_oversized_span(self, capsys, tmp_path, int_set_file):
         # N = 10^12 would need about 2.3e12 window endpoints

@@ -14,6 +14,7 @@ from diffsets.constructions import (
     RandomModel,
     _cycle_partition,
     _int_partition_check,
+    _shift_map,
     _uniforms,
     best_shift_union,
     blow_up,
@@ -389,21 +390,51 @@ class TestCyclePartition:
             factors = tuple(rng.randrange(2, 9) for _ in range(rng.randrange(1, 3)))
             spec = GroupSpec(factors)
             vec = tuple(rng.randrange(n) for n in spec.factors)
-            parts = _cycle_partition(spec, vec)
+            nxt = _shift_map(spec, vec)
+            parts = _cycle_partition(nxt)
             if parts is None:
                 assert spec.reduce(vec) == tuple([0] * spec.rank)
                 continue
             assert sum(len(p) for p in parts) == spec.order
-            assert _int_partition_check(parts, spec, spec.reduce(vec))
+            assert _int_partition_check(parts, nxt)
+
+    def test_shift_map_matches_vector_addition(self):
+        rng = random.Random(84)
+        for _ in range(40):
+            spec = GroupSpec(tuple(rng.randrange(1, 7) for _ in range(rng.randrange(1, 4))))
+            vec = tuple(rng.randrange(-9, 9) for _ in spec.factors)
+            nxt = _shift_map(spec, vec).tolist()
+            for x in spec.elements():
+                shifted = tuple(a + b for a, b in zip(x, vec))
+                assert nxt[spec.flatten(x)] == spec.flatten(shifted)
+
+    def test_check_refuses_bad_partitions(self):
+        nxt = _shift_map(GroupSpec((3, 4)), (0, 1))
+        parts = _cycle_partition(nxt)
+        assert _int_partition_check(parts, nxt)
+        # x and x + m in one part
+        x = parts[0][0]
+        y = int(nxt[x])
+        home = next(p for p in parts if y in p)
+        moved = [[v for v in p if v != y] for p in parts]
+        moved[0].append(y)
+        assert home is not parts[0] and not _int_partition_check(moved, nxt)
+        # an element missing, or one listed twice in place of another
+        missing = [p[1:] if j == 0 else p for j, p in enumerate(parts)]
+        assert not _int_partition_check(missing, nxt)
+        twice = [p + [p[0]] if j == 0 else p for j, p in enumerate(missing)]
+        assert not _int_partition_check(twice, nxt)
+        assert not _int_partition_check([list(range(12))], nxt)
 
     def test_order_two_gets_two_parts(self):
-        parts = _cycle_partition(GroupSpec((12,)), (6,))
+        parts = _cycle_partition(_shift_map(GroupSpec((12,)), (6,)))
         assert len(parts) == 2 and sorted(map(len, parts)) == [6, 6]
 
     def test_order_one_mod_three_fix(self):
-        parts = _cycle_partition(GroupSpec((7,)), (1,))  # cycle length 7
+        nxt = _shift_map(GroupSpec((7,)), (1,))  # cycle length 7
+        parts = _cycle_partition(nxt)
         assert len(parts) == 3
-        assert _int_partition_check(parts, GroupSpec((7,)), (1,))
+        assert _int_partition_check(parts, nxt)
 
 
 class TestRandomGroupSubset:

@@ -229,7 +229,7 @@ def test_group_counts_paths_against_oracle(convolutions, factors, k, decimal_pat
     A = GroupSubset.of(spec, rng.sample(list(spec.elements()), k))
     for mode in ("difference", "sum"):
         oracle = oracles.group_diff_counts if mode == "difference" else oracles.group_sum_counts
-        arr = core_sets._group_counts(A, mode).tolist()
+        arr = core_sets._group_counts(core_sets._flat(spec, A.elements), spec, mode).tolist()
         assert dict(zip(spec.elements(), arr)) == oracle(factors, A.elements)
     assert bool(convolutions) == decimal_path
 
@@ -425,6 +425,8 @@ def test_fraction_strings():
     assert parse_fraction("3/10") == Fraction(3, 10)
     assert parse_fraction("0.3") == Fraction(3, 10)
     assert parse_fraction("7") == 7
+    with pytest.raises(ValueError, match="zero denominator"):
+        parse_fraction("1/0")
 
 
 def test_ledger_exact_tau_check():
