@@ -29,11 +29,13 @@ from __future__ import annotations
 
 import math
 import operator
+import re
 from bisect import bisect_left, bisect_right
 from collections.abc import Mapping
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cached_property
+from itertools import repeat
 from types import MappingProxyType
 
 import numpy as np
@@ -245,6 +247,7 @@ class StepFunction:
 
     @classmethod
     def from_json(cls, data) -> "StepFunction":
+        breakpoints, values = _fields(data, "breakpoints", "values")
         scale = data.get("scale_sqrt")
         radicand = None
         if scale is not None:
@@ -253,8 +256,8 @@ class StepFunction:
                 raise ValueError("zero denominator in scale_sqrt")
             radicand = Fraction(num, den)
         return cls(
-            tuple(parse_fraction(b) for b in data["breakpoints"]),
-            tuple(parse_fraction(v) for v in data["values"]),
+            tuple(parse_fraction(b) for b in breakpoints),
+            tuple(parse_fraction(v) for v in values),
             radicand,
         )
 
@@ -409,8 +412,13 @@ def _correlations(nums, m_lo: int, m_hi: int) -> list[int]:
     """sum_i n_i n_{i+m} for m = m_lo..m_hi over nonnegative integers, exactly:
     one core_sets._convolve of n with its reverse (0 past its length)."""
     n = len(nums)
-    z = _convolve(nums, nums[::-1])
-    return [int(z[n - 1 + m]) if m < n else 0 for m in range(m_lo, m_hi + 1)]
+    try:
+        nums = np.array(nums, dtype=np.int64)
+    except OverflowError:
+        pass
+    z = _convolve(nums, reverse=True)[n - 1 + m_lo : n + m_hi]
+    z = z.tolist() if isinstance(z, np.ndarray) else z
+    return z + [0] * (m_hi - m_lo + 1 - len(z))
 
 
 def _check_span(span: int) -> None:
@@ -442,14 +450,19 @@ class _Numerators:
         return tuple(s + j for j, n in enumerate(self.nums) if n)
 
     def _json_coeffs(self) -> list[str]:
-        """format_fraction of each nonzero entry, reduced by one gcd."""
+        """format_fraction of each nonzero entry, reduced by one gcd: a
+        vectorised np.gcd when nums and den fit in int64, else a big-int loop."""
         den = self.den
-        out = []
-        for n in self.nums:
-            if n:
-                g = math.gcd(n, den)
-                out.append(str(n // g) if g == den else f"{n // g}/{den // g}")
-        return out
+        try:
+            nums = np.array(self.nums, dtype=np.int64)
+            np.int64(den)
+        except OverflowError:
+            pairs = ((n // g, den // g) for n in self.nums if n for g in (math.gcd(n, den),))
+        else:
+            nums = nums[nums != 0]
+            g = np.gcd(nums, den)
+            pairs = zip((nums // g).tolist(), (den // g).tolist())
+        return [str(p) if q == 1 else f"{p}/{q}" for p, q in pairs]
 
 
 @dataclass(frozen=True)
@@ -618,19 +631,38 @@ def _check_conditions(seq: AveragesSeq, f: StepFunction) -> ConditionsReport:
 
 
 def _parse_ratio(text) -> tuple[int, int]:
-    """(p, q) with p/q = parse_fraction(text), not always in lowest terms.
+    """(p, q) in lowest terms with p/q = parse_fraction(text)."""
+    return parse_fraction(text).as_integer_ratio()
 
-    The "p/q" and "p" strings of ASCII digits that _json_coeffs writes are
-    split and read with int; any other text, and a zero q, go through
-    parse_fraction, so the accepted inputs and error messages are its own.
-    """
-    s = str(text)
-    p, slash, q = s.partition("/")
-    if p.isascii() and p.isdigit() and (not slash or q.isascii() and q.isdigit()):
-        q = int(q) if slash else 1
-        if q:
-            return int(p), q
-    return parse_fraction(s).as_integer_ratio()
+
+_RATIO_CHARS = re.compile(r"[0-9/,]+")
+
+
+def _parse_ratios(texts) -> list[tuple[int, int]]:
+    """[_parse_ratio(t) for t in texts], not always in lowest terms.  A list
+    of ASCII "p/q" and "p" strings, checked once joined, is split and read
+    with int; any other list, or one with a zero q, goes entry by entry
+    through parse_fraction, so accepted inputs and errors stay its own."""
+    try:
+        joined = ",".join(texts)
+    except TypeError:  # an entry that is not a string
+        joined = ""
+    if _RATIO_CHARS.fullmatch(joined):
+        try:  # "", "1/", "/2", "1/2/3" and "1,2" fail int
+            split = map(str.partition, texts, repeat("/"))
+            pairs = [(int(p), int(q) if slash else 1) for p, slash, q in split]
+        except ValueError:
+            pairs = []
+        if pairs and all(q for _, q in pairs):
+            return pairs
+    return list(map(_parse_ratio, texts))
+
+
+def _fields(data, *keys) -> list:
+    """data[k] for each key, refusing anything but a JSON object with a list at each."""
+    if not isinstance(data, dict) or not all(isinstance(data.get(k), list) for k in keys):
+        raise ValueError(f"expected a JSON object with lists at the keys {', '.join(keys)}")
+    return [data[k] for k in keys]
 
 
 def _numerators(ratios: dict) -> tuple[int, list[int], int]:
@@ -720,11 +752,14 @@ class ProbSeq(_Numerators):
     @classmethod
     def from_json(cls, data) -> "ProbSeq":
         """Inverse of to_json.  support and coeffs must pair up one to one,
-        with no index repeated; each coefficient is read by _parse_ratio."""
-        support, coeffs = data["support"], data["coeffs"]
+        with no index repeated; the coefficients are read by _parse_ratios."""
+        support, coeffs = _fields(data, "support", "coeffs")
         if len(support) != len(coeffs):
             raise ValueError(f"{len(support)} support indices for {len(coeffs)} coeffs")
-        ratios = dict(zip(map(int, support), map(_parse_ratio, coeffs)))
+        try:
+            ratios = dict(zip(map(int, support), _parse_ratios(coeffs)))
+        except TypeError:  # an index such as [1] or null
+            raise ValueError("support indices must be integers") from None
         if len(ratios) != len(support):
             raise ValueError("support repeats an index")
         return cls(_numerators(ratios), data.get("cbrt_scale_n"))

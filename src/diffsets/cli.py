@@ -109,8 +109,61 @@ class _Run:
         return GroupSubset.from_json(data)
 
 
-def _dump(payload) -> str:
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+_SCALARS = frozenset((str, int, float, bool, type(None)))
+_ENCODER = json.JSONEncoder()
+# Items per piece of a flat list: pieces of tens of KB keep the peak memory
+# of a 10^4-entry payload near that of its objects.
+_FLAT_ITEMS = 1024
+
+
+@functools.cache
+def _flat_encoder(inner: str):
+    """The C encoder, separating items and sorted keys by "," plus inner."""
+    return json.JSONEncoder(sort_keys=True, separators=("," + inner, ": ")).encode
+
+
+def _write_json(obj, write, nl: str = "\n") -> None:
+    """Write json.dumps(obj, sort_keys=True, indent=2) through write, piece
+    by piece, for an obj on a line that starts with nl.  A list or dict of
+    plain scalars goes to the C encoder, with "," plus the next line's
+    indent as its separator; the rest is laid out as json's pure-Python
+    encoder does."""
+    inner = nl + "  "
+    is_dict = isinstance(obj, dict)
+    if not (is_dict or isinstance(obj, (list, tuple))) or not obj:
+        write(_ENCODER.encode(obj))  # a scalar, [] or {}
+        return
+    sep, closing = "{}" if is_dict else "[]"
+    types = set(map(type, obj.values() if is_dict else obj))
+    if types <= _SCALARS:
+        n = _FLAT_ITEMS
+        for part in [obj] if is_dict else [obj[i : i + n] for i in range(0, len(obj), n)]:
+            write(sep + inner + _flat_encoder(inner)(part)[1:-1])
+            sep = ","
+    elif is_dict:
+        for key, value in sorted(obj.items()):
+            # a non-string key is quoted as it would be written: 1 -> "1"
+            key = key if isinstance(key, str) else _ENCODER.encode(key)
+            write(f"{sep}{inner}{_ENCODER.encode(key)}: ")
+            _write_json(value, write, inner)
+            sep = ","
+    else:
+        for item in obj:
+            write(sep + inner)
+            _write_json(item, write, inner)
+            sep = ","
+    write(nl + closing)
+
+
+def _emit(body, fh) -> None:
+    """Write body to fh: a str as it is, anything else as
+    json.dumps(body, sort_keys=True, indent=2) + "\n", byte for byte, piece
+    by piece so that the whole text is never held at once."""
+    if isinstance(body, str):
+        fh.write(body)
+    else:
+        _write_json(body, fh.write)
+        fh.write("\n")
 
 
 # ---------------------------------------------------------------------------
@@ -655,12 +708,13 @@ def _build_parser() -> argparse.ArgumentParser:
     return p
 
 
-def _write_text(text: str, out: str | None):
+def _write(body, out: str | None):
+    """_emit body to the file out, or to stdout when out is None."""
     if out is None:
-        sys.stdout.write(text)
+        _emit(body, sys.stdout)
     else:
         with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            _emit(body, fh)
 
 
 def dispatch(argv) -> int:
@@ -676,19 +730,14 @@ def dispatch(argv) -> int:
     except CertificateError as exc:
         print(f"certificate violation: {exc}", file=sys.stderr)
         if getattr(exc, "verdict", None) is not None:
-            print(_dump(exc.verdict.to_json()), file=sys.stderr, end="")
+            _emit(exc.verdict.to_json(), sys.stderr)
         return 1
     except (ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if isinstance(payload, str):
-        text = payload
-    elif args.json:
-        text = _dump(payload)
-    else:
-        text = summary + "\n"
+    body = payload if isinstance(payload, str) or args.json else summary + "\n"
     try:
-        _write_text(text, args.out)
+        _write(body, args.out)
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -702,7 +751,7 @@ def dispatch(argv) -> int:
             outputs=[args.out or "stdout"],
         )
         try:
-            _write_text(_dump(manifest.to_json()), args.manifest)
+            _write(manifest.to_json(), args.manifest)
         except OSError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2

@@ -65,8 +65,11 @@ _EXACT = decimal.Context(
     Emin=decimal.MIN_EMIN,
     traps=[decimal.Inexact, decimal.Rounded, decimal.Overflow, decimal.InvalidOperation],
 )
-# Pair cells per numpy chunk on the pair path.
-_CHUNK_CELLS = 2_000_000
+# Pair cells per numpy chunk on the pair paths: the window's cells, so that
+# a chunk's bincount over the window costs no more than its pairs, but at
+# least _CHUNK_CELLS (2 MB of int64 sums) and at most _CHUNK_CAP (16 MB).
+_CHUNK_CELLS = 1 << 18
+_CHUNK_CAP = 2_000_000
 # Widest shift window the pair path bins densely (128 MB of int64 counts);
 # wider windows sort the pairs that land in them instead.
 _DENSE_CELLS = 16_000_000
@@ -329,25 +332,37 @@ class Verdict:
 # Counting: one exact convolution kernel, and a pair fallback for sparse input
 
 
-def _convolve(x, y):
+def _convolve(x, y=None, *, reverse=False):
     """Exact linear convolution z[k] = sum_i x[i] y[k-i] of two nonnegative
     integer sequences (int64 arrays or lists of ints), as one decimal product.
+    With y None, y is x itself, or x reversed when reverse is set.
 
     Entry i of each sequence fills the w-digit slot at 10^(w i) of one
     Decimal integer, where w is the digit count of the largest value any
     z[k] can take, min(sum x * max y, sum y * max x); no slot can carry, so
-    the product's slots are z.  The product runs in _EXACT, where rounding
-    traps, and the unpacked slots must sum to sum x * sum y, which fails if
-    any slot had carried.  Returns an int64 array when w <= 18, else a list
-    of Python ints.
+    the product's slots are z.  Every count multiplies an indicator by
+    itself or by its reverse, and passes y None: x is packed once, and its
+    one Decimal is passed twice, so libmpdec squares it, or its digit rows
+    are read backwards for the reverse.  The product runs in _EXACT, where
+    rounding traps, and the unpacked slots must sum to sum x * sum y, which
+    fails if any slot had carried.  Returns an int64 array when w <= 18,
+    else a list of Python ints.
     """
-    x, y = (v if isinstance(v, np.ndarray) else np.array(v, dtype=object) for v in (x, y))
+    x = x if isinstance(x, np.ndarray) else np.array(x, dtype=object)
+    own, y = y is None, x if y is None else y
+    y = y if isinstance(y, np.ndarray) else np.array(y, dtype=object)
     if min(x.min(), y.min()) < 0:
         raise ValueError("convolution operands must be nonnegative")
     sx, sy = _total(x), _total(y)
     w = _digits(min(sx * int(y.max()), sy * int(x.max())))
     slots = len(x) + len(y) - 1
-    product = _EXACT.multiply(_pack(x, w), _pack(y, w))
+    rows = _pack(x, w)
+    px = _decimal(rows)
+    if own:
+        py = _decimal(rows[::-1]) if reverse else px
+    else:
+        py = _decimal(_pack(y, w))
+    product = _EXACT.multiply(px, py)
     # a carry out of the top slot is cut off here; the sum check catches it
     digits = str(product).rjust(slots * w, "0")[-slots * w :]
     if w <= 18:
@@ -386,17 +401,23 @@ def _total(a: np.ndarray) -> int:
     return (int((a >> 32).sum()) << 32) + int((a & 0xFFFFFFFF).sum())
 
 
-def _pack(a: np.ndarray, w: int) -> Decimal:
-    """sum_i a[i] 10^(w i) as a Decimal, built from its digit string."""
+def _pack(a: np.ndarray, w: int):
+    """The w-digit slots of a, last entry first: an (n, w) array of ASCII
+    digit bytes, or a list of w-character strings when w > 18."""
     if w > 18:
         to_str = str if _str_safe(w) else lambda v: str(Decimal(v))
-        return Decimal("".join(to_str(v).zfill(w) for v in a[::-1]))
+        return [to_str(v).zfill(w) for v in a[::-1]]
     a = a[::-1].astype(np.int64)
     d = np.empty((len(a), w), dtype=np.uint8)
     for j in range(w - 1, -1, -1):
         d[:, j] = a % 10 + 48
         a //= 10
-    return Decimal(d.tobytes().decode("ascii"))
+    return d
+
+
+def _decimal(rows) -> Decimal:
+    """sum_i a[i] 10^(w i) as a Decimal, from the rows _pack(a, w) built."""
+    return Decimal("".join(rows) if isinstance(rows, list) else rows.tobytes().decode("ascii"))
 
 
 def _pair_counts(elements: tuple[int, ...], mode: str, lo: int, hi: int):
@@ -428,7 +449,7 @@ def _pair_counts(elements: tuple[int, ...], mode: str, lo: int, hi: int):
     if (span + 1) * _CELL_PAIRS <= k * k:
         ind = np.zeros(span + 1, dtype=np.int64)
         ind[e] = 1
-        z = _convolve(ind, ind[::-1] if mode == "difference" else ind)
+        z = _convolve(ind, reverse=mode == "difference")
         window = z[wlo - base : whi - base + 1]
         offsets = np.flatnonzero(window)
         return wlo, offsets, window[offsets]
@@ -438,7 +459,7 @@ def _pair_counts(elements: tuple[int, ...], mode: str, lo: int, hi: int):
     n = whi - wlo + 1
     dense = np.zeros(n, dtype=np.int64) if n <= _DENSE_CELLS else None
     hits = []
-    rows = max(1, _CHUNK_CELLS // k)
+    rows = max(1, min(max(_CHUNK_CELLS, n), _CHUNK_CAP) // k)
     for i0 in range(0, k, rows):
         z = (e[i0 : i0 + rows, None] + other[None, :]).ravel()
         z = z[(z >= 0) & (z < n)]
@@ -488,7 +509,7 @@ def _group_counts(flat: np.ndarray, spec: GroupSpec, mode: str) -> np.ndarray:
         pstrides = np.asarray(GroupSpec(padded).strides(), dtype=np.int64)
         ind = np.zeros(int((factors - 1) @ pstrides) + 1, dtype=np.int64)
         ind[x @ pstrides] = 1
-        box = _convolve(ind, ind[::-1] if mode == "difference" else ind).reshape(padded)
+        box = _convolve(ind, reverse=mode == "difference").reshape(padded)
         for axis, n in enumerate(spec.factors):
             box = np.moveaxis(box, axis, 0)
             folded = box[:n].copy()
@@ -498,7 +519,7 @@ def _group_counts(flat: np.ndarray, spec: GroupSpec, mode: str) -> np.ndarray:
             box = np.moveaxis(folded, 0, axis)
         return box.reshape(order)
     out = np.zeros(order, dtype=np.int64)
-    rows = max(1, _CHUNK_CELLS // max(k * d, 1))
+    rows = max(1, min(max(_CHUNK_CELLS, order), _CHUNK_CAP) // max(k * d, 1))
     for i0 in range(0, k, rows):
         block = x[i0 : i0 + rows, None, :]
         if mode == "difference":

@@ -14,7 +14,9 @@ from diffsets.bridge import (
     ProbSeq,
     SqrtScaled,
     StepFunction,
+    _correlations,
     _parse_ratio,
+    _parse_ratios,
     autocorrelation,
     autocorrelation_min,
     autoconvolution,
@@ -34,6 +36,7 @@ from diffsets.core_sets import (
     GroupSubset,
     IntSet,
     _convolve,
+    format_fraction,
     group_rep_profile,
     parse_fraction,
     rep_diff_profile,
@@ -305,16 +308,25 @@ class TestIntCorrelations:
         for _ in range(40):
             n = rng.randrange(1, 40)
             vals = [rng.randrange(0, 1000) for _ in range(n)]
-            z = _convolve(vals, vals[::-1])
+            z = _convolve(vals, reverse=True)
             want = oracles.convolution(vals, vals[::-1])
             assert [int(v) for v in z] == want
             for m in range(n):
                 assert z[n - 1 + m] == sum(vals[i] * vals[i + m] for i in range(n - m))
 
+    def test_correlations_window(self):
+        # lags past the last index are 0; int64 and Python-int inputs agree
+        for vals in ([3, 0, 5, 1], [2**40, 7, 2**40], [10**20, 1, 10**20]):
+            n = len(vals)
+            want = [sum(vals[i] * vals[i + m] for i in range(n - m)) for m in range(n)] + [0] * 3
+            for lo, hi in ((1, n + 2), (0, 0), (n - 1, n + 2), (n, n + 2)):
+                assert _correlations(vals, lo, hi) == want[lo : hi + 1]
+                assert _correlations(tuple(vals), lo, hi) == want[lo : hi + 1]
+
     def test_wide_values(self):
         # slots of 19 digits or more unpack by string slices into Python ints
         vals = [10**9, 2, 10**9]
-        z = _convolve(vals, vals[::-1])
+        z = _convolve(vals, reverse=True)
         assert isinstance(z, list)
         assert z[2:] == [2 * 10**18 + 4, 4 * 10**9, 10**18]
 
@@ -445,7 +457,7 @@ class TestProbSeq:
         assert q.coeffs == p.coeffs and q.cbrt_n == 100
 
     def test_parse_ratio_matches_parse_fraction(self):
-        # canonical "p/q" and "p" take the split path; the rest fall back
+        # the reference for _parse_ratios, whose split path is checked below
         rng = random.Random(701)
         texts = ["2/4", "0", "007/10", " 1/2", "1_0/3", "0.25", "+1/2", "\u0663/4", "1/\u0663"]
         for _ in range(3000):
@@ -471,6 +483,54 @@ class TestProbSeq:
     def test_from_json_unreduced_terms(self):
         data = {"support": [0, 2], "coeffs": ["2/4", "3/9"], "cbrt_scale_n": None}
         assert ProbSeq.from_json(data) == ProbSeq({0: F(1, 2), 2: F(1, 3)})
+
+    def test_from_json_refuses_missing_keys(self):
+        for data in ({"coeffs": ["1/2"]}, {"support": [0]}, [1, 2], "1/2", None,
+                     {"support": 0, "coeffs": 0}, {"support": [None], "coeffs": ["1"]}):
+            with pytest.raises(ValueError, match="support"):
+                ProbSeq.from_json(data)
+        for data in ({"values": ["1"]}, {"breakpoints": 1, "values": 1}, [0, 1]):
+            with pytest.raises(ValueError, match="breakpoints"):
+                StepFunction.from_json(data)
+
+    def test_json_coeffs_int64_and_big_int_paths(self):
+        # each entry must print as format_fraction of nums[j] / den; den and
+        # nums inside int64 take the np.gcd path, past it the big-int loop
+        rng = random.Random(907)
+        for den in (1, 6, 2**62 + 2**40 * 3**5, 2**63 - 25, 2**63 + 3 * 5 * 7, 10**40 * 6):
+            for _ in range(20):
+                top = min(den, 2**63 - 1) if rng.random() < 0.8 else 10**30
+                size = rng.randrange(1, 40)
+                nums = [rng.choice([0, den, 2 * den, rng.randrange(top)]) for _ in range(size)]
+                want = [format_fraction(F(n, den)) for n in nums if n]
+                got = ProbSeq((5, nums, den))._json_coeffs()
+                assert got == want, (den, nums)
+        # small numerators over a denominator past int64
+        den = 2**63 + 5
+        assert ProbSeq((0, [1, 0, 2], den))._json_coeffs() == [f"1/{den}", f"2/{den}"]
+
+    def test_parse_ratios_matches_parse_ratio(self):
+        rng = random.Random(702)
+        edge = ["2/4", "0", "007/10", " 1/2", "1_0/3", "0.25", "+1/2", "\u0663/4", "1/\u0663"]
+        canonical = []
+        for _ in range(3000):
+            p, q = rng.randrange(10**rng.randrange(1, 25)), rng.randrange(1, 10**12)
+            canonical.append(str(p) if rng.random() < 0.2 else f"{p}/{q}")
+        lists = [canonical, canonical[:1], edge, [canonical[0], *edge[:3]]]
+        lists += [rng.sample(canonical, 50) + [rng.choice(edge)] for _ in range(20)]
+        for texts in lists:
+            got = [F(p, q) for p, q in _parse_ratios(texts)]
+            assert got == [F(*_parse_ratio(t)) for t in texts], texts
+
+    def test_parse_ratios_refuses_as_parse_ratio(self):
+        bad_texts = ("1/0", "00/000", "", "1/", "/2", "1/2/3", "1,2", "\u00b2/3", "abc")
+        for bad in bad_texts + ("1/ 2", "1/-2", "1 /2"):
+            with pytest.raises(ValueError) as single:
+                _parse_ratio(bad)
+            for texts in (["1/2", "3", bad], ["1/2", bad, "5/0"]):
+                with pytest.raises(ValueError) as bulk:
+                    _parse_ratios(texts)
+                assert str(bulk.value) == str(single.value), texts
 
     def test_rebuild_from_coeffs(self):
         for p in (ProbSeq({3: F(1, 7), -2: F(2, 5)}, 100), ProbSeq({0: F(1, 100)}, 216)):

@@ -1,8 +1,10 @@
 """End-to-end tests of the command-line interface via dispatch()."""
 
 import hashlib
+import io
 import json
 import os
+import random
 import subprocess
 import sys
 import time
@@ -330,6 +332,28 @@ class TestRandom:
         assert code == 2 and out == ""
         assert err.startswith("error:") and message in err
 
+    @pytest.mark.parametrize(
+        "command, flag, data",
+        [
+            (("random", "sequence"), "--probs", {"coeffs": ["1/2"]}),
+            (("random", "sequence"), "--probs", [1, 2]),
+            (("bridge", "fn-check"), "--fn", {"values": ["1"]}),
+            (("random", "sequence"), "--probs", {"support": 0, "coeffs": 0}),
+            (("random", "sequence"), "--probs", {"support": [[1]], "coeffs": ["1"]}),
+            (("bridge", "fn-check"), "--fn", {"breakpoints": 1, "values": 1}),
+        ],
+        ids=[
+            "probs-without-support", "probs-not-an-object", "fn-without-breakpoints",
+            "probs-not-lists", "probs-index-not-an-int", "fn-not-lists",
+        ],
+    )
+    def test_refuses_files_missing_keys(self, capsys, tmp_path, command, flag, data):
+        path = tmp_path / "in.json"
+        path.write_text(json.dumps(data))
+        code, out, err = run_cli(capsys, *command, flag, str(path))
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "Traceback" not in err
+
     def test_sequence_refuses_sparse_span(self, capsys, tmp_path):
         # probabilities are stored densely over the index hull
         path = tmp_path / "sparse.json"
@@ -606,6 +630,87 @@ class TestBounds:
         assert code == 2
         code, _, err = run_cli(capsys, "bounds", "--N", "10")
         assert code == 2
+
+
+def _random_json(rng, depth=0):
+    """A payload json.dumps accepts: nested dicts and lists, empty ones,
+    big and negative ints, special floats, awkward strings."""
+    scalars = [
+        None, True, False, 0, -7, 2**64 + 1, -(2**70), 0.1, -0.0, 1e300, float("nan"),
+        float("inf"), float("-inf"), "", 'say "hi"', "back\\slash", "\x00\x1f\n\t\u2028",
+        "caf\u00e9 \u6f22 \U0001f642", "1/3",
+    ]
+    r = rng.random()
+    if depth > 3 or r < 0.35:
+        return rng.choice(scalars)
+    if r < 0.55:
+        return [rng.choice(scalars) for _ in range(rng.randrange(0, 8))]
+    if r < 0.75:
+        return [_random_json(rng, depth + 1) for _ in range(rng.randrange(0, 4))]
+    keys = ["a", "B", "z\u00e9", 'k"q', "", "10", "9"]
+    size = rng.randrange(0, 5)
+    return {rng.choice(keys) + str(i): _random_json(rng, depth + 1) for i in range(size)}
+
+
+class TestEmitter:
+    """Every JSON payload is json.dumps(sort_keys=True, indent=2) + newline."""
+
+    @staticmethod
+    def dumps(payload):
+        return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+
+    def emit(self, payload):
+        buf = io.StringIO()
+        cli._emit(payload, buf)
+        return buf.getvalue()
+
+    def test_generated_payloads(self):
+        rng = random.Random(2024)
+        for _ in range(2000):
+            payload = _random_json(rng)
+            if isinstance(payload, str):  # a str body is text, written as it is
+                payload = [payload]
+            assert self.emit(payload) == self.dumps(payload), payload
+
+    def test_edge_payloads(self):
+        payloads = [
+            {}, [], [[]], [{}], {"a": {}, "b": []}, ("x", (1, 2)), [[1, 2], [3]],
+            {"rows": [{"n": 1, "v": "1/2"}, {"n": 2, "v": None}]},
+            {3: "int keys", 1: [1.5]}, {None: 0}, {True: 1}, {2.5: "float key"},
+            {"coeffs": [f"{i}/7" for i in range(2500)], "support": tuple(range(2049))},
+            "a bare string is written as it is\n",
+        ]
+        for payload in payloads[:-1]:
+            assert self.emit(payload) == self.dumps(payload), payload
+        assert self.emit(payloads[-1]) == payloads[-1]
+
+    def test_long_lists_are_written_in_small_pieces(self):
+        payload = {"coeffs": [f"{i}/7" for i in range(10_000)], "support": list(range(10_000))}
+        pieces = []
+        cli._write_json(payload, pieces.append)
+        assert "".join(pieces) + "\n" == self.dumps(payload)
+        assert max(map(len, pieces)) < 40_000
+
+    def test_out_file_matches_stdout(self, capsys, tmp_path):
+        probs = tmp_path / "probs.json"
+        data = {"support": [0, 1, 5], "coeffs": ["1/2", "1", "2/3"], "cbrt_scale_n": None}
+        probs.write_text(json.dumps(data))
+        out = tmp_path / "seq.json"
+        argv = ["random", "sequence", "--probs", str(probs), "--seed", "4", "--json"]
+        code, stdout, _ = run_cli(capsys, *argv)
+        assert code == 0 and dispatch(argv + ["--out", str(out)]) == 0
+        assert out.read_bytes() == stdout.encode()
+        assert stdout == self.dumps(json.loads(stdout))
+
+    def test_certificate_verdict_on_stderr(self, capsys, tmp_path):
+        plane = tmp_path / "plane.json"
+        plane.write_text(json.dumps(parabola_set(3, 1).to_json()))
+        code, out, err = run_cli(
+            capsys, "construct", "lift", "--A", str(plane), "--s", "2", "--g", "1"
+        )
+        first, verdict = err.split("\n", 1)
+        assert code == 1 and out == "" and first.startswith("certificate violation")
+        assert verdict == self.dumps({"achieved_g": 0, "passed": False, "witness": [0, 1]})
 
 
 class TestPlumbing:

@@ -160,9 +160,9 @@ def convolutions(monkeypatch):
     calls = []
     real = core_sets._convolve
 
-    def spy(x, y):
-        calls.append((len(x), len(y)))
-        return real(x, y)
+    def spy(x, y=None, **kw):
+        calls.append((len(x), len(x if y is None else y)))
+        return real(x, y, **kw)
 
     monkeypatch.setattr(core_sets, "_convolve", spy)
     return calls
@@ -234,6 +234,34 @@ def test_group_counts_paths_against_oracle(convolutions, factors, k, decimal_pat
     assert bool(convolutions) == decimal_path
 
 
+def test_pair_paths_across_chunks(monkeypatch):
+    # chunks of 64 to 128 cells: many per count on the line and in a group
+    monkeypatch.setattr(core_sets, "_CHUNK_CELLS", 64)
+    monkeypatch.setattr(core_sets, "_CHUNK_CAP", 128)
+    rng = random.Random(64)
+    elems = sorted(rng.sample(range(100_000), 50))
+    want = oracles.diff_counts(elems)
+    start, offsets, counts = core_sets._pair_counts(tuple(elems), "difference", -100, 100)
+    assert dict(zip((start + offsets).tolist(), counts.tolist())) == {
+        m: c for m, c in want.items() if -100 <= m <= 100
+    }
+    spec = GroupSpec((2,) * 8)
+    A = GroupSubset.of(spec, rng.sample(list(spec.elements()), 40))
+    for mode in ("difference", "sum"):
+        oracle = oracles.group_diff_counts if mode == "difference" else oracles.group_sum_counts
+        arr = core_sets._group_counts(core_sets._flat(spec, A.elements), spec, mode).tolist()
+        assert dict(zip(spec.elements(), arr)) == oracle(spec.factors, A.elements)
+    # windows wider than the cap still bin at most _CHUNK_CAP cells at once
+    cells, real = [], np.bincount
+    monkeypatch.setattr(np, "bincount", lambda z, **kw: cells.append(z.size) or real(z, **kw))
+    core_sets._pair_counts(tuple(sorted(rng.sample(range(300), 50))), "sum", 0, 600)
+    assert len(cells) > 1 and max(cells) <= 128  # every sum lands in the window
+    cells.clear()
+    spec = GroupSpec((16, 16))
+    core_sets._group_counts(core_sets._flat(spec, rng.sample(list(spec.elements()), 25)), spec, "sum")
+    assert len(cells) > 1 and max(cells) * spec.rank <= 128  # rank cells per pair
+
+
 def test_convolve_matches_oracle():
     rng = random.Random(808)
     for _ in range(200):
@@ -245,7 +273,43 @@ def test_convolve_matches_oracle():
         if top < 2**63:
             arrays = (np.asarray(x, dtype=np.int64), np.asarray(y, dtype=np.int64))
             assert [int(v) for v in core_sets._convolve(*arrays)] == want
+        for y, reverse in ((x, False), (x[::-1], True)):
+            want = oracles.convolution(x, y)
+            assert [int(v) for v in core_sets._convolve(x, reverse=reverse)] == want
     assert core_sets._convolve([0, 0], [0]).tolist() == [0, 0]
+
+
+def test_self_products_pack_once(monkeypatch):
+    # every count multiplies an indicator by itself or its reverse and says
+    # so: one packing per product, and a square for itself; distinct
+    # operands take two, equal or not
+    packs, squares = [], []
+    real, exact = core_sets._pack, core_sets._EXACT
+
+    class Context:
+        def multiply(self, a, b):
+            squares.append(a is b)
+            return exact.multiply(a, b)
+
+    monkeypatch.setattr(core_sets, "_pack", lambda a, w: packs.append(len(a)) or real(a, w))
+    monkeypatch.setattr(core_sets, "_EXACT", Context())
+    for w_top in (1, 10**17, 10**30):
+        x = [0, 3 * w_top, 1, 0, w_top, 2]
+        for y, reverse in ((x, False), (x[::-1], True)):
+            packs.clear()
+            squares.clear()
+            got = core_sets._convolve(x, reverse=reverse)
+            assert [int(v) for v in got] == oracles.convolution(x, y)
+            assert packs == [len(x)] and squares == [not reverse]
+    for x, y in (([1, 2], [2, 3]), ([1, 2], [1, 2])):
+        packs.clear()
+        core_sets._convolve(x, y)
+        assert packs == [2, 2]
+    elems = list(range(0, 300)) + list(range(310, 400, 2))  # dense: the decimal path
+    for mode in ("difference", "sum"):
+        packs.clear()
+        core_sets._pair_counts(tuple(elems), mode, 1, 10)
+        assert len(packs) == 1
 
 
 def test_convolve_refuses_negative_and_traps_rounding():
