@@ -251,7 +251,10 @@ class StepFunction:
         scale = data.get("scale_sqrt")
         radicand = None
         if scale is not None:
-            num, den = int(scale["num"]), int(scale["den"])
+            try:
+                num, den = int(scale["num"]), int(scale["den"])
+            except (TypeError, KeyError):  # 1, [1] or {"num": 1}
+                raise ValueError('scale_sqrt must be null or {"num": p, "den": q}') from None
             if den == 0:
                 raise ValueError("zero denominator in scale_sqrt")
             radicand = Fraction(num, den)
@@ -762,7 +765,12 @@ class ProbSeq(_Numerators):
             raise ValueError("support indices must be integers") from None
         if len(ratios) != len(support):
             raise ValueError("support repeats an index")
-        return cls(_numerators(ratios), data.get("cbrt_scale_n"))
+        cbrt_n = data.get("cbrt_scale_n")
+        try:
+            cbrt_n = None if cbrt_n is None else int(cbrt_n)
+        except TypeError:  # [1] or {}
+            raise ValueError("cbrt_scale_n must be null or an integer") from None
+        return cls(_numerators(ratios), cbrt_n)
 
 
 def averages_to_probs(a: AveragesSeq) -> ProbSeq:

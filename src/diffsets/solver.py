@@ -12,6 +12,15 @@ next element may go, which counters placing it raises, and which elements
 are pinned before the search starts.  Translation symmetry pins min(A) = 0
 (interval) or 0 in A (group).
 
+The cover search holds its counters as g level masks in one Python int, bit
+d of level i set when counter d is at least g - i, and takes each new
+element's hits as masks from the rule: for eta the live elements (those
+within N of the last) shifted once, for gamma {0} | {a - x} and {x - a}.
+The deficit, the counts still missing below g, drops by one popcount; a node
+is cut when it exceeds t*reach + step*t*(t - 1)/2, the most t more elements
+add (reach: the live count for eta, 2|A| + 1 for gamma), or when a counter
+is below g - step*t.
+
 The group cover search pins more.  Fix a size k that has a cover and let L
 be the lex-first k-cover through 0.  If |G| > 1, L contains the element h of
 flat index 1: L - L = G, so a - b = h for some a, b in L, and L - b, a
@@ -38,7 +47,6 @@ exhaustive=True means proven optimal for all four quantities.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -183,16 +191,22 @@ class _Rule:
     candidates(last, left): range for the next element after the previous
     unpinned one (None before the first) when `left` elements, this one
     included, remain to be placed.
-    touched(x, chosen): counters that placing x raises, one entry per unit.
-    room(chosen, t): the most counts t more elements add to the counters.
+    start: the state of the empty set.
+    grow(state, x): (state, hits) after placing x.  Block r of hits, its
+    bits r*size + d over the counters d, holds the counters that x raises
+    more than r times; it has at most `step` blocks.
+    reach(state): the most counts one more element adds by pairing with the
+    elements placed so far; t more elements add at most
+    t*reach + step*t*(t - 1)/2.
     step: the most one new element raises any one counter.
     """
 
     size: int
     pinned: tuple[int, ...]
     candidates: Callable[[int | None, int], range]
-    touched: Callable[[int, list[int]], list[int]]
-    room: Callable[[list[int], int], int]
+    start: object
+    grow: Callable[[object, int], tuple[object, int]]
+    reach: Callable[[object], int]
     step: int
 
 
@@ -243,56 +257,73 @@ def _group_maps(group: GroupSpec, sign: int, scale: int):
 
 def _cover_at_size(rule: _Rule, g: int, k: int, budget: _Budget):
     """Lexicographically first k-set through the pins with every counter at
-    least g, or None."""
+    least g, or None.
+
+    levels has g + step blocks laid out like those of hits, block i holding
+    the counters at least g - i (so blocks g and up are full).  A child pays
+    its budget node and is checked in its parent's loop, its levels raised
+    only when it passes the deficit check; it keeps them, so backtracking
+    undoes nothing.
+    """
     if len(rule.pinned) > k:
         return None
-    candidates, touched, room, step = rule.candidates, rule.touched, rule.room, rule.step
+    candidates, grow, reach, step, size = (
+        rule.candidates, rule.grow, rule.reach, rule.step, rule.size
+    )
     skip = frozenset(rule.pinned)
-    counts = [0] * rule.size
-    deficit = g * rule.size
-    chosen: list[int] = []
+    full = (1 << size) - 1
+    copies = sum(1 << (i * size) for i in range(g))  # h * copies: h in blocks 0..g-1
+    path: list[int] = []  # the cover, from its last element back
 
-    def place(x):
-        nonlocal deficit
-        hit = touched(x, chosen)
-        for d in hit:
-            c = counts[d]
-            if c < g:
-                deficit -= 1
-            counts[d] = c + 1
-        chosen.append(x)
-        return hit
+    def lift(levels, hits):
+        """Levels after the hits: r hits lift a counter from block i + r into block i."""
+        old = levels
+        for r in range(1, step + 1):
+            levels |= ((hits >> ((r - 1) * size)) & full) * copies & (old >> (r * size))
+        return levels
 
-    def unplace(hit):
-        nonlocal deficit
-        chosen.pop()
-        for d in hit:
-            c = counts[d] - 1
-            counts[d] = c
-            if c < g:
-                deficit += 1
+    def too_low(levels, t) -> bool:
+        """The least counter is below g - step*t: too low to reach g."""
+        low = step * t
+        return low < g and (levels >> (low * size)) & full != full
 
-    def extend(last) -> bool:
-        budget.tick()
-        t = k - len(chosen)
-        if t == 0:
-            return deficit == 0
-        if deficit > room(chosen, t):
-            return False
-        if g - min(counts) > step * t:
-            return False
-        for x in candidates(last, t):
+    def extend(last, state, levels, deficit, t) -> bool:
+        t -= 1  # left to place below a child
+        pairs = step * t * (t - 1) // 2
+        for x in candidates(last, t + 1):
             if x in skip:
                 continue
-            hit = place(x)
-            if extend(x):
-                return True
-            unplace(hit)
+            budget.tick()
+            child, hits = grow(state, x)
+            d = deficit - (hits & ~levels).bit_count()
+            if t == 0:
+                if d:
+                    continue
+            elif d > t * reach(child) + pairs:
+                continue
+            else:
+                child_levels = lift(levels, hits)
+                if too_low(child_levels, t) or not extend(x, child, child_levels, d, t):
+                    continue
+            path.append(x)
+            return True
         return False
 
+    state, deficit = rule.start, g * size
+    levels = sum(full << (i * size) for i in range(g, g + step))
     for x in rule.pinned:
-        place(x)
-    return list(chosen) if extend(None) else None
+        state, hits = grow(state, x)
+        deficit -= (hits & ~levels).bit_count()
+        levels = lift(levels, hits)
+    t = k - len(rule.pinned)
+    budget.tick()
+    if (
+        deficit > t * reach(state) + step * t * (t - 1) // 2
+        or too_low(levels, t)
+        or t and not extend(None, state, levels, deficit, t)
+    ):
+        return None
+    return list(rule.pinned) + path[::-1]
 
 
 def _cover(rule: _Rule, g: int, lo: int, fallback: list[int], budget: _Budget):
@@ -371,14 +402,11 @@ def _pack(rule: _Sums, g: int, budget: _Budget):
 # eta and gamma: minimum g-difference sets
 
 
-def _greedy_difference_cover(g: int, N: int) -> IntSet:
+def _greedy_difference_cover(g: int, N: int) -> list[int]:
     """Blocks plus a ladder: [0, gc) with rungs at multiples of c; always valid."""
     c = max(1, ceil_sqrt((N + g - 1) // g))
     top = (N + c - 1) // c + g
-    A = set(range(g * c)) | {j * c for j in range(1, top + 1)}
-    out = IntSet.of(A)
-    assert verify_certificate(out, g=g, N=N, mode="difference").passed
-    return out
+    return sorted(set(range(g * c)) | {j * c for j in range(1, top + 1)})
 
 
 def eta_exact(g: int, N: int, cfg: SearchConfig = SearchConfig()) -> ExtremalResult:
@@ -394,21 +422,27 @@ def eta_exact(g: int, N: int, cfg: SearchConfig = SearchConfig()) -> ExtremalRes
     def candidates(last, left):
         return range(N + 1) if last is None else range(last + 1, last + N + 1)
 
-    def room(chosen, t):
-        # a later x > last pairs only with the live elements, those in
-        # (last - N, last], and the t new elements with each other
-        live = len(chosen) - bisect_right(chosen, chosen[-1] - N) if chosen else 0
-        return t * live + t * (t - 1) // 2
+    full = (1 << N) - 1
+
+    def grow(state, x):
+        # state: the last element placed and `live`, bit i set for each
+        # placed last - i with i < N; x hits counter x - a - 1 =
+        # (last - a) + (x - last - 1) for each live a: one shift of live
+        live, last = state
+        hit = (live << (x - last - 1)) & full
+        return (((hit << 1) | 1) & full, x), hit
 
     rule = _Rule(
         size=N,  # counter m - 1 holds shift m
         pinned=(0,) if cfg.translation_fix else (),
         candidates=candidates,
-        touched=lambda x, chosen: [x - a - 1 for a in chosen if x - a <= N],
-        room=room,
-        step=1,  # x raises shift m only through x - m
+        start=(0, -1),  # nothing live; any first x shifts by x >= 0
+        grow=grow,
+        # a later x pairs only with the live elements, those in (last - N, last]
+        reach=lambda state: state[0].bit_count(),
+        step=1,
     )
-    fallback = list(_greedy_difference_cover(g, N).elements)
+    fallback = _greedy_difference_cover(g, N)
     budget = _Budget(cfg.node_budget)
     elems, exhaustive = _cover(rule, g, max(2, ceil_sqrt(2 * g * N)), fallback, budget)
     witness = IntSet.of(elems)
@@ -438,28 +472,28 @@ def gamma_exact(g: int, group: GroupSpec, cfg: SearchConfig = SearchConfig()) ->
         raise ValueError("need 1 <= g <= |G|")
     rows, neg = _group_maps(group, -1, -1)
 
-    def touched(x, chosen):
-        hit = [0]
+    def grow(chosen, x):
+        up, down = 1, 0  # {0} | {a - x}, {x - a}
         for a in chosen:
             d = rows[a][x]  # a - x
-            hit.append(d)
-            hit.append(neg[d])
-        return hit
+            up |= 1 << d
+            down |= 1 << neg[d]
+        return chosen + (x,), (up | down) | (up & down) << group.order
 
     rule = _Rule(
         size=group.order,
         pinned=(0,) + _basis_pins(group) if cfg.translation_fix else (),
         candidates=_ascending(0, group.order),
-        touched=touched,
-        room=lambda chosen, t: t * (2 * len(chosen) + t),  # (s + t)^2 - s^2
+        start=(),
+        grow=grow,
+        reach=lambda chosen: 2 * len(chosen) + 1,  # x - a, a - x and x - x
         step=2,  # x raises d through a = x + d and a = x - d
     )
     lo = max(trivial_bounds(g, group=group).sharper_cover_lower, g, 1)
     budget = _Budget(cfg.node_budget)
     flats, exhaustive = _cover(rule, g, lo, list(range(group.order)), budget)
     witness = GroupSubset.of(group, (group.unflatten(x) for x in flats))
-    if exhaustive:
-        assert verify_certificate(witness, g=g, mode="difference").passed
+    assert verify_certificate(witness, g=g, mode="difference").passed
     return ExtremalResult(
         "gamma", g, None, group, witness.size, witness, exhaustive, budget.spent
     )

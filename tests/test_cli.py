@@ -341,10 +341,17 @@ class TestRandom:
             (("random", "sequence"), "--probs", {"support": 0, "coeffs": 0}),
             (("random", "sequence"), "--probs", {"support": [[1]], "coeffs": ["1"]}),
             (("bridge", "fn-check"), "--fn", {"breakpoints": 1, "values": 1}),
+            (("bridge", "fn-check"), "--fn",
+             {"breakpoints": ["0", "1"], "values": ["1"], "scale_sqrt": 1}),
+            (("bridge", "fn-check"), "--fn",
+             {"breakpoints": ["0", "1"], "values": ["1"], "scale_sqrt": {"num": 1}}),
+            (("random", "sequence"), "--probs",
+             {"support": [0], "coeffs": ["1/2"], "cbrt_scale_n": [1]}),
         ],
         ids=[
             "probs-without-support", "probs-not-an-object", "fn-without-breakpoints",
             "probs-not-lists", "probs-index-not-an-int", "fn-not-lists",
+            "fn-scale-not-an-object", "fn-scale-without-den", "probs-cbrt-not-an-int",
         ],
     )
     def test_refuses_files_missing_keys(self, capsys, tmp_path, command, flag, data):

@@ -57,10 +57,12 @@ def test_eta_frozen_values():
 
 
 def test_eta_oracle_agreement():
+    # g = 4 and 5 raise counters through four and five level masks
     cases = (
         [(g, N) for g in (1, 2) for N in range(1, 7)]
         + [(3, N) for N in range(1, 5)]
-        + [(4, 1), (4, 2)]
+        + [(4, N) for N in range(1, 6)]
+        + [(5, N) for N in range(1, 5)]
     )
     for g, N in cases:
         size, cand = oracles.naive_eta(g, N)
@@ -109,12 +111,57 @@ def test_eta_unpinned_search_matches():
 
 
 def test_eta_live_window_bound_keeps_witness():
-    # witness frozen from the search with the t*s room bound and step 2,
-    # which took 114,741 nodes
     r = eta_exact(1, 18)
     assert r.witness.elements == (0, 2, 7, 13, 16, 17, 25)
     assert r.exhaustive
-    assert r.nodes < 60_000
+    assert r.nodes == 45_927
+
+
+def test_eta_budget_edge():
+    # every child costs one node, checked or not: one node short of the
+    # full search falls back, the full count proves
+    short = eta_exact(1, 18, SearchConfig(node_budget=45_926))
+    assert not short.exhaustive and short.nodes == 45_927
+    assert short.value > 7
+    assert verify_certificate(short.witness, g=1, N=18, mode="difference").passed
+    exact = eta_exact(1, 18, SearchConfig(node_budget=45_927))
+    assert exact.exhaustive and exact.value == 7 and exact.nodes == 45_927
+
+
+# (g, N): (value, lex-min witness, nodes), frozen from the search with
+# counters in Python lists, for every eta case of the benchmark
+ETA_FROZEN = {
+    (1, 1): (2, (0, 1), 2),
+    (1, 2): (3, (0, 1, 2), 4),
+    (1, 3): (3, (0, 1, 3), 4),
+    (1, 4): (4, (0, 1, 2, 4), 6),
+    (1, 5): (4, (0, 1, 2, 5), 6),
+    (1, 6): (4, (0, 1, 4, 6), 13),
+    (1, 7): (5, (0, 1, 2, 3, 7), 9),
+    (1, 8): (5, (0, 1, 2, 5, 8), 18),
+    (1, 9): (5, (0, 1, 2, 6, 9), 19),
+    (1, 10): (6, (0, 1, 2, 3, 6, 10), 782),
+    (2, 1): (3, (0, 1, 2), 4),
+    (2, 2): (4, (0, 1, 2, 3), 5),
+    (2, 3): (5, (0, 1, 2, 3, 4), 15),
+    (2, 4): (5, (0, 1, 2, 4, 5), 7),
+    (2, 5): (6, (0, 1, 2, 3, 5, 6), 63),
+    (2, 6): (6, (0, 1, 2, 3, 6, 7), 9),
+    (3, 1): (4, (0, 1, 2, 3), 5),
+    (3, 2): (5, (0, 1, 2, 3, 4), 8),
+    (3, 3): (6, (0, 1, 2, 3, 4, 5), 16),
+    (3, 4): (6, (0, 1, 3, 4, 5, 7), 21),
+    (4, 1): (5, (0, 1, 2, 3, 4), 7),
+    (4, 2): (6, (0, 1, 2, 3, 4, 5), 10),
+    (1, 18): (7, (0, 2, 7, 13, 16, 17, 25), 45_927),
+}
+
+
+def test_eta_frozen_search():
+    for (g, N), expected in ETA_FROZEN.items():
+        r = eta_exact(g, N)
+        assert (r.value, r.witness.elements, r.nodes) == expected, (g, N)
+        assert r.exhaustive
 
 
 def test_eta_rejects_bad_parameters():
@@ -222,6 +269,77 @@ def test_gamma_budget_out_falls_back():
         assert not r.exhaustive
         assert r.value == spec.order
         assert verify_certificate(r.witness, g=2, mode="difference").passed
+
+
+# (g, factors): (value, lex-min witness, nodes), frozen like ETA_FROZEN, for
+# every gamma case of the benchmark
+GAMMA_FROZEN = {
+    (1, (2,)): (2, ((0,), (1,)), 1),
+    (2, (2,)): (2, ((0,), (1,)), 1),
+    (1, (3,)): (2, ((0,), (1,)), 1),
+    (2, (3,)): (3, ((0,), (1,), (2,)), 2),
+    (3, (3,)): (3, ((0,), (1,), (2,)), 2),
+    (1, (4,)): (3, ((0,), (1,), (2,)), 2),
+    (2, (4,)): (3, ((0,), (1,), (2,)), 2),
+    (3, (4,)): (4, ((0,), (1,), (2,), (3,)), 3),
+    (1, (5,)): (3, ((0,), (1,), (2,)), 2),
+    (2, (5,)): (4, ((0,), (1,), (2,), (3,)), 3),
+    (3, (5,)): (4, ((0,), (1,), (2,), (3,)), 3),
+    (1, (6,)): (3, ((0,), (1,), (3,)), 3),
+    (2, (6,)): (4, ((0,), (1,), (2,), (3,)), 3),
+    (3, (6,)): (5, ((0,), (1,), (2,), (3,), (4,)), 4),
+    (1, (7,)): (3, ((0,), (1,), (3,)), 3),
+    (2, (7,)): (4, ((0,), (1,), (2,), (4,)), 4),
+    (3, (7,)): (5, ((0,), (1,), (2,), (3,), (4,)), 4),
+    (1, (8,)): (4, ((0,), (1,), (2,), (4,)), 4),
+    (2, (8,)): (5, ((0,), (1,), (2,), (3,), (4,)), 4),
+    (3, (8,)): (6, ((0,), (1,), (2,), (3,), (4,), (5,)), 5),
+    (1, (2, 4)): (4, ((0, 0), (0, 1), (0, 2), (1, 0)), 4),
+    (2, (2, 4)): (5, ((0, 0), (0, 1), (0, 2), (0, 3), (1, 0)), 4),
+    (3, (2, 4)): (6, ((0, 0), (0, 1), (0, 2), (0, 3), (1, 0), (1, 1)), 5),
+    (1, (12,)): (4, ((0,), (1,), (3,), (7,)), 16),
+    (2, (12,)): (6, ((0,), (1,), (2,), (3,), (4,), (7,)), 7),
+    (3, (12,)): (7, ((0,), (1,), (2,), (3,), (4,), (6,), (7,)), 7),
+    (1, (2, 2, 3)): (
+        5, ((0, 0, 0), (0, 0, 1), (0, 1, 0), (0, 1, 1), (1, 0, 0)), 96,
+    ),
+    (2, (2, 2, 3)): (
+        6, ((0, 0, 0), (0, 0, 1), (0, 0, 2), (0, 1, 0), (1, 0, 0), (1, 1, 0)), 9,
+    ),
+    (3, (2, 2, 3)): (
+        7,
+        ((0, 0, 0), (0, 0, 1), (0, 0, 2), (0, 1, 0), (0, 1, 1), (1, 0, 0), (1, 1, 0)),
+        9,
+    ),
+    (2, (3, 3, 3)): (9, Z3_CUBED_G2_WITNESS, 4_842),
+}
+
+
+def test_gamma_frozen_search():
+    for (g, factors), expected in GAMMA_FROZEN.items():
+        r = gamma_exact(g, GroupSpec(factors))
+        assert (r.value, r.witness.elements, r.nodes) == expected, (g, factors)
+        assert r.exhaustive
+
+
+def test_one_certificate_check_per_cover_solve(monkeypatch):
+    # the returned witness is checked once, fallback included, and nothing else
+    checked = []
+
+    def spy(A, **kwargs):
+        checked.append(A)
+        return verify_certificate(A, **kwargs)
+
+    monkeypatch.setattr(solver, "verify_certificate", spy)
+    for solve in (
+        lambda: eta_exact(1, 6),
+        lambda: eta_exact(1, 12, SearchConfig(node_budget=10)),
+        lambda: gamma_exact(1, GroupSpec((7,))),
+        lambda: gamma_exact(1, GroupSpec((7,)), SearchConfig(node_budget=1)),
+    ):
+        checked.clear()
+        r = solve()
+        assert checked == [r.witness]
 
 
 def test_gamma_rejects_bad_g():
