@@ -271,15 +271,17 @@ def _cmd_verify(args, run):
 
 def _cmd_profile(args, run):
     A = run.load_set(args.set)
+    if A.size == 0:
+        raise ValueError("empty set")
     if isinstance(A, IntSet):
         lo, hi = args.lo, args.hi
         if args.kind == "difference":
             lo = 1 if lo is None else lo
-            hi = A.elements[-1] - A.elements[0] if hi is None else hi
+            hi = int(A.array[-1]) - int(A.array[0]) if hi is None else hi
             prof = rep_diff_profile(A, (lo, hi))
         else:
-            lo = 2 * A.elements[0] if lo is None else lo
-            hi = 2 * A.elements[-1] if hi is None else hi
+            lo = 2 * int(A.array[0]) if lo is None else lo
+            hi = 2 * int(A.array[-1]) if hi is None else hi
             prof = rep_sum_profile(A, (lo, hi))
     else:
         prof = group_rep_profile(A, args.kind)

@@ -84,9 +84,7 @@ def parabola_set(p: int, u: int) -> GroupSubset:
     u %= p
     if u == 0:
         raise ValueError("u must be nonzero mod p")
-    uinv = pow(u, -1, p)
-    spec = GroupSpec((p, p))
-    return GroupSubset.of(spec, ((x, x * x * uinv % p) for x in range(p)))
+    return _union_of_parabolas(p, u - 1, 1)
 
 
 @dataclass(frozen=True)
@@ -182,7 +180,7 @@ class ParabolaUnion:
             "S_t": self.score,
             "guaranteed_g": self.guaranteed_g,
             "verified_g": self.verified_g,
-            "elements": [list(v) for v in self.subset.elements],
+            "elements": self.subset.to_json()["elements"],
         }
 
 
@@ -198,16 +196,7 @@ def best_shift_union(p: int, k: int, cap: int = 10**6, seed: int = 0) -> Parabol
     p = _require_odd_prime(p)
     if not 1 <= k <= p - 1:
         raise ValueError("need 1 <= k <= p-1")
-    chi_all = [0] + [legendre_symbol(x, p) for x in range(1, p)]
-    best_t, best_score = None, None
-    for t in range(0, p - k):
-        chi = chi_all[t + 1 : t + k + 1]
-        score = 0
-        for ell in range(-(k - 1), k):
-            s = sum(chi[i] * chi[i - ell] for i in range(max(0, ell), min(k, k + ell)))
-            score += abs(s)
-        if best_score is None or score < best_score:
-            best_t, best_score = t, score
+    best_t, best_score = _best_shift(p, k)
     subset = _union_of_parabolas(p, best_t, k)
     assert subset.size == k * (p - 1) + 1, "parabolas must meet only at the origin"
     guaranteed = k * k - 2 * (k - 1) - math.isqrt(4 * k**3)
@@ -215,7 +204,7 @@ def best_shift_union(p: int, k: int, cap: int = 10**6, seed: int = 0) -> Parabol
     instance_floor = k * k - 2 * (k - 1) - best_score
     spec = subset.group
     if spec.order <= cap:
-        counts = _group_counts(_flat(spec, subset.elements), spec, "difference")
+        counts = _group_counts(subset.flat, spec, "difference")
         verified_g = int(counts.min())
         nonzero_min = int(np.delete(counts, 0).min()) if spec.order > 1 else verified_g
         mode = "exhaustive"
@@ -245,14 +234,32 @@ def best_shift_union(p: int, k: int, cap: int = 10**6, seed: int = 0) -> Parabol
     )
 
 
+def _best_shift(p: int, k: int) -> tuple[int, int]:
+    """(t, S_t) for the least t in [0, p - k) of least shift_score(p, k, t).
+
+    With chi the Legendre symbols, S_t = |s_0| + 2 sum_{l >= 1} |s_l| where
+    s_l = sum_{i=t+1}^{t+k-l} chi(i) chi(i + l): one prefix sum per offset l
+    gives s_l at every shift at once.
+    """
+    x = np.arange(p, dtype=np.int64)
+    chi = np.full(p, -1, dtype=np.int64)
+    chi[x * x % p] = 1
+    chi[0] = 0
+    shifts = p - k
+    scores = np.zeros(shifts, dtype=np.int64)
+    for ell in range(k):
+        pre = np.concatenate(([0], np.cumsum(chi[1 : p - ell] * chi[1 + ell :])))
+        scores += (1 if ell == 0 else 2) * np.abs(pre[k - ell : k - ell + shifts] - pre[:shifts])
+    t = int(scores.argmin())
+    return t, int(scores[t])
+
+
 def _union_of_parabolas(p: int, t: int, k: int) -> GroupSubset:
-    spec = GroupSpec((p, p))
-    pts = set()
-    for u in range(t + 1, t + k + 1):
-        uinv = pow(u, -1, p)
-        for x in range(p):
-            pts.add((x, x * x * uinv % p))
-    return GroupSubset.of(spec, pts)
+    """The parabolas {(x, x^2 / u)} of (Z/pZ)^2 for u = t+1, ..., t+k."""
+    x = np.arange(p, dtype=np.int64)
+    uinv = np.array([pow(u, -1, p) for u in range(t + 1, t + k + 1)], dtype=np.int64)
+    y = x * x % p * uinv[:, None] % p
+    return GroupSubset(GroupSpec((p, p)), np.stack(np.broadcast_arrays(x, y), axis=-1).reshape(-1, 2))
 
 
 def lift_to_cyclic(A: GroupSubset, s: int) -> GroupSubset:
@@ -271,13 +278,12 @@ def lift_to_cyclic(A: GroupSubset, s: int) -> GroupSubset:
     if not is_prime(p):
         raise ValueError("domain modulus must be prime")
     n = p * p * s
-    spec = GroupSpec((n,))
-    image = {
-        ((a + c * p + b * s * p) % n,)
-        for (a, b) in A.elements
-        for c in range(s)
-    }
-    out = GroupSubset.of(spec, image)
+    if n >= 2**63:
+        raise ValueError("modulus p^2 s must fit in int64")
+    # a + c p + b s p <= (s p - 1) + (p - 1) s p = n - 1: already reduced
+    a, b = _residues(A.group, A.flat).T
+    image = (a + b * s * p)[:, None] + p * np.arange(s, dtype=np.int64)
+    out = GroupSubset(GroupSpec((n,)), image.reshape(-1, 1))
     assert out.size == A.size * s, "lift must be injective"
     return out
 
@@ -331,7 +337,7 @@ def cyclic_pipeline(k: int, s: int, p: int, cap: int = 10**6, seed: int = 0) -> 
     cyclic_g = plane_g * (s - 1)
     verified = 0
     if lifted.group.order <= cap:
-        counts = _group_counts(_flat(lifted.group, lifted.elements), lifted.group, "difference")
+        counts = _group_counts(lifted.flat, lifted.group, "difference")
         verified = int(counts.min())
         if verified < cyclic_g:
             raise CertificateError(
@@ -374,8 +380,11 @@ def blow_up(A: IntSet, g1: int, N: int, C: GroupSubset, g2: int) -> IntSet:
             f"count {vc.achieved_g}",
             vc,
         )
-    lifts = [q if r == 0 else r for (r,) in C.elements]
-    out = IntSet.of(q * a + c for a in A.elements for c in lifts)
+    if max(-q * int(A.array[0]), q * int(A.array[-1]) + q) >= 2**63:
+        raise ValueError("blow-up entries must fit in int64")
+    # the preimages in [1, q], ascending, so the outer sum comes out sorted
+    lifts = np.sort(np.where(C.flat == 0, q, C.flat))
+    out = IntSet((q * A.array[:, None] + lifts).ravel())
     assert out.size == A.size * C.size, "blow-up must be injective"
     return out
 
@@ -450,8 +459,7 @@ def random_group_subset(group: GroupSpec, g: int, seed: int) -> GroupSubset:
     The draw of _group_draw, the one the Monte Carlo trial with this seed
     makes, turned into residue vectors.
     """
-    x = _residues(group, _group_draw(group, g, seed))
-    return GroupSubset.of(group, map(tuple, x.tolist()))
+    return GroupSubset(group, _residues(group, _group_draw(group, g, seed)))
 
 
 def sequence_random_set(probs: ProbSeq, seed: int) -> IntSet:
@@ -471,7 +479,7 @@ def sequence_random_set(probs: ProbSeq, seed: int) -> IntSet:
     border = np.abs(u - pf) < 1e-12
     for j in np.nonzero(border)[0]:
         take[j] = probs.less_than_p(support[j], Fraction(float(u[j])))
-    return IntSet.of(support[j] for j in np.nonzero(take)[0])
+    return IntSet([support[j] for j in np.flatnonzero(take).tolist()])
 
 
 def chernoff_bound(delta, mu) -> float:
@@ -490,7 +498,7 @@ def chernoff_bound(delta, mu) -> float:
 def _shift_map(group: GroupSpec, m_vec) -> np.ndarray:
     """nxt[x] = flat index of x + m, for every flat index x of G."""
     x = _residues(group, np.arange(group.order))
-    return _flat(group, (x + group.reduce(m_vec)) % group.factors)
+    return _flat(group, x + group.reduce(m_vec))
 
 
 def _cycle_partition(nxt: np.ndarray) -> list[list[int]] | None:
@@ -723,7 +731,7 @@ def _make_sequence_trial(model: RandomModel, delta: Fraction, epsilon: Fraction)
         A = sequence_random_set(probs, seed)
         if A.size < 2:
             return A.size, 0, 0, False
-        start, offsets, counts = _pair_counts(A.elements, "difference", 1, N)
+        start, offsets, counts = _pair_counts(A.array, "difference", 1, N)
         r_min = int(counts.min()) if len(counts) == N else 0
         probe_count = int(counts[offsets == probe_m - start].sum())
         ok = r_min**3 >= count_floor_cubed and A.size**3 <= size_cap_cubed

@@ -6,6 +6,14 @@ Counts are over ordered pairs: the difference count of A at shift m is
 shifts when every difference count there is >= g, and a "g-Sidon set" when
 every sum count is <= g.  Everything here is exact integer arithmetic.
 
+A set's one stored form is a read-only int64 array, built and checked with
+numpy: an IntSet holds its sorted, distinct elements, a GroupSubset the
+sorted, distinct flat indices of its elements (vectors reduced mod the
+factors, then weighted by the row-major strides).  The counting kernels take
+that array as it is; tuples are built only for .elements and JSON output.
+Entries that are not integers (bools included) or do not fit in int64 are
+refused with a ValueError.
+
 All counts come from one kernel, _convolve: the indicator of the set's hull
 (or of its group, each axis padded to 2n-1) convolved with its reverse or
 itself, as one product of packed decimal integers.  libmpdec, the C library
@@ -26,7 +34,8 @@ import sys
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
-from itertools import product
+from functools import cached_property
+from itertools import chain, product
 
 import numpy as np
 
@@ -149,43 +158,61 @@ def parse_fraction(text: str) -> Fraction:
         raise ValueError(f"zero denominator in {s!r}") from None
 
 
-@dataclass(frozen=True)
 class IntSet:
-    """A finite set of integers, stored sorted and strictly increasing."""
+    """A finite set of integers, stored as one read-only int64 array of its
+    elements, sorted and strictly increasing.  Equal and hashed by elements."""
 
-    elements: tuple[int, ...]
+    __slots__ = ("array",)
 
-    def __post_init__(self):
-        elems = tuple(int(x) for x in self.elements)
-        if list(elems) != sorted(set(elems)):
-            elems = tuple(sorted(set(elems)))
-        object.__setattr__(self, "elements", elems)
+    def __init__(self, elements):
+        object.__setattr__(self, "array", _distinct(_int64(elements)))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
 
     @classmethod
     def of(cls, iterable) -> "IntSet":
-        return cls(tuple(int(x) for x in iterable))
+        return cls(iterable)
+
+    @property
+    def elements(self) -> tuple[int, ...]:
+        return tuple(self.array.tolist())
 
     @property
     def size(self) -> int:
-        return len(self.elements)
+        return len(self.array)
 
     def __contains__(self, x) -> bool:
-        return x in set(self.elements)
+        return x in self.elements
 
     def __iter__(self):
         return iter(self.elements)
 
+    def __eq__(self, other):
+        if not isinstance(other, IntSet):
+            return NotImplemented
+        return np.array_equal(self.array, other.array)
+
+    def __hash__(self):
+        return hash(self.array.tobytes())
+
+    def __repr__(self):
+        return f"IntSet({self.elements})"
+
+    def __reduce__(self):
+        return IntSet, (self.array,)
+
     def translate(self, t: int) -> "IntSet":
-        return IntSet(tuple(a + t for a in self.elements))
+        return IntSet([a + t for a in self.array.tolist()])
 
     def to_json(self) -> list[int]:
-        return list(self.elements)
+        return self.array.tolist()
 
     @classmethod
     def from_json(cls, data) -> "IntSet":
         if not isinstance(data, list):
             raise ValueError("integer-set JSON must be an array")
-        return cls.of(data)
+        return cls(data)
 
 
 @dataclass(frozen=True)
@@ -195,6 +222,8 @@ class GroupSpec:
     factors: tuple[int, ...]
 
     def __post_init__(self):
+        if any(isinstance(n, bool) or not isinstance(n, (int, np.integer)) for n in self.factors):
+            raise ValueError("factors must be integers")
         fs = tuple(int(n) for n in self.factors)
         if not fs:
             raise ValueError("group needs at least one factor")
@@ -226,6 +255,11 @@ class GroupSpec:
             out[i] = out[i + 1] * self.factors[i + 1]
         return tuple(out)
 
+    @cached_property
+    def _axes(self) -> tuple[np.ndarray, np.ndarray]:
+        """The factors and the strides as int64 arrays, for _flat and _residues."""
+        return np.array(self.factors, dtype=np.int64), np.array(self.strides(), dtype=np.int64)
+
     def flatten(self, vector) -> int:
         v = self.reduce(vector)
         return sum(x * s for x, s in zip(v, self.strides()))
@@ -245,43 +279,106 @@ class GroupSpec:
         return list(self.factors)
 
 
-@dataclass(frozen=True)
 class GroupSubset:
-    """A subset of a finite abelian group; vectors reduced and sorted."""
+    """A subset of a finite abelian group, stored as one read-only int64
+    array of the flat indices (GroupSpec.flatten) of its elements, sorted
+    and strictly increasing.  Equal and hashed by group and elements."""
 
-    group: GroupSpec
-    elements: tuple[tuple[int, ...], ...]
+    __slots__ = ("group", "flat")
 
-    def __post_init__(self):
-        reduced = sorted({self.group.reduce(v) for v in self.elements})
-        object.__setattr__(self, "elements", tuple(reduced))
+    def __init__(self, group: GroupSpec, elements):
+        if group.order >= 2**63:
+            raise ValueError("group order must fit in int64")
+        object.__setattr__(self, "group", group)
+        object.__setattr__(self, "flat", _distinct(_flat(group, _int64(elements, group.rank))))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
 
     @classmethod
     def of(cls, group: GroupSpec, iterable) -> "GroupSubset":
-        return cls(group, tuple(tuple(v) for v in iterable))
+        return cls(group, iterable)
+
+    @property
+    def elements(self) -> tuple[tuple[int, ...], ...]:
+        """The reduced residue vectors, in lexicographic order."""
+        return tuple(map(tuple, _residues(self.group, self.flat).tolist()))
 
     @property
     def size(self) -> int:
-        return len(self.elements)
+        return len(self.flat)
 
     def __contains__(self, v) -> bool:
-        return self.group.reduce(v) in set(self.elements)
+        return self.group.reduce(v) in self.elements
 
     def __iter__(self):
         return iter(self.elements)
 
+    def __eq__(self, other):
+        if not isinstance(other, GroupSubset):
+            return NotImplemented
+        return self.group == other.group and np.array_equal(self.flat, other.flat)
+
+    def __hash__(self):
+        return hash((self.group, self.flat.tobytes()))
+
+    def __repr__(self):
+        return f"GroupSubset({self.group!r}, {self.elements})"
+
+    def __reduce__(self):
+        return GroupSubset, (self.group, _residues(self.group, self.flat))
+
     def to_json(self) -> dict:
         return {
             "invariant_factors": list(self.group.factors),
-            "elements": [list(v) for v in self.elements],
+            "elements": _residues(self.group, self.flat).tolist(),
         }
 
     @classmethod
     def from_json(cls, data) -> "GroupSubset":
         if not isinstance(data, dict) or "invariant_factors" not in data:
             raise ValueError("group-subset JSON needs invariant_factors")
-        spec = GroupSpec(tuple(data["invariant_factors"]))
-        return cls.of(spec, data.get("elements", []))
+        factors, elements = data["invariant_factors"], data.get("elements", [])
+        if not isinstance(factors, list) or not isinstance(elements, list):
+            raise ValueError("invariant_factors and elements must be arrays")
+        return cls(GroupSpec(tuple(factors)), elements)
+
+
+def _int64(values, rank: int | None = None) -> np.ndarray:
+    """values as an int64 array: integers, shape (k,), or with a rank, vectors
+    (lists or tuples) of rank integers, shape (k, rank).  The integers may be
+    Python or numpy ones but not bools, and must fit in int64; anything else
+    is refused with a ValueError.  An integer array is taken as it is, if its
+    shape fits."""
+    shape = "integers" if rank is None else f"integer vectors of length {rank}"
+    if isinstance(values, np.ndarray):
+        dims = (1,) if rank is None else (2, rank)
+        if values.dtype.kind not in "iu" or (values.ndim, *values.shape[1:]) != dims:
+            raise ValueError(f"set entries must be {shape}")
+        if values.dtype.kind == "u" and values.size and values.max() >= 2**63:
+            raise ValueError("set entries must fit in int64")
+        return values.astype(np.int64)
+    values = values if isinstance(values, (list, tuple)) else list(values)
+    if rank is not None:
+        if not set(map(type, values)) <= {list, tuple} or set(map(len, values)) - {rank}:
+            raise ValueError(f"set entries must be {shape}")
+        values = list(chain.from_iterable(values))
+    types = set(map(type, values))
+    if not types <= {int} and any(t is bool or not issubclass(t, (int, np.integer)) for t in types):
+        raise ValueError(f"set entries must be {shape}")
+    try:
+        a = np.array(values, dtype=np.int64)
+    except OverflowError:
+        raise ValueError("set entries must fit in int64") from None
+    return a if rank is None else a.reshape(-1, rank)
+
+
+def _distinct(a: np.ndarray) -> np.ndarray:
+    """The distinct entries of a 1-d int64 array, ascending, read-only."""
+    if not (a[1:] > a[:-1]).all():
+        a = np.unique(a)
+    a.flags.writeable = False
+    return a
 
 
 @dataclass(frozen=True)
@@ -403,15 +500,17 @@ def _total(a: np.ndarray) -> int:
 
 def _pack(a: np.ndarray, w: int):
     """The w-digit slots of a, last entry first: an (n, w) array of ASCII
-    digit bytes, or a list of w-character strings when w > 18."""
+    digit bytes, or a list of w-character strings when w > 18.  Only the
+    digits of a's largest entry take a pass; the slots are '0' above them,
+    so an indicator costs one pass."""
     if w > 18:
         to_str = str if _str_safe(w) else lambda v: str(Decimal(v))
         return [to_str(v).zfill(w) for v in a[::-1]]
-    a = a[::-1].astype(np.int64)
-    d = np.empty((len(a), w), dtype=np.uint8)
-    for j in range(w - 1, -1, -1):
+    a = a[::-1].astype(np.int64, copy=False)
+    d = np.full((len(a), w), 48, dtype=np.uint8)
+    for j in range(w - 1, w - 1 - _digits(int(a.max())), -1):
         d[:, j] = a % 10 + 48
-        a //= 10
+        a = a // 10
     return d
 
 
@@ -420,8 +519,9 @@ def _decimal(rows) -> Decimal:
     return Decimal("".join(rows) if isinstance(rows, list) else rows.tobytes().decode("ascii"))
 
 
-def _pair_counts(elements: tuple[int, ...], mode: str, lo: int, hi: int):
-    """Exact ordered-pair difference or sum counts at the shifts lo..hi.
+def _pair_counts(elements, mode: str, lo: int, hi: int):
+    """Exact ordered-pair difference or sum counts at the shifts lo..hi, for
+    distinct ascending elements (IntSet.array, or a sequence of ints).
 
     Returns (start, offsets, counts): the shifts start + offsets, ascending,
     are the shifts of the window that some pair reaches, each with its
@@ -433,10 +533,12 @@ def _pair_counts(elements: tuple[int, ...], mode: str, lo: int, hi: int):
     window of at most _DENSE_CELLS cells or else by sorting, which keeps
     memory at O(k^2) however far apart the elements lie.
     """
-    k = len(elements)
+    a = np.asarray(elements, dtype=np.int64)
+    k = len(a)
     if k == 0:
         raise ValueError("empty set")
-    first, span = elements[0], elements[-1] - elements[0]
+    first = int(a[0])
+    span = int(a[-1]) - first
     if span >= 2**62:
         raise ValueError("set spans more than 2^62")
     # the set reaches shifts base..base+2*span
@@ -445,7 +547,7 @@ def _pair_counts(elements: tuple[int, ...], mode: str, lo: int, hi: int):
     if wlo > whi:
         empty = np.zeros(0, dtype=np.int64)
         return lo, empty, empty
-    e = np.fromiter((a - first for a in elements), dtype=np.int64, count=k)
+    e = a - first
     if (span + 1) * _CELL_PAIRS <= k * k:
         ind = np.zeros(span + 1, dtype=np.int64)
         ind[e] = 1
@@ -475,15 +577,16 @@ def _pair_counts(elements: tuple[int, ...], mode: str, lo: int, hi: int):
 
 
 def _flat(spec: GroupSpec, vectors) -> np.ndarray:
-    """Flat indices of reduced residue vectors, as an int64 array."""
-    x = np.asarray(vectors, dtype=np.int64).reshape(-1, spec.rank)
-    return x @ np.asarray(spec.strides(), dtype=np.int64)
+    """Flat indices of integer vectors, reduced mod the factors, as an int64
+    array."""
+    factors, strides = spec._axes
+    return np.asarray(vectors, dtype=np.int64).reshape(-1, spec.rank) % factors @ strides
 
 
 def _residues(spec: GroupSpec, flat: np.ndarray) -> np.ndarray:
     """The (k, d) residue vectors of k flat indices: flat // strides % factors."""
-    strides = np.asarray(spec.strides(), dtype=np.int64)
-    return flat[:, None] // strides % np.asarray(spec.factors, dtype=np.int64)
+    factors, strides = spec._axes
+    return flat[:, None] // strides % factors
 
 
 def _group_counts(flat: np.ndarray, spec: GroupSpec, mode: str) -> np.ndarray:
@@ -501,7 +604,7 @@ def _group_counts(flat: np.ndarray, spec: GroupSpec, mode: str) -> np.ndarray:
         raise ValueError("group too large to enumerate")
     x = _residues(spec, flat)
     k, d = x.shape
-    factors = np.asarray(spec.factors, dtype=np.int64)
+    factors = spec._axes[0]
     padded = tuple(2 * n - 1 for n in spec.factors)
     if math.prod(padded) <= k * k:
         # reversing the flat indicator maps b to (n-1-b) on every axis, so
@@ -522,10 +625,7 @@ def _group_counts(flat: np.ndarray, spec: GroupSpec, mode: str) -> np.ndarray:
     rows = max(1, min(max(_CHUNK_CELLS, order), _CHUNK_CAP) // max(k * d, 1))
     for i0 in range(0, k, rows):
         block = x[i0 : i0 + rows, None, :]
-        if mode == "difference":
-            z = (block - x[None, :, :]) % factors
-        else:
-            z = (block + x[None, :, :]) % factors
+        z = block - x[None, :, :] if mode == "difference" else block + x[None, :, :]
         out += np.bincount(_flat(spec, z), minlength=order)
     return out
 
@@ -540,7 +640,7 @@ def _profile(A: IntSet, kind: str, shifts: tuple[int, int]) -> RepProfile:
         raise ValueError("empty shift interval")
     if hi - lo + 1 > 5_000_000:
         raise ValueError("shift interval too large to materialize")
-    start, offsets, counts = _pair_counts(A.elements, kind, lo, hi)
+    start, offsets, counts = _pair_counts(A.array, kind, lo, hi)
     table = dict.fromkeys(range(lo, hi + 1), 0)
     table.update(zip((start + o for o in offsets.tolist()), counts.tolist()))
     return RepProfile.build(kind, f"[{lo},{hi}]", table)
@@ -561,8 +661,7 @@ def group_rep_profile(A: GroupSubset, mode: str = "difference") -> RepProfile:
     if mode not in ("difference", "sum"):
         raise ValueError("mode must be 'difference' or 'sum'")
     spec = A.group
-    arr = _group_counts(_flat(spec, A.elements), spec, mode)
-    table = {v: int(arr[i]) for i, v in enumerate(spec.elements())}
+    table = dict(zip(spec.elements(), _group_counts(A.flat, spec, mode).tolist()))
     return RepProfile.build(mode, f"group {spec.label()}", table)
 
 
@@ -589,12 +688,11 @@ def verify_certificate(A, g: int, N: int | None = None, mode: str = "difference"
     if isinstance(A, GroupSubset):
         if N is not None:
             raise ValueError("N applies only to integer sets")
-        flat = _flat(A.group, A.elements)
         if mode == "difference":
-            arr = _group_counts(flat, A.group, "difference")
+            arr = _group_counts(A.flat, A.group, "difference")
             achieved, bad = int(arr.min()), np.flatnonzero(arr < g)
         else:
-            arr = _group_counts(flat, A.group, "sum")
+            arr = _group_counts(A.flat, A.group, "sum")
             achieved, bad = int(arr.max()), np.flatnonzero(arr > g)
         witness = A.group.unflatten(int(bad[0])) if bad.size else None
         return Verdict(witness is None, achieved, witness)
@@ -608,7 +706,7 @@ def verify_certificate(A, g: int, N: int | None = None, mode: str = "difference"
     if A.size == 0:
         raise ValueError("empty set")
     if mode == "difference":
-        start, offsets, counts = _pair_counts(A.elements, "difference", 1, N)
+        start, offsets, counts = _pair_counts(A.array, "difference", 1, N)
         # 0-based positions in 1..N of the shifts that reach g, ascending
         good = offsets[counts >= g] + (start - 1)
         gaps = np.flatnonzero(good != np.arange(len(good)))
@@ -619,9 +717,9 @@ def verify_certificate(A, g: int, N: int | None = None, mode: str = "difference"
         achieved = int(counts.min()) if len(counts) == N else 0
         return Verdict(witness is None, achieved, witness)
     # Sidon over [N]: support must lie in [1, N], so every sum is in [2, 2N]
-    if A.elements[0] < 1 or A.elements[-1] > N:
+    if A.array[0] < 1 or int(A.array[-1]) > N:
         raise ValueError("support outside [1,N]")
-    start, offsets, counts = _pair_counts(A.elements, "sum", 2, 2 * N)
+    start, offsets, counts = _pair_counts(A.array, "sum", 2, 2 * N)
     hits = np.flatnonzero(counts > g)
     witness = start + int(offsets[hits[0]]) if hits.size else None
     return Verdict(witness is None, int(counts.max()), witness)

@@ -57,6 +57,7 @@ from .core_sets import (
     GroupSpec,
     GroupSubset,
     IntSet,
+    _residues,
     ceil_sqrt,
     is_prime,
     trivial_bounds,
@@ -134,9 +135,9 @@ class ExtremalResult:
         if self.witness is None:
             out["witness"] = None
         elif isinstance(self.witness, IntSet):
-            out["witness"] = list(self.witness.elements)
+            out["witness"] = self.witness.to_json()
         else:
-            out["witness"] = [list(v) for v in self.witness.elements]
+            out["witness"] = self.witness.to_json()["elements"]
         return out
 
     @classmethod
@@ -459,13 +460,30 @@ def _basis_pins(group: GroupSpec) -> tuple[int, ...]:
     return (1,) if group.order > 1 else ()
 
 
+def _cyclic_cover(g: int, group: GroupSpec) -> list[int] | None:
+    """`_greedy_difference_cover(g, n // 2)` when the group is Z/n, its
+    elements lie below n and it is smaller than the group; else None.
+
+    It is then a g-difference subset of Z/n: its elements are distinct mod
+    n, so each ordered pair with difference d in [1, n/2] counts once at the
+    residue d and its reverse once at -d, and every nonzero residue is d or
+    -d for such a d; the residue 0 counts |A| >= g.
+    """
+    n = group.order
+    if group.rank != 1:
+        return None
+    cover = _greedy_difference_cover(g, n // 2)
+    return cover if cover[-1] < n and len(cover) < n else None
+
+
 def gamma_exact(g: int, group: GroupSpec, cfg: SearchConfig = SearchConfig()) -> ExtremalResult:
     """Minimum size of a g-difference subset of a finite abelian group.
 
     0 and `_basis_pins(group)` are pinned into A (module docstring: the
     lex-first witness contains them).  Deepening starts at the strict
-    half-plus-root covering bound; the whole group is the fallback on budget
-    exhaustion.
+    half-plus-root covering bound and stops at the size of the fallback, the
+    answer on budget exhaustion: `_cyclic_cover` in Z/n, else the whole
+    group.
     """
     g = int(g)
     if g < 1 or g > group.order:
@@ -491,8 +509,9 @@ def gamma_exact(g: int, group: GroupSpec, cfg: SearchConfig = SearchConfig()) ->
     )
     lo = max(trivial_bounds(g, group=group).sharper_cover_lower, g, 1)
     budget = _Budget(cfg.node_budget)
-    flats, exhaustive = _cover(rule, g, lo, list(range(group.order)), budget)
-    witness = GroupSubset.of(group, (group.unflatten(x) for x in flats))
+    fallback = _cyclic_cover(g, group) or list(range(group.order))
+    flats, exhaustive = _cover(rule, g, lo, fallback, budget)
+    witness = GroupSubset(group, _residues(group, np.asarray(flats, dtype=np.int64)))
     assert verify_certificate(witness, g=g, mode="difference").passed
     return ExtremalResult(
         "gamma", g, None, group, witness.size, witness, exhaustive, budget.spent
@@ -552,7 +571,7 @@ def alpha_exact(g: int, group: GroupSpec, cfg: SearchConfig = SearchConfig()) ->
     )
     budget = _Budget(cfg.node_budget)
     flats, exhaustive = _pack(rule, g, budget)
-    witness = GroupSubset.of(group, (group.unflatten(x) for x in flats or [0]))
+    witness = GroupSubset(group, _residues(group, np.asarray(flats or [0], dtype=np.int64)))
     assert verify_certificate(witness, g=g, mode="sidon").passed
     return ExtremalResult(
         "alpha", g, None, group, witness.size, witness, exhaustive, budget.spent

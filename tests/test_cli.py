@@ -100,6 +100,89 @@ class TestVerify:
         assert code == 2 and "error" in err
 
 
+class TestSetFiles:
+    A01 = [0, 1]
+    Z5 = {"invariant_factors": [5], "elements": [[0], [1], [2]]}
+
+    @pytest.mark.parametrize(
+        "command, files",
+        [
+            (("verify", "--g", "1", "--N", "1"), {"--set": [0, 1.7, "3", True]}),
+            (("verify", "--g", "1"),
+             {"--set": {"invariant_factors": [5], "elements": [[1.9], ["2"], [True]]}}),
+            (("verify", "--g", "1"), {"--set": {"invariant_factors": [5], "elements": "12"}}),
+            (("verify", "--g", "1"), {"--set": dict(Z5, invariant_factors="5")}),
+            (("construct", "blowup", "--N", "1"),
+             {"--A": A01, "--C": dict(Z5, elements=[[0], [1.5], [2]])}),
+            (("verify", "--g", "1"), {"--set": {"invariant_factors": [5], "elements": [1, 2]}}),
+            (("verify", "--g", "1", "--N", "1"), {"--set": [[1], [2]]}),
+            (("verify", "--g", "1", "--N", "1"), {"--set": [10**20, 10**20 + 1]}),
+        ],
+        ids=[
+            "int-set-floats-strings-bools", "group-vectors-not-integers",
+            "group-elements-a-string", "group-factors-a-string", "blowup-C-float",
+            "group-elements-not-vectors", "int-set-of-vectors", "int-set-beyond-int64",
+        ],
+    )
+    def test_refuses_malformed_set_files(self, capsys, tmp_path, command, files):
+        # entries must be JSON integers, not bools, within int64; group
+        # vectors must be lists of the group's rank
+        argv = list(command)
+        for flag, data in files.items():
+            path = tmp_path / f"{flag[2:]}.json"
+            path.write_text(json.dumps(data))
+            argv += [flag, str(path)]
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "Traceback" not in err
+
+    def test_payload_bytes_pinned(self, capsys, tmp_path):
+        # payload digests frozen from the tuple-per-element IntSet and
+        # GroupSubset, with decimal and pair paths both taken
+        rng = random.Random(2026)
+        sets = {
+            "dense": sorted(rng.sample(range(3_000), 1_200)),
+            "sidon": sorted(rng.sample(range(1, 2_001), 300)),
+            "failing": sorted(rng.sample(range(2_000), 500)),
+            "sparse": sorted(rng.sample(range(10**9), 60)),
+            "group": {
+                "invariant_factors": [12, 18],
+                "elements": [[a, b] for a in range(12) for b in range(18) if rng.random() < 0.4],
+            },
+            "C": {"invariant_factors": [7], "elements": [[1], [2], [4]]},
+        }
+        path = {}
+        for name, data in sets.items():
+            path[name] = str(tmp_path / f"{name}.json")
+            with open(path[name], "w") as fh:
+                json.dump(data, fh)
+        verify = ("verify", "--json", "--set")
+        pinned = {
+            (*verify, path["dense"], "--g", "1", "--N", "1000"):
+                "ab6da7a45ecd5ca0d7f151b2d2401ac1ac9691082f12bdcf96059c1c21a48b63",
+            (*verify, path["sidon"], "--g", "70", "--N", "2000", "--mode", "sidon"):
+                "91bcb7dc504127ee89c9fb2211870fcfdb38b5bb6effa0e962c1516b6855cb3b",
+            (*verify, path["failing"], "--g", "60", "--N", "1000"):
+                "a00f66cf38a6a92f561a57b481eb45656a4011110e6b54b5085528d897e03522",
+            (*verify, path["sparse"], "--g", "1", "--N", "50"):
+                "6918f698f53ea98dc758ce0d678f2dccbd548cc78e11fb0759afed7ec8a86cfc",
+            (*verify, path["group"], "--g", "20"):
+                "5126f35ff8a48a5232bdbcc13328a605bedeb5be00f0d38477d15d4e8b13cc19",
+            ("profile", "--json", "--set", path["dense"]):
+                "2d2d39a245b549c7ba41e80ae86dd9a4d0cb5a1091ed073dbc860f5bd1d98a27",
+            ("profile", "--json", "--set", path["group"], "--kind", "sum"):
+                "bb251c580461a91a94c9aa59ce2c950b71eeb8d6ee5d3ae6c044e1126935de84",
+            ("construct", "pipeline", "--json", "--k", "4", "--s", "3", "--p", "31"):
+                "fdd50c6efdeb59a334d61dea6d7d50fe7a0a129c54f7284b147b31fa19851bff",
+            ("construct", "blowup", "--json", "--A", path["dense"], "--N", "1000",
+             "--C", path["C"]):
+                "f6e8ea9cf1c51cb86765f99a35943b19a61618f762edba43645503ef2449642e",
+        }
+        for argv, digest in pinned.items():
+            _, out, _ = run_cli(capsys, *argv)
+            assert hashlib.sha256(out.encode()).hexdigest() == digest, argv
+
+
 class TestProfile:
     def test_difference_defaults(self, capsys, int_set_file):
         code, payload, _ = run_json(capsys, "profile", "--set", int_set_file)
@@ -120,6 +203,14 @@ class TestProfile:
         code, payload, _ = run_json(capsys, "profile", "--set", group_set_file)
         assert code == 0
         assert payload["min_count"] == 1 and payload["max_count"] == 3
+
+    def test_empty_sets_refused(self, capsys, tmp_path):
+        path = tmp_path / "empty.json"
+        for data in ([], {"invariant_factors": [5], "elements": []}):
+            path.write_text(json.dumps(data))
+            for kind in ("difference", "sum"):
+                code, _, err = run_cli(capsys, "profile", "--set", str(path), "--kind", kind)
+                assert code == 2 and err == "error: empty set\n"
 
 
 class TestConstruct:

@@ -240,6 +240,25 @@ class TestBestShiftUnion:
         assert a.verified_g >= full.verified_g
         assert (a.t, a.score) == (full.t, full.score)
 
+    def test_scan_union_and_lift_match_references(self):
+        # the prefix-sum scan against shift_score at every shift, the numpy
+        # union against its points, the lift against its formula
+        for p in (3, 5, 7, 11, 13):
+            for k in range(1, p):
+                scores = [shift_score(p, k, t) for t in range(p - k)]
+                u = best_shift_union(p, k)
+                assert (u.t, u.score) == (scores.index(min(scores)), min(scores))
+                pts = {
+                    (x, x * x * pow(v, -1, p) % p)
+                    for v in range(u.t + 1, u.t + k + 1)
+                    for x in range(p)
+                }
+                assert u.subset.elements == tuple(sorted(pts))
+                s = k % 3 + 1
+                lifted = lift_to_cyclic(u.subset, s)
+                image = {(a + c * p + b * s * p,) for a, b in pts for c in range(s)}
+                assert lifted.elements == tuple(sorted(image))
+
     def test_instance_floor_across_primes(self):
         for p, k in ((7, 2), (11, 2), (13, 3), (17, 3)):
             u = best_shift_union(p, k)

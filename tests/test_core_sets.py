@@ -1,7 +1,9 @@
 """Profiles, certificates, and bounds against independent oracles."""
 
+import copy
 import decimal
 import os
+import pickle
 import random
 import subprocess
 import sys
@@ -279,6 +281,16 @@ def test_convolve_matches_oracle():
     assert core_sets._convolve([0, 0], [0]).tolist() == [0, 0]
 
 
+def test_pack_fills_unused_high_digits_with_zeros():
+    # digit passes run only up to the largest entry's digit count
+    rng = random.Random(5)
+    for w in range(1, 19):
+        for top in {1, w // 2 + 1, w}:
+            a = np.array([rng.randrange(10**top) for _ in range(20)] + [0], dtype=np.int64)
+            rows = core_sets._pack(a, w)
+            assert rows.tobytes().decode() == "".join(str(v).zfill(w) for v in a[::-1].tolist())
+
+
 def test_self_products_pack_once(monkeypatch):
     # every count multiplies an indicator by itself or its reverse and says
     # so: one packing per product, and a square for itself; distinct
@@ -481,6 +493,81 @@ def test_json_round_trips():
     assert GroupSubset.from_json(data) == S
     v = verify_certificate(IntSet.of([0, 1]), g=1, N=2)
     assert v.to_json() == {"passed": False, "achieved_g": 0, "witness": 2}
+
+
+def test_int_set_constructor_matches_reference():
+    # unsorted, repeated and negative entries, as lists, tuples, iterators,
+    # int64 arrays and numpy integers
+    rng = random.Random(17)
+    for _ in range(200):
+        elems = [rng.randint(-50, 50) for _ in range(rng.randint(0, 30))]
+        want = tuple(sorted(set(elems)))
+        for given in (
+            elems, tuple(elems), iter(elems), np.array(elems, dtype=np.int64),
+            np.array(elems, dtype=np.int16), [np.int32(x) for x in elems],
+        ):
+            A = IntSet.of(given)
+            assert A.elements == want and A.size == len(want)
+            assert A.array.dtype == np.int64 and not A.array.flags.writeable
+
+
+def test_group_subset_constructor_matches_reference():
+    # unreduced and negative vectors on one to four axes, reduced by hand
+    rng = random.Random(23)
+    for factors in ((7,), (2, 4), (3, 1, 5), (4, 3, 2, 2)):
+        spec = GroupSpec(factors)
+        for _ in range(50):
+            vecs = [
+                tuple(rng.randint(-2 * n, 2 * n) for n in factors)
+                for _ in range(rng.randint(0, 25))
+            ]
+            want = tuple(sorted({tuple(x % n for x, n in zip(v, factors)) for v in vecs}))
+            for given in (
+                vecs, [list(v) for v in vecs],
+                np.array(vecs, dtype=np.int64).reshape(-1, len(factors)),
+                [tuple(np.int16(x) for x in v) for v in vecs],
+            ):
+                S = GroupSubset.of(spec, given)
+                assert S.elements == want and S.size == len(want)
+                assert S.flat.tolist() == [spec.flatten(v) for v in want]
+                assert S.to_json()["elements"] == [list(v) for v in want]
+
+
+def test_equal_sets_built_both_ways_hash_alike():
+    A, B = IntSet.of([5, -1, 5, 3]), IntSet(np.array([3, 5, -1]))
+    assert A == B and hash(A) == hash(B) and len({A, B}) == 1
+    assert A != IntSet.of([3, 5]) and A != A.elements
+    spec = GroupSpec((3, 4))
+    S = GroupSubset.of(spec, [(4, -1), (0, 0), (1, 3)])
+    T = GroupSubset(spec, np.array([[0, 0], [1, 3]]))
+    assert S == T and hash(S) == hash(T) and len({S, T}) == 1
+    # the same flat indices in another group are another set
+    assert S != GroupSubset.of(GroupSpec((12,)), [(0,), (7,)])
+    with pytest.raises(AttributeError):
+        S.flat = T.flat
+    assert copy.deepcopy(S) == S and pickle.loads(pickle.dumps(A)) == A
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: IntSet.of([1, 2.0]),
+        lambda: IntSet.of([0, True]),
+        lambda: IntSet.of("12"),
+        lambda: IntSet.of([2**63]),
+        lambda: IntSet(np.array([2**64 - 1], dtype=np.uint64)),
+        lambda: IntSet(np.array([1.0])),
+        lambda: GroupSubset.of(GroupSpec((5, 5)), [(1,)]),
+        lambda: GroupSubset.of(GroupSpec((5,)), [1, 2]),
+        lambda: GroupSubset.of(GroupSpec((5,)), [(1.5,)]),
+        lambda: GroupSubset(GroupSpec((5, 5)), np.zeros((2, 3), dtype=np.int64)),
+        lambda: GroupSubset.of(GroupSpec((2**62, 4)), [(0, 0)]),
+        lambda: GroupSpec((5.0,)),
+    ],
+)
+def test_constructors_refuse_what_int64_cannot_hold(build):
+    with pytest.raises(ValueError):
+        build()
 
 
 def test_fraction_strings():

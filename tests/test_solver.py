@@ -212,8 +212,32 @@ def test_gamma_respects_cover_bounds():
 def test_gamma_budget_partial_is_valid():
     r = gamma_exact(1, GroupSpec((7,)), SearchConfig(node_budget=1))
     assert not r.exhaustive
-    assert r.witness.size == 7  # falls back to the full group
+    # falls back to the ladder {0, 1} | {2, 4, 6}, a 1-difference set for [3]
+    assert r.witness.elements == ((0,), (1,), (2,), (4,), (6,))
     assert verify_certificate(r.witness, g=1, mode="difference").passed
+    # Z/3: the ladder for [1] is the whole group, which is the fallback
+    r = gamma_exact(1, GroupSpec((3,)), SearchConfig(node_budget=0))
+    assert not r.exhaustive and r.value == 3
+
+
+def test_gamma_budget_cyclic_fallback_bounds():
+    # the counting bound is 25 (g=1) and 35 (g=2); the whole group was 600
+    for g, value in ((1, 36), (2, 51)):
+        r = gamma_exact(g, GroupSpec((600,)), SearchConfig(node_budget=1000))
+        assert (r.value, r.exhaustive, r.nodes) == (value, False, 1001)
+        assert verify_certificate(r.witness, g=g, mode="difference").passed
+
+
+def test_gamma_cyclic_fallback_keeps_exhaustive_results(monkeypatch):
+    # deepening stops at the fallback's size, which is at least the optimum,
+    # so proven values, witnesses and node counts match the whole-group limit
+    cases = [(g, n) for n in range(3, 16) for g in (1, 2, 3) if g <= n]
+    with_cover = [gamma_exact(g, GroupSpec((n,))) for g, n in cases]
+    monkeypatch.setattr(solver, "_cyclic_cover", lambda g, group: None)
+    for (g, n), r in zip(cases, with_cover):
+        plain = gamma_exact(g, GroupSpec((n,)))
+        assert r.exhaustive and plain.exhaustive
+        assert (r.value, r.witness, r.nodes) == (plain.value, plain.witness, plain.nodes), (g, n)
 
 
 def test_gamma_budget_bounds_setup():
