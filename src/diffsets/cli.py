@@ -201,30 +201,14 @@ def _oracle_achieved(A, N, mode) -> int:
     return max(counts.values(), default=0)
 
 
-def _oracle_size_ok(A, N) -> bool:
+def _oracle(A, N, mode, accept) -> tuple[dict, bool]:
+    """(oracle dict, ok): the exact recount of _oracle_achieved, ok when
+    accept(recount) holds; skipped, and ok, when the instance is too large."""
     domain = N if isinstance(A, IntSet) else A.group.order
-    return A.size * A.size <= _ORACLE_PAIR_LIMIT and domain <= _ORACLE_DOMAIN_LIMIT
-
-
-def _oracle_skipped() -> dict:
-    return {"checked": False, "reason": "instance too large"}
-
-
-def _oracle_match(A, N, mode, expect_achieved) -> tuple[dict, bool]:
-    """Exact recount must reproduce the library's achieved count."""
-    if not _oracle_size_ok(A, N):
-        return _oracle_skipped(), True
+    if A.size * A.size > _ORACLE_PAIR_LIMIT or domain > _ORACLE_DOMAIN_LIMIT:
+        return {"checked": False, "reason": "instance too large"}, True
     achieved = _oracle_achieved(A, N, mode)
-    ok = achieved == expect_achieved
-    return {"checked": True, "achieved_g": achieved, "match": ok}, ok
-
-
-def _oracle_at_least(A, N, claim) -> tuple[dict, bool]:
-    """Exact recount must attain the claimed difference certificate."""
-    if not _oracle_size_ok(A, N):
-        return _oracle_skipped(), True
-    achieved = _oracle_achieved(A, N, "difference")
-    ok = achieved >= claim
+    ok = accept(achieved)
     return {"checked": True, "achieved_g": achieved, "match": ok}, ok
 
 
@@ -262,7 +246,7 @@ def _cmd_verify(args, run):
     else:
         summary = f"FAIL witness={verdict.witness} achieved_g={verdict.achieved_g}"
     if args.oracle:
-        oracle, ok = _oracle_match(A, args.N, args.mode, verdict.achieved_g)
+        oracle, ok = _oracle(A, args.N, args.mode, lambda a: a == verdict.achieved_g)
         payload["oracle"] = oracle
         if not ok:
             return _oracle_fail(payload, summary)
@@ -305,25 +289,20 @@ def _cmd_construct_parabola(args, run):
             if not ok:
                 return _oracle_fail(payload, summary)
         return 0, payload, summary
-    union = best_shift_union(args.p, args.k, cap=args.cap, seed=args.seed)
+    union = best_shift_union(args.p, args.k, seed=args.seed)
     payload = union.to_json()
     summary = (
         f"union of {args.k} parabolas at t={union.t}: size {union.subset.size}, "
         f"verified_g={union.verified_g} ({union.verified_mode})"
     )
     if args.oracle:
-        if not _oracle_size_ok(union.subset, None):
-            payload["oracle"] = _oracle_skipped()
-        else:
-            achieved = _oracle_achieved(union.subset, None, "difference")
-            # sampled verification only upper-bounds the true minimum
-            if union.verified_mode == "exhaustive":
-                ok = achieved == union.verified_g
-            else:
-                ok = achieved <= union.verified_g
-            payload["oracle"] = {"checked": True, "achieved_g": achieved, "match": ok}
-            if not ok:
-                return _oracle_fail(payload, summary)
+        g, exact = union.verified_g, union.verified_mode == "exhaustive"
+        # sampled verification only upper-bounds the true minimum
+        accept = (lambda a: a == g) if exact else (lambda a: a <= g)
+        oracle, ok = _oracle(union.subset, None, "difference", accept)
+        payload["oracle"] = oracle
+        if not ok:
+            return _oracle_fail(payload, summary)
     return 0, payload, summary
 
 
@@ -348,7 +327,7 @@ def _cmd_construct_lift(args, run):
         payload["certified_g"] = claim
         summary += f", {claim}-difference set"
         if args.oracle:
-            oracle, ok = _oracle_at_least(C, None, claim)
+            oracle, ok = _oracle(C, None, "difference", lambda a: a >= claim)
             payload["oracle"] = oracle
             if not ok:
                 return _oracle_fail(payload, summary)
@@ -356,14 +335,14 @@ def _cmd_construct_lift(args, run):
 
 
 def _cmd_construct_pipeline(args, run):
-    report = cyclic_pipeline(args.k, args.s, args.p, cap=args.cap, seed=args.seed)
+    report = cyclic_pipeline(args.k, args.s, args.p, seed=args.seed)
     payload = report.to_json()
     summary = (
         f"Z/{payload['modulus']}: size {payload['size']}, "
         f"certified {report.cyclic_g}-difference set"
     )
     if args.oracle:
-        oracle, ok = _oracle_at_least(report.lifted, None, report.cyclic_g)
+        oracle, ok = _oracle(report.lifted, None, "difference", lambda a: a >= report.cyclic_g)
         payload["oracle"] = oracle
         if not ok:
             return _oracle_fail(payload, summary)
@@ -382,17 +361,7 @@ def _cmd_construct_blowup(args, run):
     q = C.group.factors[0]
     if args.q is not None and args.q != q:
         raise ValueError(f"--q {args.q} does not match the group of C (order {q})")
-    g1 = args.g1
-    if g1 is None:
-        g1 = verify_certificate(A, g=1, N=args.N, mode="difference").achieved_g
-        if g1 < 1:
-            raise CertificateError(f"A is not a difference set for [{args.N}]")
-    g2 = args.g2
-    if g2 is None:
-        g2 = verify_certificate(C, g=1, mode="difference").achieved_g
-        if g2 < 1:
-            raise CertificateError("C is not a difference set for its group")
-    B = blow_up(A, g1, args.N, C, g2)
+    B, g1, g2 = blow_up(A, args.g1, args.N, C, args.g2)
     payload = {
         "set": B.to_json(),
         "size": B.size,
@@ -404,7 +373,7 @@ def _cmd_construct_blowup(args, run):
     }
     summary = f"blow-up: {B.size} elements, {g1 * g2}-difference set for [{q * args.N}]"
     if args.oracle:
-        oracle, ok = _oracle_at_least(B, q * args.N, g1 * g2)
+        oracle, ok = _oracle(B, q * args.N, "difference", lambda a: a >= g1 * g2)
         payload["oracle"] = oracle
         if not ok:
             return _oracle_fail(payload, summary)
@@ -600,7 +569,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--p", type=int, required=True, help="odd prime modulus")
     sp.add_argument("--u", type=int, help="single parabola parameter")
     sp.add_argument("--k", type=int, help="number of parabolas in the union")
-    sp.add_argument("--cap", type=int, default=10**6, help="exhaustive-verification budget")
     sp.set_defaults(handler=_cmd_construct_parabola)
 
     sp = csub.add_parser("lift", parents=[common, oracle], help="lift a plane set to a cyclic group")
@@ -613,7 +581,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--k", type=int, required=True)
     sp.add_argument("--s", type=int, required=True)
     sp.add_argument("--p", type=int, required=True)
-    sp.add_argument("--cap", type=int, default=10**6)
     sp.set_defaults(handler=_cmd_construct_pipeline)
 
     sp = csub.add_parser("blowup", parents=[common, oracle], help="compose interval and cyclic certificates")

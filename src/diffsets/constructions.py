@@ -3,21 +3,22 @@
 Explicit side: unions of parabolas over (Z/pZ)^2 with a character-sum score
 that converts into a per-instance lower bound on every difference count, a
 lift from (Z/pZ)^2 into a cyclic group, and an interval blow-up that
-multiplies certified parameters.
+multiplies certified parameters.  A union is verified exhaustively when
+(Z/pZ)^2 has order at most _EXHAUSTIVE_ORDER (10^6), and on a seeded sample
+of targets above it; a lift is recounted up to the same order.
 
 Randomized side: uniform inclusion in a finite abelian group and weighted
 inclusion along an integer sequence, with Monte Carlo validation that checks
 concentration of difference counts against explicit Chernoff tail bounds.
 All inclusion decisions compare a sampled uniform against an exact rational
-threshold, so a run is reproducible bit for bit from its seed.
+threshold, and trials run one after another, each from its own seed, so a
+run is reproducible bit for bit from its master seed.
 """
 
 from __future__ import annotations
 
 import math
 import operator
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -30,6 +31,7 @@ from .core_sets import (
     GroupSpec,
     GroupSubset,
     IntSet,
+    _enumerable,
     _flat,
     _group_counts,
     _pair_counts,
@@ -59,6 +61,12 @@ __all__ = [
     "MonteCarloReport",
     "monte_carlo_validate",
 ]
+
+# Groups of at most this order are verified exhaustively, by one count over
+# every element; a larger plane is verified on a seeded sample of targets,
+# and a larger lift is not recounted.
+_EXHAUSTIVE_ORDER = 10**6
+
 
 def legendre_symbol(a: int, p: int) -> int:
     """(a/p) in {-1, 0, 1} for an odd prime p, via Euler's criterion."""
@@ -184,14 +192,14 @@ class ParabolaUnion:
         }
 
 
-def best_shift_union(p: int, k: int, cap: int = 10**6, seed: int = 0) -> ParabolaUnion:
+def best_shift_union(p: int, k: int, seed: int = 0) -> ParabolaUnion:
     """Union of parabolas u = t+1, ..., t+k at the best-scoring shift t.
 
     Scans every admissible shift, keeps the smallest t among minimal scores,
-    then verifies difference counts: exhaustively when p^2 <= cap, else on a
-    seeded sample of nonzero targets.  The per-instance lower bound
-    min r >= k^2 - 2(k-1) - S_t always holds and is asserted on whatever was
-    enumerated.
+    then verifies difference counts: exhaustively when p^2 <=
+    _EXHAUSTIVE_ORDER, else on a seeded sample of nonzero targets.  The
+    per-instance lower bound min r >= k^2 - 2(k-1) - S_t always holds and is
+    asserted on whatever was enumerated.
     """
     p = _require_odd_prime(p)
     if not 1 <= k <= p - 1:
@@ -203,14 +211,14 @@ def best_shift_union(p: int, k: int, cap: int = 10**6, seed: int = 0) -> Parabol
     vacuous = guaranteed < 1 or best_score * best_score >= 4 * k**3
     instance_floor = k * k - 2 * (k - 1) - best_score
     spec = subset.group
-    if spec.order <= cap:
+    if spec.order <= _EXHAUSTIVE_ORDER:
         counts = _group_counts(subset.flat, spec, "difference")
         verified_g = int(counts.min())
         nonzero_min = int(np.delete(counts, 0).min()) if spec.order > 1 else verified_g
         mode = "exhaustive"
     else:
         rng = Generator(Philox(key=seed & ((1 << 128) - 1)))
-        n_targets = min(spec.order - 1, max(128, cap // max(1, subset.size)))
+        n_targets = min(spec.order - 1, max(128, _EXHAUSTIVE_ORDER // max(1, subset.size)))
         idx = rng.choice(spec.order - 1, size=n_targets, replace=False) + 1
         members = set(subset.elements)
         mins = []
@@ -317,17 +325,18 @@ class CyclicPipelineReport:
         }
 
 
-def cyclic_pipeline(k: int, s: int, p: int, cap: int = 10**6, seed: int = 0) -> CyclicPipelineReport:
+def cyclic_pipeline(k: int, s: int, p: int, seed: int = 0) -> CyclicPipelineReport:
     """Best-shift parabola union in (Z/pZ)^2 lifted to Z/(p^2 s)Z.
 
     The plane certificate uses the verified count (the character-sum
-    guarantee is vacuous at desk scales); the lift multiplies it by s-1.
+    guarantee is vacuous at desk scales); the lift multiplies it by s-1,
+    and is recounted when its order is at most _EXHAUSTIVE_ORDER.
     The asymptotic recipe suggests k = 4 s^2 parabolas.
     """
     s = int(s)
     if s < 2:
         raise ValueError("s must be >= 2 for a nonvacuous lifted certificate")
-    union = best_shift_union(p, k, cap=cap, seed=seed)
+    union = best_shift_union(p, k, seed=seed)
     plane_g = union.verified_g if union.verified_mode == "exhaustive" else max(
         union.guaranteed_g, 0
     )
@@ -336,7 +345,7 @@ def cyclic_pipeline(k: int, s: int, p: int, cap: int = 10**6, seed: int = 0) -> 
     lifted = lift_to_cyclic(union.subset, s)
     cyclic_g = plane_g * (s - 1)
     verified = 0
-    if lifted.group.order <= cap:
+    if lifted.group.order <= _EXHAUSTIVE_ORDER:
         counts = _group_counts(lifted.flat, lifted.group, "difference")
         verified = int(counts.min())
         if verified < cyclic_g:
@@ -356,37 +365,44 @@ def cyclic_pipeline(k: int, s: int, p: int, cap: int = 10**6, seed: int = 0) -> 
     )
 
 
-def blow_up(A: IntSet, g1: int, N: int, C: GroupSubset, g2: int) -> IntSet:
+def blow_up(
+    A: IntSet, g1: int | None, N: int, C: GroupSubset, g2: int | None
+) -> tuple[IntSet, int, int]:
     """{q a + c : a in A, c in preimage of C in [1, q]} for cyclic C of order q.
 
     If A is a g1-difference set for [N] and C a g2-difference set for Z/qZ,
     the result is a g1 g2-difference set for [qN] of size |A| |C|.  Both
-    input certificates are verified before composing.
+    input certificates are verified, once each, before composing; a g1 or
+    g2 of None claims the achieved count, which must be at least 1.
+    Returns (the blow-up, g1, g2).
     """
     if C.group.rank != 1:
         raise ValueError("C must live in a cyclic group")
     q = C.group.factors[0]
-    va = verify_certificate(A, g=g1, N=N, mode="difference")
-    if not va.passed:
-        raise CertificateError(
-            f"A is not a {g1}-difference set for [{N}]: shift {va.witness} has "
-            f"count {va.achieved_g}",
-            va,
-        )
-    vc = verify_certificate(C, g=g2, mode="difference")
-    if not vc.passed:
-        raise CertificateError(
-            f"C is not a {g2}-difference set for Z/{q}Z: shift {vc.witness} has "
-            f"count {vc.achieved_g}",
-            vc,
-        )
+    g1 = _certified("A", A, g1, N, f"[{N}]")
+    g2 = _certified("C", C, g2, None, f"Z/{q}Z")
     if max(-q * int(A.array[0]), q * int(A.array[-1]) + q) >= 2**63:
         raise ValueError("blow-up entries must fit in int64")
     # the preimages in [1, q], ascending, so the outer sum comes out sorted
     lifts = np.sort(np.where(C.flat == 0, q, C.flat))
     out = IntSet((q * A.array[:, None] + lifts).ravel())
     assert out.size == A.size * C.size, "blow-up must be injective"
-    return out
+    return out, g1, g2
+
+
+def _certified(name: str, A, g: int | None, N: int | None, domain: str) -> int:
+    """g, or A's achieved difference count when g is None, once one
+    verify_certificate call shows that A is a g-difference set for domain
+    (a 1-difference set when g is None)."""
+    claim = 1 if g is None else g
+    v = verify_certificate(A, g=claim, N=N, mode="difference")
+    if not v.passed:
+        raise CertificateError(
+            f"{name} is not a {claim}-difference set for {domain}: shift "
+            f"{v.witness} has count {v.achieved_g}",
+            v,
+        )
+    return v.achieved_g if g is None else g
 
 
 # ---------------------------------------------------------------------------
@@ -413,7 +429,7 @@ class RandomModel:
         if self.kind == "group-uniform":
             if self.group is None or self.g is None:
                 raise ValueError("group-uniform model needs group and g")
-            if not 1 <= self.g <= self.group.order:
+            if not 1 <= self.g <= _enumerable(self.group):
                 raise ValueError("need 1 <= g <= |G|")
         elif self.kind == "sequence-weighted":
             if self.probs is None or self.target_N is None:
@@ -440,7 +456,7 @@ def _group_draw(group: GroupSpec, g: int, seed: int) -> np.ndarray:
     Uniform u is accepted iff u^2 < g/|G|; floats decide except within a
     tiny band around the threshold where exact rationals take over.
     """
-    if not 1 <= g <= group.order:
+    if not 1 <= g <= _enumerable(group):
         raise ValueError("need 1 <= g <= |G|")
     ratio = Fraction(g, group.order)
     u = _uniforms(seed, group.order)
@@ -576,15 +592,6 @@ class MonteCarloReport:
         }
 
 
-def _thread_count() -> int:
-    raw = os.environ.get("DIFFSET_THREADS", "")
-    try:
-        n = int(raw)
-    except ValueError:
-        return 1
-    return max(1, n)
-
-
 def monte_carlo_validate(
     model: RandomModel,
     trials: int,
@@ -602,8 +609,8 @@ def monte_carlo_validate(
     Tail checks pick a probe shift, partition the domain so the per-part
     counts are sums of independent Booleans, and compare the empirical
     frequency of each relative deviation against the summed Chernoff bounds.
-    Trial t uses seed master_seed XOR t; DIFFSET_THREADS > 1 runs trials in a
-    thread pool without changing any outcome.
+    Trials run one after another; trial t uses seed master_seed XOR t, so
+    each trial's outcome depends on its seed alone.
     """
     trials = int(trials)
     if trials < 1:
@@ -614,25 +621,20 @@ def monte_carlo_validate(
         runner, probe = _make_group_trial(model, delta, epsilon)
     else:
         runner, probe = _make_sequence_trial(model, delta, epsilon)
-    seeds = [model.master_seed ^ t for t in range(trials)]
-
-    def row(trial: int, seed: int) -> dict:
+    rows = []
+    for trial in range(trials):
+        seed = model.master_seed ^ trial
         size, achieved, probe_count, ok = runner(seed)
-        return {
-            "trial": trial,
-            "seed": seed,
-            "size": size,
-            "achieved_g": achieved,
-            "probe_count": probe_count,
-            "success": bool(ok),
-        }
-
-    workers = _thread_count()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(row, range(trials), seeds))
-    else:
-        rows = list(map(row, range(trials), seeds))
+        rows.append(
+            {
+                "trial": trial,
+                "seed": seed,
+                "size": size,
+                "achieved_g": achieved,
+                "probe_count": probe_count,
+                "success": bool(ok),
+            }
+        )
     success_count = sum(1 for r in rows if r["success"])
     tail_checks = _summarize_tails(rows, probe, delta, trials)
     return MonteCarloReport(

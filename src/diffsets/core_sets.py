@@ -87,6 +87,9 @@ _DENSE_CELLS = 16_000_000
 # pairs per cell for hulls of 6e4 to 1e6 cells.  In a group the pair path's
 # modular arithmetic moves the crossover to about one pair per padded cell.
 _CELL_PAIRS = 128
+# Largest group whose every element gets an int64 slot: a count array, or a
+# draw or shift map of the random models (400 MB at the limit).
+_ORDER_LIMIT = 50_000_000
 
 
 class CertificateError(ValueError):
@@ -231,7 +234,7 @@ class GroupSpec:
             raise ValueError("factors must be positive")
         object.__setattr__(self, "factors", fs)
 
-    @property
+    @cached_property
     def order(self) -> int:
         return math.prod(self.factors)
 
@@ -429,37 +432,31 @@ class Verdict:
 # Counting: one exact convolution kernel, and a pair fallback for sparse input
 
 
-def _convolve(x, y=None, *, reverse=False):
-    """Exact linear convolution z[k] = sum_i x[i] y[k-i] of two nonnegative
-    integer sequences (int64 arrays or lists of ints), as one decimal product.
-    With y None, y is x itself, or x reversed when reverse is set.
+def _convolve(x, *, reverse=False):
+    """Exact linear convolution z[k] = sum_i x[i] y[k-i] of a nonnegative
+    integer sequence x (an int64 array or a list of ints) with y = x itself,
+    or with y = x reversed when reverse is set, as one decimal product.
+    Every count multiplies an indicator by itself (sums) or by its reverse
+    (differences and correlations).
 
-    Entry i of each sequence fills the w-digit slot at 10^(w i) of one
-    Decimal integer, where w is the digit count of the largest value any
-    z[k] can take, min(sum x * max y, sum y * max x); no slot can carry, so
-    the product's slots are z.  Every count multiplies an indicator by
-    itself or by its reverse, and passes y None: x is packed once, and its
-    one Decimal is passed twice, so libmpdec squares it, or its digit rows
-    are read backwards for the reverse.  The product runs in _EXACT, where
-    rounding traps, and the unpacked slots must sum to sum x * sum y, which
-    fails if any slot had carried.  Returns an int64 array when w <= 18,
-    else a list of Python ints.
+    Entry i of x fills the w-digit slot at 10^(w i) of one Decimal integer,
+    where w is the digit count of sum x * max x, the largest value any z[k]
+    can take; no slot can carry, so the product's slots are z.  x is packed
+    once: its one Decimal is passed twice, so libmpdec squares it, or its
+    digit rows are read backwards for the reverse.  The product runs in
+    _EXACT, where rounding traps, and the unpacked slots must sum to
+    (sum x)^2, which fails if any slot had carried.  Returns an int64 array
+    when w <= 18, else a list of Python ints.
     """
     x = x if isinstance(x, np.ndarray) else np.array(x, dtype=object)
-    own, y = y is None, x if y is None else y
-    y = y if isinstance(y, np.ndarray) else np.array(y, dtype=object)
-    if min(x.min(), y.min()) < 0:
+    if x.min() < 0:
         raise ValueError("convolution operands must be nonnegative")
-    sx, sy = _total(x), _total(y)
-    w = _digits(min(sx * int(y.max()), sy * int(x.max())))
-    slots = len(x) + len(y) - 1
+    sx = _total(x)
+    w = _digits(sx * int(x.max()))
+    slots = 2 * len(x) - 1
     rows = _pack(x, w)
     px = _decimal(rows)
-    if own:
-        py = _decimal(rows[::-1]) if reverse else px
-    else:
-        py = _decimal(_pack(y, w))
-    product = _EXACT.multiply(px, py)
+    product = _EXACT.multiply(px, _decimal(rows[::-1]) if reverse else px)
     # a carry out of the top slot is cut off here; the sum check catches it
     digits = str(product).rjust(slots * w, "0")[-slots * w :]
     if w <= 18:
@@ -473,7 +470,7 @@ def _convolve(x, y=None, *, reverse=False):
         to_int = int if _str_safe(w) else lambda s: int(Decimal(s))
         z = [to_int(digits[i : i + w]) for i in range(len(digits) - w, -1, -w)]
         total = sum(z)
-    if total != sx * sy:
+    if total != sx * sx:
         raise ArithmeticError("convolution slot overflow")
     return z
 
@@ -589,6 +586,13 @@ def _residues(spec: GroupSpec, flat: np.ndarray) -> np.ndarray:
     return flat[:, None] // strides % factors
 
 
+def _enumerable(spec: GroupSpec) -> int:
+    """spec's order, refused with a ValueError above _ORDER_LIMIT."""
+    if spec.order > _ORDER_LIMIT:
+        raise ValueError(f"group of order {spec.order} too large to enumerate (limit {_ORDER_LIMIT})")
+    return spec.order
+
+
 def _group_counts(flat: np.ndarray, spec: GroupSpec, mode: str) -> np.ndarray:
     """Exact counts over every element of spec, indexed by flattened residue,
     for the subset given by its distinct flat indices.
@@ -599,9 +603,7 @@ def _group_counts(flat: np.ndarray, spec: GroupSpec, mode: str) -> np.ndarray:
     """
     if len(flat) == 0:
         raise ValueError("empty set")
-    order = spec.order
-    if order > 50_000_000:
-        raise ValueError("group too large to enumerate")
+    order = _enumerable(spec)
     x = _residues(spec, flat)
     k, d = x.shape
     factors = spec._axes[0]

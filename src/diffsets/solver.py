@@ -166,16 +166,15 @@ class ExtremalResult:
 
 
 class _Budget:
-    __slots__ = ("left", "spent")
+    __slots__ = ("limit", "spent")
 
     def __init__(self, limit: int):
-        self.left = limit
+        self.limit = limit
         self.spent = 0
 
     def tick(self):
         self.spent += 1
-        self.left -= 1
-        if self.left < 0:
+        if self.spent > self.limit:
             raise BudgetExceeded
 
 

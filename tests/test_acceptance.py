@@ -13,6 +13,7 @@ from fractions import Fraction
 import numpy as np
 
 import oracles
+from diffsets import constructions
 from diffsets.bridge import (
     StepFunction,
     autocorrelation,
@@ -193,7 +194,7 @@ def test_acceptance_04_pair_counts_and_quadruples():
     _verdict(4, problems)
 
 
-def test_acceptance_05_shifted_union_floor():
+def test_acceptance_05_shifted_union_floor(monkeypatch):
     problems = []
     for k in (2, 3):
         r = best_shift_union(11, k)
@@ -216,8 +217,9 @@ def test_acceptance_05_shifted_union_floor():
             problems.append(f"p=11 k={k}: recount {true_min} vs {r.verified_g}")
         if true_min < floor:
             problems.append(f"p=11 k={k}: min {true_min} under floor {floor}")
+    monkeypatch.setattr(constructions, "_EXHAUSTIVE_ORDER", 5000)
     for k in (2, 3):
-        r = best_shift_union(101, k, cap=5000, seed=7)
+        r = best_shift_union(101, k, seed=7)
         floor = k * k - 2 * (k - 1) - r.score
         if r.verified_mode != "sampled":
             problems.append(f"p=101 k={k} did not sample")
@@ -277,7 +279,7 @@ def test_acceptance_06_lift_and_blowup_compose():
         g2 = group_rep_profile(C, "difference").min_count
         if g2 < 1:
             continue
-        B = blow_up(A, g1, N, C, g2)
+        B, _, _ = blow_up(A, g1, N, C, g2)
         if B.size != A.size * C.size:
             problems.append(f"blow-up N={N} q={q}: size {B.size}")
         v = verify_certificate(B, g=g1 * g2, N=q * N, mode="difference")

@@ -348,6 +348,18 @@ class TestRandom:
         code, _, err = run_cli(capsys, "random", "group", "--factors", "1", *trials)
         assert code == 2 and "trivial group" in err
 
+    @pytest.mark.parametrize(
+        "trials", [(), ("--trials", "2", "--delta", "1/2", "--epsilon", "1/2")],
+        ids=["draw", "trials"],
+    )
+    def test_group_too_large_is_refused_before_allocating(self, capsys, trials):
+        # 10^10 elements would need one 80 GB array of uniforms per draw
+        code, out, err = run_cli(
+            capsys, "random", "group", "--factors", "100000", "100000", "--g", "1", *trials
+        )
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "too large" in err
+
     def test_trials_need_slacks(self, capsys):
         code, _, err = run_cli(
             capsys, "random", "group", "--factors", "100", "--g", "10",
@@ -873,6 +885,16 @@ class TestPlumbing:
                 code, out.encode(), err.encode()
             ), argv
         assert [c for c, _, _ in in_process] == [0, 2, 0, 0, 1]
+
+    def test_import_loads_no_thread_pool_or_logging(self):
+        # trials run serially, so start-up imports neither module
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        script = (
+            "import sys, diffsets.cli; "
+            "print(sorted({'concurrent.futures', 'logging'} & set(sys.modules)))"
+        )
+        fresh = subprocess.run([sys.executable, "-c", script], capture_output=True, env=env, text=True)
+        assert (fresh.returncode, fresh.stdout) == (0, "[]\n"), fresh.stderr
 
     def test_help_exits_zero(self, capsys):
         assert run_cli(capsys, "--help")[0] == 0

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from diffsets import constructions
 from diffsets.bridge import ProbSeq, StepFunction, averages_to_probs, local_averages
 from diffsets.constructions import (
     CyclicPipelineReport,
@@ -230,10 +231,11 @@ class TestBestShiftUnion:
             "p", "k", "t", "S_t", "guaranteed_g", "verified_g", "elements",
         }
 
-    def test_sampled_mode_is_deterministic_and_sound(self):
-        a = best_shift_union(11, 3, cap=50, seed=3)
-        b = best_shift_union(11, 3, cap=50, seed=3)
+    def test_sampled_mode_is_deterministic_and_sound(self, monkeypatch):
         full = best_shift_union(11, 3)
+        monkeypatch.setattr(constructions, "_EXHAUSTIVE_ORDER", 50)
+        a = best_shift_union(11, 3, seed=3)
+        b = best_shift_union(11, 3, seed=3)
         assert a.verified_mode == "sampled"
         assert a.verified_g == b.verified_g
         # sample minimum can only sit above the exhaustive minimum
@@ -334,15 +336,17 @@ class TestBlowUp:
     def test_frozen_example(self):
         A = IntSet.of([0, 1, 3])
         C = GroupSubset.of(GroupSpec((7,)), [(1,), (2,), (4,)])
-        B = blow_up(A, 1, 3, C, 1)
+        B, g1, g2 = blow_up(A, 1, 3, C, 1)
         assert B.elements == (1, 2, 4, 8, 9, 11, 22, 23, 25)
         assert verify_certificate(B, g=1, N=21, mode="difference").passed
+        # None claims the achieved count
+        assert blow_up(A, None, 3, C, None) == (B, 1, 1)
 
     def test_zero_residue_maps_to_q(self):
         A = IntSet.of([0, 1])
         C = GroupSubset.of(GroupSpec((2,)), [(0,), (1,)])
-        B = blow_up(A, 1, 1, C, 2)
-        assert B.elements == (1, 2, 3, 4)
+        B, _, g2 = blow_up(A, 1, 1, C, None)
+        assert B.elements == (1, 2, 3, 4) and g2 == 2
 
     def test_random_products_certify(self):
         rng = random.Random(73)
@@ -365,7 +369,7 @@ class TestBlowUp:
             g2 = group_rep_profile(C, "difference").min_count
             if g2 < 1:
                 continue
-            B = blow_up(A, g1, N, C, g2)
+            B, _, _ = blow_up(A, g1, N, C, g2)
             assert B.size == A.size * C.size
             assert verify_certificate(B, g=g1 * g2, N=q * N, mode="difference").passed
             done += 1
@@ -377,6 +381,12 @@ class TestBlowUp:
         assert err.value.verdict is not None
         with pytest.raises(CertificateError):
             blow_up(IntSet.of([0, 1, 3]), 1, 3, C, 2)
+        # an achieved count of 0 is no certificate either
+        with pytest.raises(CertificateError, match="A is not a 1-difference set") as err:
+            blow_up(IntSet.of([0, 2]), None, 3, C, None)
+        assert err.value.verdict.achieved_g == 0
+        with pytest.raises(CertificateError, match="C is not a 1-difference set"):
+            blow_up(IntSet.of([0, 1, 3]), None, 3, GroupSubset.of(GroupSpec((7,)), [(0,)]), None)
         with pytest.raises(ValueError):
             blow_up(IntSet.of([0]), 1, 1, GroupSubset.of(GroupSpec((2, 2)), [(0, 0)]), 1)
 
@@ -575,16 +585,6 @@ class TestMonteCarlo:
             size_ok = F(row["size"]) ** 3 <= ((1 + F(1, 5)) * probs.sum_coeff()) ** 3 * 216**2
             count_ok = F(row["achieved_g"]) ** 3 >= rho**3 * 216
             assert row["success"] == (size_ok and count_ok)
-
-    def test_thread_count_does_not_change_outcomes(self, monkeypatch):
-        model = RandomModel(
-            kind="group-uniform", master_seed=5, group=GroupSpec((300,)), g=30
-        )
-        base = monte_carlo_validate(model, 6, F(1, 4), F(1, 10))
-        monkeypatch.setenv("DIFFSET_THREADS", "3")
-        threaded = monte_carlo_validate(model, 6, F(1, 4), F(1, 10))
-        assert base.per_trial == threaded.per_trial
-        assert base.success_count == threaded.success_count
 
     def test_model_validation(self):
         with pytest.raises(ValueError):
