@@ -45,9 +45,12 @@ from .core_sets import (
     GroupSpec,
     GroupSubset,
     IntSet,
+    _CELL_PAIRS,
+    _CHUNK_CELLS,
     _convolve,
     _flat,
     _group_counts,
+    _total,
     format_fraction,
     parse_fraction,
     verify_certificate,
@@ -295,6 +298,29 @@ def set_to_step(A: IntSet, g: int, N: int) -> StepFunction:
 _PAIR_LIMIT = 200_000
 
 
+def _pair_sums(left, right, val, size=None):
+    """Totals of val[i] * val[j] over the pairs (i, j), grouped by the key
+    left[i] + right[j], for numpy arrays (val int64 or object).
+
+    With size, the totals of the keys 0..size-1 (others dropped), the pairs
+    taken about _CHUNK_CELLS at a time: O(size + _CHUNK_CELLS) memory.
+    Without, (keys, totals) over every key reached, ascending.
+    """
+    if size is None:  # sorted, not np.unique, which imports numpy.ma
+        keys = np.add.outer(left, right).ravel()
+        order = np.argsort(keys, kind="stable")
+        keys = keys[order]
+        first = np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]])
+        return keys[first], np.add.reduceat(np.multiply.outer(val, val).ravel()[order], first)
+    out = np.zeros(size, dtype=val.dtype)
+    rows = max(1, _CHUNK_CELLS // max(1, len(right)))
+    for i in range(0, len(left), rows):
+        keys = np.add.outer(left[i : i + rows], right).ravel()
+        keep = (keys >= 0) & (keys < size)
+        np.add.at(out, keys[keep], np.multiply.outer(val[i : i + rows], val).ravel()[keep])
+    return out
+
+
 def _kink_sweep(f: StepFunction, sums: bool, lo: Fraction, hi: Fraction):
     """Min of (f*f), or max of (f.f) if sums, over [lo, hi], and its first point.
 
@@ -302,8 +328,10 @@ def _kink_sweep(f: StepFunction, sums: bool, lo: Fraction, hi: Fraction):
     module identity is (f o f)(x) = unit * G(xP), unit < 0 for (f.f), with
     G(X) = sum_k w_k (X - k)_+ over integer kinks k and weights w_k (ramps
     (k - X)_+ give the same sum: the jumps and their first moments sum to
-    zero).  G's first minimiser is lo or a kink; one ascending sweep of
-    s0 = sum w_k and s1 = sum k w_k gives G = k s0 - s1 at each kink.
+    zero).  The weights are _pair_sums of the jumps, in int64 when |kinks|
+    and (sum |jump|)^2 stay below 2^63.  G's first minimiser is lo or a
+    kink; one ascending sweep of s0 = sum w_k and s1 = sum k w_k gives
+    G = k s0 - s1 at each kink.
     """
     bps = f.breakpoints
     if len(bps) ** 2 > _PAIR_LIMIT:
@@ -313,24 +341,22 @@ def _kink_sweep(f: StepFunction, sums: bool, lo: Fraction, hi: Fraction):
     den = math.lcm(*(d.denominator for d in jumps))
     B = [int(b * pitch) for b in bps]
     J = [int(d * den) for d in jumps]
-    weight: dict[int, int] = {}
-    for bi, ji in zip(B if sums else [-b for b in B], J):
-        for bj, jj in zip(B, J):
-            k = bi + bj
-            weight[k] = weight.get(k, 0) - ji * jj
-    kinks = sorted(weight)
+    narrow = max(map(abs, B)) < 2**62 and sum(map(abs, J)) ** 2 < 2**63
+    B, J = (np.array(x, dtype=np.int64 if narrow else object) for x in (B, J))
+    kinks, weight = _pair_sums(B if sums else -B, B, J)
+    kinks, weight = kinks.tolist(), (-weight).tolist()
     start = bisect_right(kinks, math.floor(lo * pitch))
     stop = bisect_left(kinks, math.ceil(hi * pitch))
-    s0 = sum(weight[k] for k in kinks[:start])
-    s1 = sum(k * weight[k] for k in kinks[:start])
+    s0 = sum(weight[:start])
+    s1 = sum(map(operator.mul, kinks[:start], weight[:start]))
     best, arg = lo * pitch * s0 - s1, lo
     low = low_k = None
-    for k in kinks[start:stop]:
+    for k, w in zip(kinks[start:stop], weight[start:stop]):
         g = k * s0 - s1
         if low is None or g < low:
             low, low_k = g, k
-        s0 += weight[k]
-        s1 += k * weight[k]
+        s0 += w
+        s1 += k * w
     if low is not None and low < best:
         best, arg = low, Fraction(low_k, pitch)
     at_hi = hi * pitch * s0 - s1
@@ -412,15 +438,39 @@ def window_radius(N: int, tau_hat: Fraction) -> int:
 
 
 def _correlations(nums, m_lo: int, m_hi: int) -> list[int]:
-    """sum_i n_i n_{i+m} for m = m_lo..m_hi over nonnegative integers, exactly:
-    one core_sets._convolve of n with its reverse (0 past its length)."""
+    """c(m) = sum_i n_i n_{i+m} for m = m_lo..m_hi >= 0 over nonnegative
+    integers, exactly (0 past the length n).
+
+    The autocorrelation of n's second difference d is the fourth central
+    difference of c, and c vanishes from n on, so four cumulative sums from
+    the top recover c from the lag sums of d's S nonzeros in O(S^2 + n) when
+    S^2 <= n * _CELL_PAIRS, as for window averages of a step function.  The
+    lag sums are at most sum d^2 and the k-th differences of c at most
+    2^k sum n^2: int64 while both stay below 2^63 (k <= 3), else Python ints.
+    Dense sequences take one _convolve of n with its reverse; no FFT.
+    """
     n = len(nums)
     try:
-        nums = np.array(nums, dtype=np.int64)
+        a = np.array(nums, dtype=np.int64)
     except OverflowError:
-        pass
-    z = _convolve(nums, reverse=True)[n - 1 + m_lo : n + m_hi]
-    z = z.tolist() if isinstance(z, np.ndarray) else z
+        a = np.array(nums, dtype=object)
+    if a.min() < 0:
+        raise ValueError("correlation operands must be nonnegative")
+    wide = a.dtype == object or a.max() >= 2**31  # else 4a and a*a fit int64
+    d = np.diff(np.concatenate(([0, 0], a.astype(object) if wide else a, [0, 0])), 2)
+    at = np.flatnonzero(d)
+    if len(at) ** 2 > n * _CELL_PAIRS:
+        z = _convolve(a, reverse=True)[n - 1 + m_lo : n + m_hi]
+        z = z.tolist() if isinstance(z, np.ndarray) else z
+    else:
+        v = d[at]
+        if not wide and max(8 * _total(a * a), sum(x * x for x in v.tolist())) >= 2**63:
+            v = v.astype(object)
+        # lag sums of d at lags m_lo+2..n+1 are the fourth differences of c at m_lo..n-1
+        c = _pair_sums(-(at + m_lo + 2), at, v, max(n - m_lo, 0))
+        for _ in range(4):
+            c = np.cumsum(c[::-1])[::-1]
+        z = c[: m_hi - m_lo + 1].tolist()
     return z + [0] * (m_hi - m_lo + 1 - len(z))
 
 
@@ -566,7 +616,9 @@ def local_averages(
     The window half-width is L = ceil((tau_hat/2) N^(2/3)).  With
     stretch=True f is dilated by N/(N-2L+1) first, which extends the
     correlation condition (3) from m <= N-2L+1 to all m in [N].  All three
-    conditions are computed exactly and attached to the result.  More than
+    conditions are computed exactly and attached to the result; condition
+    (3) takes _correlations' sparse second-difference path, since the
+    averages are linear between the kinks of f's integral.  More than
     _SPAN_LIMIT window endpoints raise a ValueError before any allocation.
     """
     seq = _window_averages(f, N, tau_hat, stretch)
@@ -607,6 +659,8 @@ def _window_averages(f: StepFunction, N: int, tau_hat, stretch: bool) -> Average
 
 
 def _check_conditions(seq: AveragesSeq, f: StepFunction) -> ConditionsReport:
+    """The sum identity and conditions (2) and (3) of f's window averages,
+    exactly; (3) is the least of _correlations(seq.nums, 1, m_hi)."""
     N, L, tau, lam = seq.N, seq.L, seq.tau_hat, seq.stretch
     nums, den = seq.nums, seq.den
     total = sum(nums)

@@ -109,7 +109,8 @@ class _Run:
         return GroupSubset.from_json(data)
 
 
-_SCALARS = frozenset((str, int, float, bool, type(None)))
+_NUMBERS = frozenset((int, float, bool, type(None)))
+_SCALARS = _NUMBERS | {str}
 _ENCODER = json.JSONEncoder()
 # Items per piece of a flat list: pieces of tens of KB keep the peak memory
 # of a 10^4-entry payload near that of its objects.
@@ -126,8 +127,9 @@ def _write_json(obj, write, nl: str = "\n") -> None:
     """Write json.dumps(obj, sort_keys=True, indent=2) through write, piece
     by piece, for an obj on a line that starts with nl.  A list or dict of
     plain scalars goes to the C encoder, with "," plus the next line's
-    indent as its separator; the rest is laid out as json's pure-Python
-    encoder does."""
+    indent as its separator, and so does a list of non-empty lists of
+    numbers, whose only brackets are then the rows' own, placed by two
+    replaces; the rest is laid out as json's pure-Python encoder does."""
     inner = nl + "  "
     is_dict = isinstance(obj, dict)
     if not (is_dict or isinstance(obj, (list, tuple))) or not obj:
@@ -146,6 +148,13 @@ def _write_json(obj, write, nl: str = "\n") -> None:
             key = key if isinstance(key, str) else _ENCODER.encode(key)
             write(f"{sep}{inner}{_ENCODER.encode(key)}: ")
             _write_json(value, write, inner)
+            sep = ","
+    elif types <= {list, tuple} and all(x and set(map(type, x)) <= _NUMBERS for x in obj):
+        deeper = inner + "  "
+        for i in range(0, len(obj), _FLAT_ITEMS):
+            rows = _flat_encoder(deeper)(obj[i : i + _FLAT_ITEMS])[1:-1]
+            rows = rows.replace("]," + deeper, inner + "]," + inner).replace("[", "[" + deeper)
+            write(sep + inner + rows[:-1] + inner + "]")
             sep = ","
     else:
         for item in obj:

@@ -172,9 +172,11 @@ class _Budget:
         self.limit = limit
         self.spent = 0
 
-    def tick(self):
-        self.spent += 1
+    def charge(self, nodes: int):
+        """Spend nodes at once; past the limit, spent stops at limit + 1."""
+        self.spent += nodes
         if self.spent > self.limit:
+            self.spent = self.limit + 1
             raise BudgetExceeded
 
 
@@ -260,10 +262,11 @@ def _cover_at_size(rule: _Rule, g: int, k: int, budget: _Budget):
     least g, or None.
 
     levels has g + step blocks laid out like those of hits, block i holding
-    the counters at least g - i (so blocks g and up are full).  A child pays
-    its budget node and is checked in its parent's loop, its levels raised
-    only when it passes the deficit check; it keeps them, so backtracking
-    undoes nothing.
+    the counters at least g - i (so blocks g and up are full).  A child is
+    checked in its parent's loop, its levels raised only when it passes the
+    deficit check; it keeps them, so backtracking undoes nothing.  The loop
+    counts its children and charges them to the budget at once, before a
+    subtree and on leaving, so an overrun stops the same searches.
     """
     if len(rule.pinned) > k:
         return None
@@ -290,10 +293,11 @@ def _cover_at_size(rule: _Rule, g: int, k: int, budget: _Budget):
     def extend(last, state, levels, deficit, t) -> bool:
         t -= 1  # left to place below a child
         pairs = step * t * (t - 1) // 2
+        nodes = 0  # children not yet charged
         for x in candidates(last, t + 1):
             if x in skip:
                 continue
-            budget.tick()
+            nodes += 1
             child, hits = grow(state, x)
             d = deficit - (hits & ~levels).bit_count()
             if t == 0:
@@ -303,10 +307,16 @@ def _cover_at_size(rule: _Rule, g: int, k: int, budget: _Budget):
                 continue
             else:
                 child_levels = lift(levels, hits)
-                if too_low(child_levels, t) or not extend(x, child, child_levels, d, t):
+                if too_low(child_levels, t):
                     continue
+                budget.charge(nodes)
+                nodes = 0
+                if not extend(x, child, child_levels, d, t):
+                    continue
+            budget.charge(nodes)
             path.append(x)
             return True
+        budget.charge(nodes)
         return False
 
     state, deficit = rule.start, g * size
@@ -316,7 +326,7 @@ def _cover_at_size(rule: _Rule, g: int, k: int, budget: _Budget):
         deficit -= (hits & ~levels).bit_count()
         levels = lift(levels, hits)
     t = k - len(rule.pinned)
-    budget.tick()
+    budget.charge(1)
     if (
         deficit > t * reach(state) + step * t * (t - 1) // 2
         or too_low(levels, t)
@@ -366,7 +376,7 @@ def _pack(rule: _Sums, g: int, budget: _Budget):
         rows.append(row(x))
 
     def extend():
-        budget.tick()
+        budget.charge(1)
         s = len(chosen)
         if s > len(best):
             best[:] = chosen

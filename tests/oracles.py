@@ -179,3 +179,8 @@ def naive_window_averages(f, N, L, stretch):
         total = sum(v * _overlap(b1, b2, w1, w2) for b1, b2, v in pieces)
         out[i] = Fraction(N, 2 * L) * total
     return out
+
+
+def correlations(x, lo, hi):
+    """[sum_i x[i] * x[i + m] for m = lo..hi], 0 once m passes the length."""
+    return [sum(a * b for a, b in zip(x, x[m:])) for m in range(lo, hi + 1)]

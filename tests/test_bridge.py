@@ -9,6 +9,7 @@ from fractions import Fraction
 import pytest
 
 import oracles
+from diffsets import bridge
 from diffsets.bridge import (
     AveragesSeq,
     ProbSeq,
@@ -235,14 +236,22 @@ class TestKinkSweepAgainstOracle:
 
     @pytest.mark.parametrize("den", [12, 8191])
     def test_min_and_max(self, den):
+        self._check(den, 1)
+
+    def test_min_and_max_past_int64(self):
+        # kinks over 2^62 in the integer scale: the pair sums take Python ints
+        self._check(12, 2**62 + 3)
+
+    def _check(self, den, shrink):
         rng = random.Random(den)
         for _ in range(60):
             f = _random_step(rng, den, rng.choice((0, -2 * den)))
             if f.is_zero:
                 continue
+            f = StepFunction(tuple(b / shrink for b in f.breakpoints), f.values, f.scale_sqrt)
             bps = f.breakpoints
-            lo = F(rng.randrange(-2 * den, 2 * den), rng.choice((den, 7 * den)))
-            hi = lo if rng.random() < 0.2 else lo + F(rng.randrange(0, 3 * den), den)
+            lo = F(rng.randrange(-2 * den, 2 * den), rng.choice((den, 7 * den))) / shrink
+            hi = lo if rng.random() < 0.2 else lo + F(rng.randrange(0, 3 * den), den) / shrink
             diffs = [b - c for b in bps for c in bps if lo <= b - c <= hi]
             want = _oracle_extreme(
                 lambda x: oracles.naive_autocorrelation(f, x), [lo, hi, *diffs], operator.lt
@@ -253,7 +262,7 @@ class TestKinkSweepAgainstOracle:
                 lambda x: oracles.naive_autoconvolution(f, x), sums, operator.gt
             )
             assert autoconvolution_max(f) == want
-            x = F(rng.randrange(-4 * den, 4 * den), rng.choice((den, 5 * den)))
+            x = F(rng.randrange(-4 * den, 4 * den), rng.choice((den, 5 * den))) / shrink
             assert autocorrelation(f, x) == oracles.naive_autocorrelation(f, x)
             assert autoconvolution(f, x) == oracles.naive_autoconvolution(f, x)
 
@@ -300,8 +309,33 @@ class TestAutoconvolution:
                 assert autoconvolution(f, x) <= mx
 
 
+def _family_f(rng, den):
+    """A random step function on [0, 2], all pieces positive, scaled so its
+    autocorrelation minimum on [0, 1] is exactly 1."""
+    n = rng.randrange(1, 8)
+    inner = sorted(rng.sample(range(1, 2 * den), n - 1))
+    bps = (F(0), *(F(b, den) for b in inner), F(2))
+    f = StepFunction(bps, tuple(F(rng.randrange(1, 6), rng.choice((1, 2, 3))) for _ in range(n)))
+    return StepFunction(f.breakpoints, f.values, 1 / autocorrelation_min(f, 0, 1)[0])
+
+
+@pytest.fixture
+def spy_convolve(monkeypatch):
+    """The operand lengths of every _convolve call made by the bridge."""
+    calls = []
+    real = bridge._convolve
+
+    def spy(x, **kw):
+        calls.append(len(x))
+        return real(x, **kw)
+
+    monkeypatch.setattr(bridge, "_convolve", spy)
+    return calls
+
+
 class TestIntCorrelations:
-    """sum_i v[i] v[i+m] is slot n-1+m of v convolved with its reverse."""
+    """sum_i v[i] v[i+m]: from the lag sums of v's second difference when it
+    is sparse, else slot n-1+m of v convolved with its reverse."""
 
     def test_against_direct_sums(self):
         rng = random.Random(31337)
@@ -329,6 +363,70 @@ class TestIntCorrelations:
         z = _convolve(vals, reverse=True)
         assert isinstance(z, list)
         assert z[2:] == [2 * 10**18 + 4, 4 * 10**9, 10**18]
+
+    @pytest.mark.parametrize("stretch", [False, True])
+    @pytest.mark.parametrize("grid", [True, False])
+    def test_step_functions_take_the_sparse_path(self, spy_convolve, grid, stretch):
+        # window averages of a step function are linear between kinks
+        rng = random.Random(f"{grid}{stretch}")
+        for _ in range(6):
+            N = rng.randrange(60, 200)
+            f = _family_f(rng, N if grid else rng.choice((7, 11, 13)))
+            seq = local_averages(f, N, F(rng.randrange(1, 4), 2), stretch=stretch)
+            c = seq.conditions
+            m_hi = c.cond3_m_range[1]
+            want = oracles.correlations(seq.nums, 1, m_hi)
+            assert _correlations(seq.nums, 1, m_hi) == want
+            low = min(want)
+            assert c.cond3_min == F(low, seq.den**2) * seq.radicand
+            assert c.cond3_argmin == want.index(low) + 1
+        assert spy_convolve == []
+
+    def test_dense_sequences_take_the_product(self, spy_convolve):
+        rng = random.Random(99)
+        for _ in range(8):
+            vals = [rng.randrange(0, 1000) for _ in range(rng.randrange(150, 300))]
+            n = len(vals)
+            assert _correlations(vals, 1, n + 3) == oracles.correlations(vals, 1, n + 3)
+        assert len(spy_convolve) == 8
+
+    @pytest.mark.parametrize("top", [2**30, 2**40, 10**20])
+    def test_wide_entries_take_python_ints(self, monkeypatch, spy_convolve, top):
+        # 8 * sum n^2 reaches 2^63 (or the entries leave int64): object arrays
+        dtypes = []
+        real = bridge._pair_sums
+        monkeypatch.setattr(bridge, "_pair_sums", lambda *a: dtypes.append(a[2].dtype) or real(*a))
+        ramp = [top - 3 * k for k in range(40)]
+        vals = [*ramp, *[top] * 25, *ramp[::-1], 0, 0, *ramp]
+        n = len(vals)
+        assert _correlations(vals, 0, n + 2) == oracles.correlations(vals, 0, n + 2)
+        assert dtypes == [object] and spy_convolve == []
+
+    def test_windows_past_the_support(self, spy_convolve):
+        rng = random.Random(5)
+        for dense in (False, True):
+            vals = [rng.randrange(0, 9) for _ in range(200)] if dense else [7] * 60 + [3] * 40
+            n = len(vals)
+            for lo, hi in ((0, n - 1), (n - 2, n + 5), (n - 1, n - 1), (n, n), (n + 3, 2 * n)):
+                assert _correlations(vals, lo, hi) == oracles.correlations(vals, lo, hi)
+        assert spy_convolve == [200] * 5
+
+    def test_bench_shaped_input_never_multiplies(self, spy_convolve):
+        # 24 unit blocks on the 1/100 grid averaged at N = 10^4, as in the
+        # benchmark's bridge commands: O(S^2 + n) with S in the hundreds
+        rng = random.Random(24)
+        low = 0
+        while not low:  # a set whose difference counts on [1, 100] are positive
+            cuts = sorted(rng.sample(range(1, 101), 46))
+            bps = [F(b, 100) for b in (0, *cuts, 101)]
+            f = StepFunction(tuple(bps), tuple(F(k % 2 == 0) for k in range(47)))
+            low = autocorrelation_min(f, 0, 1)[0]
+        f = StepFunction(f.breakpoints, f.values, 1 / low)
+        seq = local_averages(f, 10_000, F(1, 2), stretch=True)
+        assert len(f.values) == 47 and len(seq.nums) > 10_000
+        assert spy_convolve == []
+        _correlations([rng.randrange(0, 10**6) for _ in range(1_000)], 1, 1_000)
+        assert spy_convolve == [1_000]
 
     def test_prob_correlation_minimum_over_window(self):
         # q = (1/2, 1/3, 1/6): correlations 1/6+1/18, 1/12, 0 beyond the hull

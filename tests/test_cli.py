@@ -788,6 +788,7 @@ class TestEmitter:
             {"rows": [{"n": 1, "v": "1/2"}, {"n": 2, "v": None}]},
             {3: "int keys", 1: [1.5]}, {None: 0}, {True: 1}, {2.5: "float key"},
             {"coeffs": [f"{i}/7" for i in range(2500)], "support": tuple(range(2049))},
+            [[1, None, True], (2.5, -3)], [[1], []], [["]"], [1]], [[[1]], [2]], [[1], {"a": 1}],
             "a bare string is written as it is\n",
         ]
         for payload in payloads[:-1]:
@@ -800,6 +801,13 @@ class TestEmitter:
         cli._write_json(payload, pieces.append)
         assert "".join(pieces) + "\n" == self.dumps(payload)
         assert max(map(len, pieces)) < 40_000
+
+    def test_rows_of_numbers_take_one_encoder_call_per_piece(self):
+        payload = {"elements": [[i, -i, i / 4] for i in range(5_000)]}
+        pieces = []
+        cli._write_json(payload, pieces.append)
+        assert "".join(pieces) + "\n" == self.dumps(payload)
+        assert len(pieces) < 12
 
     def test_out_file_matches_stdout(self, capsys, tmp_path):
         probs = tmp_path / "probs.json"

@@ -337,11 +337,14 @@ def test_digits_is_the_decimal_digit_count():
 def test_convolve_detects_a_slot_one_digit_short(monkeypatch, x, y):
     # y is x (a square) or x reversed; slots one digit narrower than the
     # largest value carry into their neighbours, and the sum check, not
-    # rounding, must catch it
+    # rounding, must catch it.  Only the slot width, the digit count of
+    # sum x * max x, is cut: the packing still writes every digit of x.
     reverse = y != x
-    assert [int(v) for v in core_sets._convolve(x, reverse=reverse)] == oracles.convolution(x, y)
-    real = core_sets._digits
-    monkeypatch.setattr(core_sets, "_digits", lambda n: real(n) - 1)
+    want = oracles.convolution(x, y)
+    assert [int(v) for v in core_sets._convolve(x, reverse=reverse)] == want
+    real, bound = core_sets._digits, sum(x) * max(x)
+    assert bound != max(x) and max(want) >= 10 ** (real(bound) - 1)  # a slot must carry
+    monkeypatch.setattr(core_sets, "_digits", lambda n: real(n) - (n == bound))
     with pytest.raises(ArithmeticError, match="slot overflow"):
         core_sets._convolve(x, reverse=reverse)
 
