@@ -34,7 +34,7 @@ from bisect import bisect_left, bisect_right
 from collections.abc import Mapping
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, total_ordering
 from itertools import repeat
 from types import MappingProxyType
 
@@ -84,6 +84,7 @@ def _is_square(n: int) -> bool:
     return r * r == n
 
 
+@total_ordering
 @dataclass(frozen=True)
 class SqrtScaled:
     """Exact nonnegative value coeff * sqrt(radicand), both rational."""
@@ -108,39 +109,19 @@ class SqrtScaled:
     def __float__(self) -> float:
         return float(self.coeff) * math.sqrt(float(self.radicand))
 
-    def _square_of(self, other) -> Fraction:
+    @staticmethod
+    def _signed_square(other) -> Fraction:
+        """other * |other|: increasing, so it orders like other itself."""
         if isinstance(other, SqrtScaled):
             return other.squared()
         q = Fraction(other)
-        if q < 0:
-            raise ValueError("comparison against negative value")
-        return q * q
+        return q * abs(q)
 
     def __eq__(self, other) -> bool:
-        try:
-            return self.squared() == self._square_of(other)
-        except ValueError:
-            return False  # negative rational can never equal a nonneg value
+        return self.squared() == self._signed_square(other)
 
     def __lt__(self, other) -> bool:
-        return self.squared() < self._square_of(other)
-
-    def __le__(self, other) -> bool:
-        return self.squared() <= self._square_of(other)
-
-    def __ge__(self, other) -> bool:
-        if isinstance(other, SqrtScaled):
-            return self.squared() >= other.squared()
-        if Fraction(other) < 0:
-            return True
-        return self.squared() >= self._square_of(other)
-
-    def __gt__(self, other) -> bool:
-        if isinstance(other, SqrtScaled):
-            return self.squared() > other.squared()
-        if Fraction(other) < 0:
-            return True
-        return self.squared() > self._square_of(other)
+        return self.squared() < self._signed_square(other)
 
     def __hash__(self):
         return hash(("SqrtScaled", self.squared()))

@@ -10,6 +10,9 @@ of targets above it; a lift is recounted up to the same order.
 Randomized side: uniform inclusion in a finite abelian group and weighted
 inclusion along an integer sequence, with Monte Carlo validation that checks
 concentration of difference counts against explicit Chernoff tail bounds.
+The group probe count is split into parts of independent terms by its
+coordinate along the probe axis, mod 2 or mod 3, with the part sizes in
+closed form, so no set-up work grows with |G|.
 All inclusion decisions compare a sampled uniform against an exact rational
 threshold, and trials run one after another, each from its own seed, so a
 run is reproducible bit for bit from its master seed.
@@ -32,7 +35,6 @@ from .core_sets import (
     GroupSubset,
     IntSet,
     _enumerable,
-    _flat,
     _group_counts,
     _pair_counts,
     _residues,
@@ -511,54 +513,25 @@ def chernoff_bound(delta, mu) -> float:
     return 2.0 * math.exp(-min(d * d / 4.0, d / 2.0) * m)
 
 
-def _shift_map(group: GroupSpec, m_vec) -> np.ndarray:
-    """nxt[x] = flat index of x + m, for every flat index x of G."""
-    x = _residues(group, np.arange(group.order))
-    return _flat(group, x + group.reduce(m_vec))
+def _probe_label(c: int, n: int) -> int:
+    """Part of an element whose probe coordinate is c, in a factor n > 1.
 
-
-def _cycle_partition(nxt: np.ndarray) -> list[list[int]] | None:
-    """Split G so x and x + m never share a part; nxt is _shift_map(G, m).
-
-    Walks each coset of <m>, from its least flat index.  Order-2 shifts
-    2-color cleanly; longer cycles get three parts with the first element
-    moved to the third when the cycle length is 1 mod 3 (odd cycles cannot
-    be 2-colored).  Returns None for m = 0.
+    Parity when n = 2; else c mod 3, with c = 0 moved to part 2 when
+    n = 1 mod 3, since an odd cycle has no 2-colouring.
     """
-    nxt = nxt.tolist()
-    if nxt[0] == 0:
-        return None
-    r, x = 1, nxt[0]
-    while x:
-        r, x = r + 1, nxt[x]
-    parts = [[], [], []] if r > 2 else [[], []]
-    moved = 1 if r % 3 == 1 else 0
-    visited = bytearray(len(nxt))
-    for start in range(len(nxt)):
-        if visited[start]:
-            continue
-        x = start
-        for j in range(r):
-            visited[x] = 1
-            if j >= moved:
-                parts[j % len(parts)].append(x)
-            x = nxt[x]
-        if moved:
-            # cycle closes 1 -> 0 in colors; its first element goes last
-            parts[2].append(start)
-    return parts
+    if n == 2:
+        return c
+    return 2 if c == 0 and n % 3 == 1 else c % 3
 
 
-def _int_partition_check(parts, nxt: np.ndarray) -> bool:
-    """Each flat index of G lies in exactly one part, and never in the part
-    of its successor nxt[x] = x + m."""
-    order = len(nxt)
-    flat = np.fromiter((x for part in parts for x in part), dtype=np.int64)
-    if len(flat) != order or (np.bincount(flat, minlength=order) != 1).any():
-        return False
-    label = np.empty(order, dtype=np.int64)
-    label[flat] = np.repeat(np.arange(len(parts)), [len(p) for p in parts])
-    return bool((label[nxt] != label).all())
+def _probe_part_sizes(n: int) -> list[int]:
+    """How many of the coordinates 0..n-1 _probe_label puts in each part."""
+    if n == 2:
+        return [1, 1]
+    q, r = divmod(n, 3)
+    if r == 1:
+        return [q, q, q + 1]
+    return [q + (r > 0), q + (r > 1), q]
 
 
 @dataclass(frozen=True)
@@ -606,9 +579,11 @@ def monte_carlo_validate(
     (1+epsilon) sum p_i.  Thresholds are compared via squares or cubes so no
     irrational value is ever rounded.
 
-    Tail checks pick a probe shift, partition the domain so the per-part
-    counts are sums of independent Booleans, and compare the empirical
-    frequency of each relative deviation against the summed Chernoff bounds.
+    Tail checks pick a probe shift and split its count into parts that are
+    sums of independent Booleans: in a group, by the coordinate along the
+    unit probe shift (see _make_group_trial); along a sequence, by parity.
+    The empirical frequency of each relative deviation is compared against
+    the summed Chernoff bounds of the parts.
     Trials run one after another; trial t uses seed master_seed XOR t, so
     each trial's outcome depends on its seed alone.
     """
@@ -655,9 +630,13 @@ _TAIL_MULTIPLIERS = (Fraction(1, 2), Fraction(1), Fraction(3, 2), Fraction(2), F
 def _make_group_trial(model: RandomModel, delta: Fraction, epsilon: Fraction):
     """(run, probe) for the group-uniform model, in flat indices throughout.
 
-    The probe partition is built and checked once from the shift map of the
-    probe shift.  run(seed) counts the flat indices that _group_draw returns
-    for seed, so no trial builds a residue tuple or a GroupSubset.
+    The probe count r(m) sums the terms 1[x in A] 1[x + m in A].  The parts
+    colour x by _probe_label of its probe coordinate, so x and x + m never
+    share a part and no two terms of one part share an element: each part's
+    terms are independent.  A part holding s of the n coordinates has mean
+    g s / n, in closed form.  run(seed) counts the flat indices that
+    _group_draw returns for seed, so no trial builds a residue tuple or a
+    GroupSubset.
     """
     group, g = model.group, model.g
     order = group.order
@@ -665,19 +644,22 @@ def _make_group_trial(model: RandomModel, delta: Fraction, epsilon: Fraction):
     min_floor = (1 - delta) * g
     probe_flat = _pick_probe_shift(group)
     m_vec = group.unflatten(probe_flat)
-    nxt = _shift_map(group, m_vec)
-    parts = _cycle_partition(nxt)
-    assert parts is not None and _int_partition_check(parts, nxt)
-    mu_parts = [Fraction(g * len(part), order) for part in parts]
+    n = group.factors[m_vec.index(1)]
+    # x + m moves only the probe coordinate, c -> c + 1 mod n, so each coset
+    # of <m> is one n-cycle.  For 0 < c < n - 1 with n > 2 the labels c mod 3
+    # and c + 1 mod 3 differ, and n = 2 has only the pairs below: the wrap
+    # n - 1 -> 0 -> 1 is the one place a neighbour pair can share a part.
+    assert all(_probe_label(c, n) != _probe_label((c + 1) % n, n) for c in (n - 1, 0))
+    mu_parts = [Fraction(g * size, n) for size in _probe_part_sizes(n)]
     mu_total = Fraction(g)  # E r(m) = |G| p^2 exactly, m != 0
     probe = {
         "kind": "group",
         "shift": list(m_vec),
         "mu": mu_total,
         "mu_parts": mu_parts,
-        "partition": "bipartite" if len(parts) == 2 else "tripartite",
+        "partition": "bipartite" if n == 2 else "tripartite",
         "notes": (
-            f"probe shift {list(m_vec)} with {len(parts)}-part cycle partition",
+            f"probe shift {list(m_vec)} with {len(mu_parts)}-part cycle partition",
         ),
     }
 

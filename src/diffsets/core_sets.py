@@ -378,8 +378,9 @@ def _int64(values, rank: int | None = None) -> np.ndarray:
 
 def _distinct(a: np.ndarray) -> np.ndarray:
     """The distinct entries of a 1-d int64 array, ascending, read-only."""
-    if not (a[1:] > a[:-1]).all():
-        a = np.unique(a)
+    if not (a[1:] > a[:-1]).all():  # sorted, not np.unique, which imports numpy.ma
+        a = np.sort(a)
+        a = a[np.r_[True, a[1:] != a[:-1]]]
     a.flags.writeable = False
     return a
 
@@ -567,8 +568,9 @@ def _pair_counts(elements, mode: str, lo: int, hi: int):
         else:
             dense += np.bincount(z, minlength=n)
     if dense is None:
-        offsets, counts = np.unique(np.concatenate(hits), return_counts=True)
-        return wlo, offsets, counts.astype(np.int64)
+        z = np.sort(np.concatenate(hits))  # not np.unique, which imports numpy.ma
+        first = np.flatnonzero(np.diff(z, prepend=-1))  # run starts; z >= 0
+        return wlo, z[first], np.diff(np.r_[first, len(z)])
     offsets = np.flatnonzero(dense)
     return wlo, offsets, dense[offsets]
 

@@ -78,6 +78,22 @@ class TestSqrtScaled:
         assert root2 != F(3, 2)
         assert SqrtScaled(F(2), F(2)) == SqrtScaled(F(1), F(8))
 
+    @pytest.mark.parametrize(
+        "other",
+        [F(-2), F(-1, 3), F(0), F(1, 3), F(7, 5), F(3, 2), F(2), SqrtScaled(F(0)),
+         SqrtScaled(F(1), F(3)), SqrtScaled(F(1), F(2)), SqrtScaled(F(2))],
+        ids=str,
+    )
+    @pytest.mark.parametrize("op", ["lt", "le", "eq", "ne", "ge", "gt"])
+    def test_comparisons_agree_with_floats(self, other, op):
+        # every operator, either way round, against negative, zero and
+        # positive rationals and against SqrtScaled values; every float tie
+        # among these operands is an exact tie
+        compare = getattr(operator, op)
+        for s in (SqrtScaled(F(0)), SqrtScaled(F(1), F(2)), SqrtScaled(F(3), F(4))):
+            assert compare(s, other) == compare(float(s), float(other)), (s, other)
+            assert compare(other, s) == compare(float(other), float(s)), (other, s)
+
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
             SqrtScaled(F(-1), F(2))

@@ -584,6 +584,12 @@ class TestBridge:
                 "b4c1366f7a4b380221270e724047ca500d04b0f1a9b9ee6d4db29f57c204e3f4",
             (*group, "--factors", "6", "10", *trials):
                 "d3298916805a10e9aff38d25f5206bf8d80a465132e41b9dfcac5ffd3e9b7dbe",
+            # a bipartite probe (factor 2) and a factor of 2 mod 3, frozen
+            # from the coset walk that built the partition element by element
+            (*group, "--factors", "2", "2", "2", *trials):
+                "da3f4f94f27c7489cd894fa814eda5f7e4c949503f6e95c7e906276e7fb5e1c8",
+            (*group, "--factors", "11", *trials):
+                "ad158b23ded84472d6c8d7cb4a269d5068b13e0793eb98adefab8986a7c7bbcd",
             (*group, "--factors", "6", "10"):
                 "4956589e4c5068405fbc67fe2f29f498fa24ca4e94d2f1d6a49ddab76b38e3af",
             (*sequence, "--N", "64", "--trials", "3", "--delta", "1/2", "--epsilon", "1/5"):

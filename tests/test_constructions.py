@@ -2,6 +2,7 @@
 
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -13,9 +14,9 @@ from diffsets.constructions import (
     PairRepCount,
     ParabolaUnion,
     RandomModel,
-    _cycle_partition,
-    _int_partition_check,
-    _shift_map,
+    _make_group_trial,
+    _probe_label,
+    _probe_part_sizes,
     _uniforms,
     best_shift_union,
     blow_up,
@@ -412,58 +413,38 @@ class TestChernoff:
             chernoff_bound(-1, 5)
 
 
-class TestCyclePartition:
-    def test_shift_never_stays_in_part(self):
+class TestProbePartition:
+    def test_closed_form_against_brute_force_colouring(self):
+        # every probe factor n in 2..60, with factors of 1 (and others
+        # before it) on either side of the probe axis
         rng = random.Random(83)
-        for _ in range(60):
-            factors = tuple(rng.randrange(2, 9) for _ in range(rng.randrange(1, 3)))
-            spec = GroupSpec(factors)
-            vec = tuple(rng.randrange(n) for n in spec.factors)
-            nxt = _shift_map(spec, vec)
-            parts = _cycle_partition(nxt)
-            if parts is None:
-                assert spec.reduce(vec) == tuple([0] * spec.rank)
-                continue
-            assert sum(len(p) for p in parts) == spec.order
-            assert _int_partition_check(parts, nxt)
-
-    def test_shift_map_matches_vector_addition(self):
-        rng = random.Random(84)
-        for _ in range(40):
-            spec = GroupSpec(tuple(rng.randrange(1, 7) for _ in range(rng.randrange(1, 4))))
-            vec = tuple(rng.randrange(-9, 9) for _ in spec.factors)
-            nxt = _shift_map(spec, vec).tolist()
+        for n in range(2, 61):
+            before = [rng.choice([1, 1, 2, 3, 4]) for _ in range(rng.randrange(3))]
+            after = [1] * rng.randrange(3 - len(before))
+            spec = GroupSpec((*before, n, *after))
+            unit = tuple(int(i == len(before)) for i in range(spec.rank))
+            sizes = [0, 0, 0]
             for x in spec.elements():
-                shifted = tuple(a + b for a, b in zip(x, vec))
-                assert nxt[spec.flatten(x)] == spec.flatten(shifted)
+                label = _probe_label(x[len(before)], n)
+                shifted = spec.reduce(a + b for a, b in zip(x, unit))
+                assert label != _probe_label(shifted[len(before)], n), (spec, x)
+                sizes[label] += 1
+            sizes = sizes[: 2 if n == 2 else 3]
+            assert sizes == [spec.order // n * q for q in _probe_part_sizes(n)], spec
+            model = RandomModel(kind="group-uniform", master_seed=0, group=spec, g=1)
+            _, probe = _make_group_trial(model, Fraction(1, 2), Fraction(1, 2))
+            assert probe["shift"] == list(unit)
+            assert probe["mu_parts"] == [Fraction(q, spec.order) for q in sizes]
 
-    def test_check_refuses_bad_partitions(self):
-        nxt = _shift_map(GroupSpec((3, 4)), (0, 1))
-        parts = _cycle_partition(nxt)
-        assert _int_partition_check(parts, nxt)
-        # x and x + m in one part
-        x = parts[0][0]
-        y = int(nxt[x])
-        home = next(p for p in parts if y in p)
-        moved = [[v for v in p if v != y] for p in parts]
-        moved[0].append(y)
-        assert home is not parts[0] and not _int_partition_check(moved, nxt)
-        # an element missing, or one listed twice in place of another
-        missing = [p[1:] if j == 0 else p for j, p in enumerate(parts)]
-        assert not _int_partition_check(missing, nxt)
-        twice = [p + [p[0]] if j == 0 else p for j, p in enumerate(missing)]
-        assert not _int_partition_check(twice, nxt)
-        assert not _int_partition_check([list(range(12))], nxt)
-
-    def test_order_two_gets_two_parts(self):
-        parts = _cycle_partition(_shift_map(GroupSpec((12,)), (6,)))
-        assert len(parts) == 2 and sorted(map(len, parts)) == [6, 6]
-
-    def test_order_one_mod_three_fix(self):
-        nxt = _shift_map(GroupSpec((7,)), (1,))  # cycle length 7
-        parts = _cycle_partition(nxt)
-        assert len(parts) == 3
-        assert _int_partition_check(parts, nxt)
+    def test_set_up_allocates_nothing_of_group_order(self):
+        model = RandomModel(kind="group-uniform", master_seed=0, group=GroupSpec((2_000_000,)), g=1)
+        tracemalloc.start()
+        try:
+            _make_group_trial(model, Fraction(1, 2), Fraction(1, 2))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
 
 class TestRandomGroupSubset:

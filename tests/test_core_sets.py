@@ -412,6 +412,23 @@ def test_import_refuses_pure_python_decimal():
     assert "C decimal module" in out.stdout
 
 
+def test_dedupe_and_sorted_pair_counts_load_no_numpy_ma():
+    # np.unique imports numpy.ma on its first call; unsorted input and the
+    # sorted pair window must deduplicate without it
+    code = (
+        "import sys\n"
+        "from diffsets import core_sets as cs\n"
+        "cs._DENSE_CELLS = 0\n"
+        "cs.IntSet([9, -4, 2, 9, 0])\n"
+        "cs.GroupSubset(cs.GroupSpec((5, 4)), [(3, 1), (0, 2), (3, 1)])\n"
+        "start, offsets, counts = cs._pair_counts((0, 3, 10**6), 'difference', -5, 5)\n"
+        "print((start + offsets).tolist(), counts.tolist(), 'numpy.ma' in sys.modules)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert (out.returncode, out.stdout) == (0, "[-3, 0, 3] [1, 3, 1] False\n"), out.stderr
+
+
 def test_group_profiles_match_oracle_randomized():
     rng = random.Random(7)
     for _ in range(30):
