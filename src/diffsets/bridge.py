@@ -46,10 +46,10 @@ from .core_sets import (
     GroupSubset,
     IntSet,
     _CELL_PAIRS,
-    _CHUNK_CELLS,
     _convolve,
     _flat,
     _group_counts,
+    _pair_sums,
     _total,
     format_fraction,
     parse_fraction,
@@ -123,8 +123,9 @@ class SqrtScaled:
     def __lt__(self, other) -> bool:
         return self.squared() < self._signed_square(other)
 
-    def __hash__(self):
-        return hash(("SqrtScaled", self.squared()))
+    def __hash__(self):  # a rational value hashes as the rational it equals
+        rational = self.radicand == 1 or self.coeff == 0
+        return hash(self.coeff if rational else ("SqrtScaled", self.squared()))
 
     def to_json(self) -> dict:
         return {
@@ -279,29 +280,6 @@ def set_to_step(A: IntSet, g: int, N: int) -> StepFunction:
 _PAIR_LIMIT = 200_000
 
 
-def _pair_sums(left, right, val, size=None):
-    """Totals of val[i] * val[j] over the pairs (i, j), grouped by the key
-    left[i] + right[j], for numpy arrays (val int64 or object).
-
-    With size, the totals of the keys 0..size-1 (others dropped), the pairs
-    taken about _CHUNK_CELLS at a time: O(size + _CHUNK_CELLS) memory.
-    Without, (keys, totals) over every key reached, ascending.
-    """
-    if size is None:  # sorted, not np.unique, which imports numpy.ma
-        keys = np.add.outer(left, right).ravel()
-        order = np.argsort(keys, kind="stable")
-        keys = keys[order]
-        first = np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]])
-        return keys[first], np.add.reduceat(np.multiply.outer(val, val).ravel()[order], first)
-    out = np.zeros(size, dtype=val.dtype)
-    rows = max(1, _CHUNK_CELLS // max(1, len(right)))
-    for i in range(0, len(left), rows):
-        keys = np.add.outer(left[i : i + rows], right).ravel()
-        keep = (keys >= 0) & (keys < size)
-        np.add.at(out, keys[keep], np.multiply.outer(val[i : i + rows], val).ravel()[keep])
-    return out
-
-
 def _kink_sweep(f: StepFunction, sums: bool, lo: Fraction, hi: Fraction):
     """Min of (f*f), or max of (f.f) if sums, over [lo, hi], and its first point.
 
@@ -309,9 +287,9 @@ def _kink_sweep(f: StepFunction, sums: bool, lo: Fraction, hi: Fraction):
     module identity is (f o f)(x) = unit * G(xP), unit < 0 for (f.f), with
     G(X) = sum_k w_k (X - k)_+ over integer kinks k and weights w_k (ramps
     (k - X)_+ give the same sum: the jumps and their first moments sum to
-    zero).  The weights are _pair_sums of the jumps, in int64 when |kinks|
-    and (sum |jump|)^2 stay below 2^63.  G's first minimiser is lo or a
-    kink; one ascending sweep of s0 = sum w_k and s1 = sum k w_k gives
+    zero).  The weights are the jumps' sorted _pair_sums, in int64 when
+    |kinks| and (sum |jump|)^2 stay below 2^63.  G's first minimiser is lo
+    or a kink; one ascending sweep of s0 = sum w_k and s1 = sum k w_k gives
     G = k s0 - s1 at each kink.
     """
     bps = f.breakpoints

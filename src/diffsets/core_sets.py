@@ -20,10 +20,10 @@ itself, as one product of packed decimal integers.  libmpdec, the C library
 behind the decimal module, multiplies large operands by a number-theoretic
 transform.  Only where the k^2 ordered pairs cost less, for a hull of more
 than k^2/128 cells on the line or a padded group of more than k^2 cells, are
-the pairs binned directly with numpy instead; on the line that path keeps
-memory at O(k^2) however wide the hull.  Importing this module fails
-without the C decimal module: the pure-Python fallback would make the same
-products orders of magnitude slower.
+the pairs binned directly with numpy instead: on the line in O(min(n, k^2))
+memory for a window of n shifts, however wide the hull.  Importing this
+module fails without the C decimal module: the pure-Python fallback would
+make the same products orders of magnitude slower.
 """
 
 from __future__ import annotations
@@ -74,14 +74,9 @@ _EXACT = decimal.Context(
     Emin=decimal.MIN_EMIN,
     traps=[decimal.Inexact, decimal.Rounded, decimal.Overflow, decimal.InvalidOperation],
 )
-# Pair cells per numpy chunk on the pair paths: the window's cells, so that
-# a chunk's bincount over the window costs no more than its pairs, but at
-# least _CHUNK_CELLS (2 MB of int64 sums) and at most _CHUNK_CAP (16 MB).
+# Pairs per numpy chunk on the pair paths (residue cells in a group): 2 MB
+# of int64 keys.
 _CHUNK_CELLS = 1 << 18
-_CHUNK_CAP = 2_000_000
-# Widest shift window the pair path bins densely (128 MB of int64 counts);
-# wider windows sort the pairs that land in them instead.
-_DENSE_CELLS = 16_000_000
 # On the line a hull cell costs the decimal path about as much as 128 pairs
 # cost the numpy pair path: the measured crossover lies between 60 and 270
 # pairs per cell for hulls of 6e4 to 1e6 cells.  In a group the pair path's
@@ -90,6 +85,7 @@ _CELL_PAIRS = 128
 # Largest group whose every element gets an int64 slot: a count array, or a
 # draw or shift map of the random models (400 MB at the limit).
 _ORDER_LIMIT = 50_000_000
+_PROFILE_LIMIT = 5_000_000  # most counts a profile lists: shifts, or group elements
 
 
 class CertificateError(ValueError):
@@ -517,6 +513,31 @@ def _decimal(rows) -> Decimal:
     return Decimal("".join(rows) if isinstance(rows, list) else rows.tobytes().decode("ascii"))
 
 
+def _pair_sums(left, right, val=None, size=None):
+    """Totals of val[i] * val[j] (1 if val is None) over the pairs (i, j) by
+    key left[i] + right[j], for numpy arrays (val int64 or object).
+
+    With size, the totals of keys 0..size-1 (others dropped), _CHUNK_CELLS
+    pairs per np.add.at: O(size + _CHUNK_CELLS) memory.  Without,
+    (keys, totals) over every key reached, ascending.
+    """
+    if size is None:  # sorted, not np.unique, which imports numpy.ma
+        keys = np.add.outer(left, right).ravel()
+        order = np.argsort(keys)  # any order: the totals are sums
+        keys = keys[order]
+        first = np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]])
+        return keys[first], np.add.reduceat(np.multiply.outer(val, val).ravel()[order], first)
+    out = np.zeros(size, dtype=np.int64 if val is None else val.dtype)
+    rows = max(1, _CHUNK_CELLS // max(1, len(right)))
+    for i in range(0, len(left), rows):
+        keys = np.add.outer(left[i : i + rows], right).ravel()
+        keep = (keys >= 0) & (keys < size)
+        add = 1 if val is None else np.multiply.outer(val[i : i + rows], val).ravel()[keep]
+        np.add.at(out, keys[keep], add)
+        del keys, keep, add  # so the next chunk is built with none of this one alive
+    return out
+
+
 def _pair_counts(elements, mode: str, lo: int, hi: int):
     """Exact ordered-pair difference or sum counts at the shifts lo..hi, for
     distinct ascending elements (IntSet.array, or a sequence of ints).
@@ -527,9 +548,10 @@ def _pair_counts(elements, mode: str, lo: int, hi: int):
     clipped to the reachable shifts, so nothing is allocated for the rest.
     The counts are the hull's indicator convolved with its reverse
     (differences) or itself (sums); when the hull has more than
-    k^2/_CELL_PAIRS cells, the pairs are binned directly instead, in a dense
-    window of at most _DENSE_CELLS cells or else by sorting, which keeps
-    memory at O(k^2) however far apart the elements lie.
+    k^2/_CELL_PAIRS cells, the k^2 pairs are binned directly instead: into
+    the n-shift window when n <= k^2, else by sorting the pairs that land in
+    it.  Either way memory is O(min(n, k^2)), however far apart the
+    elements lie.
     """
     a = np.asarray(elements, dtype=np.int64)
     k = len(a)
@@ -549,30 +571,27 @@ def _pair_counts(elements, mode: str, lo: int, hi: int):
     if (span + 1) * _CELL_PAIRS <= k * k:
         ind = np.zeros(span + 1, dtype=np.int64)
         ind[e] = 1
-        z = _convolve(ind, reverse=mode == "difference")
-        window = z[wlo - base : whi - base + 1]
+        window = _convolve(ind, reverse=mode == "difference")[wlo - base : whi - base + 1]
         offsets = np.flatnonzero(window)
         return wlo, offsets, window[offsets]
     # with e the offsets from the first element, pair (a, b) lands at
     # offset e[a] + other[b] of the window
     other = (span - e if mode == "difference" else e) - (wlo - base)
     n = whi - wlo + 1
-    dense = np.zeros(n, dtype=np.int64) if n <= _DENSE_CELLS else None
+    if n <= k * k:
+        window = _pair_sums(e, other, size=n)
+        offsets = np.flatnonzero(window)
+        return wlo, offsets, window[offsets]
     hits = []
-    rows = max(1, min(max(_CHUNK_CELLS, n), _CHUNK_CAP) // k)
+    rows = max(1, _CHUNK_CELLS // k)
     for i0 in range(0, k, rows):
-        z = (e[i0 : i0 + rows, None] + other[None, :]).ravel()
-        z = z[(z >= 0) & (z < n)]
-        if dense is None:
-            hits.append(z)
-        else:
-            dense += np.bincount(z, minlength=n)
-    if dense is None:
-        z = np.sort(np.concatenate(hits))  # not np.unique, which imports numpy.ma
-        first = np.flatnonzero(np.diff(z, prepend=-1))  # run starts; z >= 0
-        return wlo, z[first], np.diff(np.r_[first, len(z)])
-    offsets = np.flatnonzero(dense)
-    return wlo, offsets, dense[offsets]
+        z = np.add.outer(e[i0 : i0 + rows], other).ravel()
+        z = z[(z >= 0) & (z < n)]  # drops the unfiltered chunk before the next is built
+        hits.append(z)
+    hits = np.concatenate(hits)  # rebound, so the sort holds one copy of the pairs
+    hits.sort()  # then run lengths: not np.unique, which imports numpy.ma
+    first = np.flatnonzero(np.r_[hits.size > 0, hits[1:] != hits[:-1]])  # run starts
+    return wlo, hits[first], np.diff(np.r_[first, len(hits)])
 
 
 def _flat(spec: GroupSpec, vectors) -> np.ndarray:
@@ -588,10 +607,10 @@ def _residues(spec: GroupSpec, flat: np.ndarray) -> np.ndarray:
     return flat[:, None] // strides % factors
 
 
-def _enumerable(spec: GroupSpec) -> int:
-    """spec's order, refused with a ValueError above _ORDER_LIMIT."""
-    if spec.order > _ORDER_LIMIT:
-        raise ValueError(f"group of order {spec.order} too large to enumerate (limit {_ORDER_LIMIT})")
+def _enumerable(spec: GroupSpec, limit: int = _ORDER_LIMIT) -> int:
+    """spec's order, refused with a ValueError above limit."""
+    if spec.order > limit:
+        raise ValueError(f"group of order {spec.order} too large to enumerate (limit {limit})")
     return spec.order
 
 
@@ -601,7 +620,8 @@ def _group_counts(flat: np.ndarray, spec: GroupSpec, mode: str) -> np.ndarray:
 
     Each axis is padded to 2n-1 so the linear convolution of the indicators
     cannot wrap, then folded mod n.  When the padded box holds more cells
-    than the k^2 pairs, the pairs are binned directly instead.
+    than the k^2 pairs, the pairs are binned directly instead, _CHUNK_CELLS
+    residue cells per np.add.at.
     """
     if len(flat) == 0:
         raise ValueError("empty set")
@@ -626,11 +646,10 @@ def _group_counts(flat: np.ndarray, spec: GroupSpec, mode: str) -> np.ndarray:
             box = np.moveaxis(folded, 0, axis)
         return box.reshape(order)
     out = np.zeros(order, dtype=np.int64)
-    rows = max(1, min(max(_CHUNK_CELLS, order), _CHUNK_CAP) // max(k * d, 1))
+    y = -x if mode == "difference" else x
+    rows = max(1, _CHUNK_CELLS // (k * d))
     for i0 in range(0, k, rows):
-        block = x[i0 : i0 + rows, None, :]
-        z = block - x[None, :, :] if mode == "difference" else block + x[None, :, :]
-        out += np.bincount(_flat(spec, z), minlength=order)
+        np.add.at(out, _flat(spec, x[i0 : i0 + rows, None, :] + y[None, :, :]), 1)
     return out
 
 
@@ -642,8 +661,8 @@ def _profile(A: IntSet, kind: str, shifts: tuple[int, int]) -> RepProfile:
     lo, hi = int(shifts[0]), int(shifts[1])
     if lo > hi:
         raise ValueError("empty shift interval")
-    if hi - lo + 1 > 5_000_000:
-        raise ValueError("shift interval too large to materialize")
+    if hi - lo + 1 > _PROFILE_LIMIT:
+        raise ValueError(f"shift interval too large to materialize (limit {_PROFILE_LIMIT})")
     start, offsets, counts = _pair_counts(A.array, kind, lo, hi)
     table = dict.fromkeys(range(lo, hi + 1), 0)
     table.update(zip((start + o for o in offsets.tolist()), counts.tolist()))
@@ -665,6 +684,7 @@ def group_rep_profile(A: GroupSubset, mode: str = "difference") -> RepProfile:
     if mode not in ("difference", "sum"):
         raise ValueError("mode must be 'difference' or 'sum'")
     spec = A.group
+    _enumerable(spec, _PROFILE_LIMIT)
     table = dict(zip(spec.elements(), _group_counts(A.flat, spec, mode).tolist()))
     return RepProfile.build(mode, f"group {spec.label()}", table)
 

@@ -94,6 +94,18 @@ class TestSqrtScaled:
             assert compare(s, other) == compare(float(s), float(other)), (s, other)
             assert compare(other, s) == compare(float(other), float(s)), (other, s)
 
+    def test_equal_values_hash_alike(self):
+        # rational values (radicand 1, or a zero coefficient) hash as the
+        # rational they equal, so they meet it in sets and dicts
+        for s, q in ((SqrtScaled(F(3), F(4)), F(6)), (SqrtScaled(F(0), F(2)), F(0))):
+            assert s == q and hash(s) == hash(q)
+            assert len({s, q}) == 1
+            assert {q: 1}.get(s) == 1 and {s: 1}.get(q) == 1
+        assert hash(SqrtScaled(F(0), F(2))) == hash(0)
+        root2, also_root2 = SqrtScaled(F(1), F(2)), SqrtScaled(F(1, 2), F(8))
+        assert root2 == also_root2 and hash(root2) == hash(also_root2)
+        assert len({root2, also_root2, F(1)}) == 2
+
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
             SqrtScaled(F(-1), F(2))

@@ -204,6 +204,18 @@ class TestProfile:
         assert code == 0
         assert payload["min_count"] == 1 and payload["max_count"] == 3
 
+    def test_group_over_the_profile_limit_is_refused(self, capsys, tmp_path):
+        # Z/5000001 has one element more than a profile lists (5,000,000,
+        # as for a window of shifts): refused before any count or dict
+        path = tmp_path / "big.json"
+        data = {"invariant_factors": [5_000_001], "elements": [[0], [1], [3], [7]]}
+        path.write_text(json.dumps(data))
+        t0 = time.perf_counter()
+        code, out, err = run_cli(capsys, "profile", "--set", str(path))
+        assert time.perf_counter() - t0 < 1.0
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "too large" in err and "5000000" in err
+
     def test_empty_sets_refused(self, capsys, tmp_path):
         path = tmp_path / "empty.json"
         for data in ([], {"invariant_factors": [5], "elements": []}):

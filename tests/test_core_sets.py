@@ -8,6 +8,8 @@ import random
 import subprocess
 import sys
 import time
+import tracemalloc
+import types
 from bisect import bisect_right
 from fractions import Fraction
 
@@ -189,34 +191,59 @@ def test_sparse_wide_set_takes_pair_path(convolutions):
     assert convolutions == []
 
 
-@pytest.mark.parametrize(
-    "cell_pairs, dense_cells",
-    [(0, 10**18), (10**18, 10**18), (10**18, 0)],
-    ids=["decimal", "pairs-dense", "pairs-sorted"],
-)
-def test_pair_counts_windows_against_oracle(monkeypatch, convolutions, cell_pairs, dense_cells):
-    # negative elements, windows inside, across and outside the hull; the
-    # cost constants are pinned so that every set takes the path under test
-    monkeypatch.setattr(core_sets, "_CELL_PAIRS", cell_pairs)
-    monkeypatch.setattr(core_sets, "_DENSE_CELLS", dense_cells)
+@pytest.fixture
+def add_at(monkeypatch):
+    """Index count of every np.add.at call in core_sets: one per binned chunk."""
+    sizes = []
+
+    def at(out, keys, val):
+        sizes.append(np.size(keys))
+        np.add.at(out, keys, val)
+
+    class Numpy:  # numpy, with np.add.at recording
+        add = types.SimpleNamespace(outer=np.add.outer, reduceat=np.add.reduceat, at=at)
+
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+    monkeypatch.setattr(core_sets, "np", Numpy())
+    return sizes
+
+
+@pytest.mark.parametrize("path", ["decimal", "pairs-dense", "pairs-sorted"])
+def test_pair_counts_windows_against_oracle(convolutions, add_at, path):
+    # negative elements, windows across and past the hull.  Each set takes
+    # the path under test by its size alone: a hull of at most k^2/128 cells
+    # multiplies; a sparser set bins its pairs into a window of at most k^2
+    # shifts (k >= 11 against at most 101 shifts) or sorts them for a wider
+    # one (k <= 9 against more than k^2 shifts).
     rng = random.Random(2024)
     for _ in range(30):
-        width = rng.choice([60, 2000])
-        elems = sorted(rng.sample(range(-width, width), rng.randint(1, 40)))
-        span = elems[-1] - elems[0]
+        if path == "decimal":
+            elems = sorted(rng.sample(range(-150, 150), rng.randint(200, 260)))
+        else:
+            k = rng.randint(11, 40) if path == "pairs-dense" else rng.randint(2, 9)
+            elems = sorted(rng.sample(range(-2000, 2000), k))
+        k, span = len(elems), elems[-1] - elems[0]
         for mode, oracle in (("difference", oracles.diff_counts), ("sum", oracles.sum_counts)):
             want = oracle(elems)
             reach = [min(want), max(want)]
-            centre = rng.choice(reach + [rng.randint(*reach)])
-            lo = centre - rng.randint(0, 50)
-            hi = centre + rng.randint(0, 50)
+            if path == "pairs-sorted":
+                width = rng.randint(k * k + 1, reach[1] - reach[0] + 1)
+                lo = rng.randint(reach[0], reach[1] - width + 1)
+                hi = lo + width - 1 + rng.choice([0, 50])
+            else:
+                centre = rng.choice(reach + [rng.randint(*reach)])
+                lo = centre - rng.randint(0, 50)
+                hi = centre + rng.randint(0, 50)
             start, offsets, counts = core_sets._pair_counts(tuple(elems), mode, lo, hi)
             shifts = [start + o for o in offsets.tolist()]
             assert shifts == sorted(m for m in want if lo <= m <= hi)
             assert counts.tolist() == [want[m] for m in shifts]
             assert offsets.dtype == counts.dtype == np.int64
             assert len(counts) <= 2 * span + 1
-    assert bool(convolutions) == (cell_pairs == 0)
+    assert bool(convolutions) == (path == "decimal")
+    assert bool(add_at) == (path == "pairs-dense")
 
 
 @pytest.mark.parametrize(
@@ -236,32 +263,57 @@ def test_group_counts_paths_against_oracle(convolutions, factors, k, decimal_pat
     assert bool(convolutions) == decimal_path
 
 
-def test_pair_paths_across_chunks(monkeypatch):
-    # chunks of 64 to 128 cells: many per count on the line and in a group
+def test_pair_paths_across_chunks(monkeypatch, add_at):
+    # chunks of 64 pairs: many per count on the line and in a group, each
+    # np.add.at call bounded by the chunk however wide the window
     monkeypatch.setattr(core_sets, "_CHUNK_CELLS", 64)
-    monkeypatch.setattr(core_sets, "_CHUNK_CAP", 128)
     rng = random.Random(64)
     elems = sorted(rng.sample(range(100_000), 50))
     want = oracles.diff_counts(elems)
-    start, offsets, counts = core_sets._pair_counts(tuple(elems), "difference", -100, 100)
-    assert dict(zip((start + offsets).tolist(), counts.tolist())) == {
-        m: c for m, c in want.items() if -100 <= m <= 100
-    }
+    for lo, hi in ((-100, 100), (-100_000, 100_000)):  # 201 <= 50^2 shifts bin, 200,001 sort
+        start, offsets, counts = core_sets._pair_counts(tuple(elems), "difference", lo, hi)
+        assert dict(zip((start + offsets).tolist(), counts.tolist())) == {
+            m: c for m, c in want.items() if lo <= m <= hi
+        }
+        assert bool(add_at) == (hi == 100)
+        add_at.clear()
+    # a sorted window that no pair reaches
+    start, offsets, counts = core_sets._pair_counts((0, 10**6), "difference", 100, 200)
+    assert (offsets.tolist(), counts.tolist(), counts.dtype) == ([], [], np.int64) and add_at == []
+    core_sets._pair_counts(tuple(sorted(rng.sample(range(300), 50))), "sum", 0, 600)
+    assert len(add_at) == 50 and max(add_at) <= 64  # every sum lands in the window
     spec = GroupSpec((2,) * 8)
     A = GroupSubset.of(spec, rng.sample(list(spec.elements()), 40))
     for mode in ("difference", "sum"):
         oracle = oracles.group_diff_counts if mode == "difference" else oracles.group_sum_counts
         arr = core_sets._group_counts(core_sets._flat(spec, A.elements), spec, mode).tolist()
         assert dict(zip(spec.elements(), arr)) == oracle(spec.factors, A.elements)
-    # windows wider than the cap still bin at most _CHUNK_CAP cells at once
-    cells, real = [], np.bincount
-    monkeypatch.setattr(np, "bincount", lambda z, **kw: cells.append(z.size) or real(z, **kw))
-    core_sets._pair_counts(tuple(sorted(rng.sample(range(300), 50))), "sum", 0, 600)
-    assert len(cells) > 1 and max(cells) <= 128  # every sum lands in the window
-    cells.clear()
+    add_at.clear()
     spec = GroupSpec((16, 16))
     core_sets._group_counts(core_sets._flat(spec, rng.sample(list(spec.elements()), 25)), spec, "sum")
-    assert len(cells) > 1 and max(cells) * spec.rank <= 128  # rank cells per pair
+    assert len(add_at) > 1 and max(add_at) * spec.rank <= 64  # rank cells per pair
+
+
+@pytest.mark.parametrize(
+    "elems, N",
+    [([0, 5 * 10**6, 10**7], 10**7), (sorted(random.Random(100).sample(range(10**6), 100)), 10**6)],
+    ids=["three-far-apart", "hundred-sparse"],
+)
+def test_pair_memory_follows_the_pairs_not_the_window(convolutions, elems, N):
+    # windows of 10^6 and 10^7 shifts against 9 and 10^4 pairs: the pairs
+    # are sorted, so no allocation grows with the window
+    A = IntSet.of(elems)
+    tracemalloc.start()
+    try:
+        v = verify_certificate(A, 1, N=N)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20, peak
+    assert convolutions == []
+    want = oracles.diff_counts(elems)
+    witness = next(m for m in range(1, N + 1) if m not in want)
+    assert (v.passed, v.achieved_g, v.witness) == (False, 0, witness)
 
 
 def test_convolve_matches_oracle():
@@ -418,7 +470,6 @@ def test_dedupe_and_sorted_pair_counts_load_no_numpy_ma():
     code = (
         "import sys\n"
         "from diffsets import core_sets as cs\n"
-        "cs._DENSE_CELLS = 0\n"
         "cs.IntSet([9, -4, 2, 9, 0])\n"
         "cs.GroupSubset(cs.GroupSpec((5, 4)), [(3, 1), (0, 2), (3, 1)])\n"
         "start, offsets, counts = cs._pair_counts((0, 3, 10**6), 'difference', -5, 5)\n"
