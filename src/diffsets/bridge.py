@@ -50,10 +50,10 @@ from .core_sets import (
     _flat,
     _group_counts,
     _pair_sums,
+    _require_certificate,
     _total,
     format_fraction,
     parse_fraction,
-    verify_certificate,
 )
 
 __all__ = [
@@ -79,9 +79,34 @@ _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 
-def _is_square(n: int) -> bool:
-    r = math.isqrt(n)
-    return r * r == n
+def _rational_sqrt(q: Fraction) -> Fraction | None:
+    """The square root of q >= 0 when it is rational, else None."""
+    num, den = math.isqrt(q.numerator), math.isqrt(q.denominator)
+    return Fraction(num, den) if num * num == q.numerator and den * den == q.denominator else None
+
+
+class _SqrtScale:
+    """The optional scale_sqrt of a step function: its values carry a
+    factor sqrt(scale_sqrt), None meaning 1."""
+
+    @staticmethod
+    def _fold(scale) -> tuple[Fraction, Fraction | None]:
+        """(root, scale_sqrt) for a scale of None or a positive rational,
+        a rational square root moved into root for the values to take."""
+        if scale is None:
+            return _ONE, None
+        scale = Fraction(scale)
+        if scale <= 0:
+            raise ValueError("scale radicand must be positive")
+        root = _rational_sqrt(scale)
+        return (_ONE, scale) if root is None else (root, None)
+
+    def _scale_fraction(self) -> Fraction:
+        return _ONE if self.scale_sqrt is None else self.scale_sqrt
+
+    def _scale_json(self) -> dict | None:
+        scale = self.scale_sqrt
+        return None if scale is None else {"num": scale.numerator, "den": scale.denominator}
 
 
 @total_ordering
@@ -96,10 +121,9 @@ class SqrtScaled:
         c, r = Fraction(self.coeff), Fraction(self.radicand)
         if c < 0 or r <= 0:
             raise ValueError("needs coeff >= 0 and radicand > 0")
-        # fold perfect squares into the coefficient
-        if _is_square(r.numerator) and _is_square(r.denominator):
-            c *= Fraction(math.isqrt(r.numerator), math.isqrt(r.denominator))
-            r = _ONE
+        root = _rational_sqrt(r)  # fold a rational square into the coefficient
+        if root is not None:
+            c, r = c * root, _ONE
         object.__setattr__(self, "coeff", c)
         object.__setattr__(self, "radicand", r)
 
@@ -165,7 +189,7 @@ def _canonical_pieces(breakpoints, values):
 
 
 @dataclass(frozen=True)
-class StepFunction:
+class StepFunction(_SqrtScale):
     """Nonnegative rational step function, zero outside its breakpoints.
 
     Piece i takes the value values[i] * sqrt(scale_sqrt) on
@@ -180,15 +204,9 @@ class StepFunction:
 
     def __post_init__(self):
         bps, vals = _canonical_pieces(self.breakpoints, self.values)
-        scale = self.scale_sqrt
-        if scale is not None:
-            scale = Fraction(scale)
-            if scale <= 0:
-                raise ValueError("scale radicand must be positive")
-            if _is_square(scale.numerator) and _is_square(scale.denominator):
-                root = Fraction(math.isqrt(scale.numerator), math.isqrt(scale.denominator))
-                vals = tuple(v * root for v in vals)
-                scale = None
+        root, scale = self._fold(self.scale_sqrt)
+        if root != 1:
+            vals = tuple(v * root for v in vals)
         if scale is not None and not vals:
             scale = None
         object.__setattr__(self, "breakpoints", bps)
@@ -204,9 +222,6 @@ class StepFunction:
             return None
         return self.breakpoints[0], self.breakpoints[-1]
 
-    def _scale_fraction(self) -> Fraction:
-        return _ONE if self.scale_sqrt is None else self.scale_sqrt
-
     def integral(self) -> SqrtScaled:
         total = sum(
             v * (b2 - b1)
@@ -218,16 +233,10 @@ class StepFunction:
         return list(zip(self.breakpoints, self.breakpoints[1:], self.values))
 
     def to_json(self) -> dict:
-        scale = None
-        if self.scale_sqrt is not None:
-            scale = {
-                "num": self.scale_sqrt.numerator,
-                "den": self.scale_sqrt.denominator,
-            }
         return {
             "breakpoints": [format_fraction(b) for b in self.breakpoints],
             "values": [format_fraction(v) for v in self.values],
-            "scale_sqrt": scale,
+            "scale_sqrt": self._scale_json(),
         }
 
     @classmethod
@@ -252,13 +261,7 @@ class StepFunction:
 
 def set_to_step(A: IntSet, g: int, N: int) -> StepFunction:
     """Blocks [a/N, (a+1)/N) at height sqrt(N/g) for a verified certificate."""
-    v = verify_certificate(A, g=g, N=N, mode="difference")
-    if not v.passed:
-        raise CertificateError(
-            f"not a {g}-difference set for [{N}]: shift {v.witness} has count "
-            f"{v.achieved_g}",
-            v,
-        )
+    _require_certificate(A, g, N, name="A")
     # blocks with explicit zero gaps; canonicalization merges runs
     bps: list[Fraction] = []
     vals: list[Fraction] = []
@@ -829,7 +832,7 @@ def prob_correlation_minimum(probs: ProbSeq, m_lo: int, m_hi: int) -> tuple[Frac
 
 
 @dataclass(frozen=True)
-class TorusStepFunction:
+class TorusStepFunction(_SqrtScale):
     """Constant on each grid cell of (R/Z)^d with pitch 1/n_j per axis.
 
     Cell at residue vector v has value values[v] * sqrt(scale_sqrt); missing
@@ -848,20 +851,11 @@ class TorusStepFunction:
                 raise ValueError("values must be nonnegative")
             if val != 0:
                 vals[self.group.reduce(vec)] = val
-        scale = self.scale_sqrt
-        if scale is not None:
-            scale = Fraction(scale)
-            if scale <= 0:
-                raise ValueError("scale radicand must be positive")
-            if _is_square(scale.numerator) and _is_square(scale.denominator):
-                root = Fraction(math.isqrt(scale.numerator), math.isqrt(scale.denominator))
-                vals = {k: v * root for k, v in vals.items()}
-                scale = None
+        root, scale = self._fold(self.scale_sqrt)
+        if root != 1:
+            vals = {k: v * root for k, v in vals.items()}
         object.__setattr__(self, "values", vals)
         object.__setattr__(self, "scale_sqrt", scale)
-
-    def _scale_fraction(self) -> Fraction:
-        return _ONE if self.scale_sqrt is None else self.scale_sqrt
 
     def l1_norm(self) -> SqrtScaled:
         total = Fraction(sum(self.values.values()))
@@ -869,29 +863,17 @@ class TorusStepFunction:
 
     def to_json(self) -> dict:
         keys = sorted(self.values)
-        scale = None
-        if self.scale_sqrt is not None:
-            scale = {
-                "num": self.scale_sqrt.numerator,
-                "den": self.scale_sqrt.denominator,
-            }
         return {
             "invariant_factors": list(self.group.factors),
             "elements": [list(k) for k in keys],
             "cell_values": [format_fraction(self.values[k]) for k in keys],
-            "scale_sqrt": scale,
+            "scale_sqrt": self._scale_json(),
         }
 
 
 def group_set_to_torus(A: GroupSubset, g: int) -> TorusStepFunction:
     """Indicator cells at height sqrt(|G|/g) for a verified group certificate."""
-    v = verify_certificate(A, g=g, mode="difference")
-    if not v.passed:
-        raise CertificateError(
-            f"not a {g}-difference set for the group: shift {v.witness} has "
-            f"count {v.achieved_g}",
-            v,
-        )
+    _require_certificate(A, g, name="A")
     vals = {vec: _ONE for vec in A.elements}
     return TorusStepFunction(A.group, vals, Fraction(A.group.order, g))
 

@@ -46,6 +46,7 @@ from .core_sets import (
     GroupSpec,
     GroupSubset,
     IntSet,
+    _require_certificate,
     format_fraction,
     group_rep_profile,
     rep_diff_profile,
@@ -233,20 +234,11 @@ def _oracle_fail(payload, summary):
 
 def _cmd_verify(args, run):
     A = run.load_set(args.set)
-    if isinstance(A, IntSet):
-        if args.N is None:
-            raise ValueError("--N is required for integer sets")
-        verdict = verify_certificate(A, g=args.g, N=args.N, mode=args.mode)
-        domain = f"[{args.N}]"
-    else:
-        if args.N is not None:
-            raise ValueError("--N applies only to integer sets")
-        verdict = verify_certificate(A, g=args.g, mode=args.mode)
-        domain = A.group.label()
+    verdict = verify_certificate(A, args.g, args.N, args.mode)
     payload = {
         "mode": args.mode,
         "g": args.g,
-        "domain": domain,
+        "domain": f"[{args.N}]" if isinstance(A, IntSet) else A.group.label(),
         "size": A.size,
         "verdict": verdict.to_json(),
     }
@@ -321,18 +313,14 @@ def _cmd_construct_lift(args, run):
         raise ValueError("--A must be a group-subset JSON file")
     claim = None
     if args.g is not None:
-        v = verify_certificate(A, g=args.g, mode="difference")
-        if not v.passed:
-            raise CertificateError("input is not a g-difference set", v)
+        _require_certificate(A, args.g, name="input")
         claim = args.g * (args.s - 1)
     C = lift_to_cyclic(A, args.s)
     modulus = C.group.factors[0]
     payload = {"modulus": modulus, "s": args.s, "size": C.size, "set": C.to_json()}
     summary = f"lifted to Z/{modulus}: {C.size} elements"
     if claim is not None and claim >= 1:
-        v = verify_certificate(C, g=claim, mode="difference")
-        if not v.passed:
-            raise CertificateError("lift lost its certificate", v)
+        _require_certificate(C, claim, name="lift")
         payload["certified_g"] = claim
         summary += f", {claim}-difference set"
         if args.oracle:

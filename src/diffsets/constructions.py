@@ -5,7 +5,10 @@ that converts into a per-instance lower bound on every difference count, a
 lift from (Z/pZ)^2 into a cyclic group, and an interval blow-up that
 multiplies certified parameters.  A union is verified exhaustively when
 (Z/pZ)^2 has order at most _EXHAUSTIVE_ORDER (10^6), and on a seeded sample
-of targets above it; a lift is recounted up to the same order.
+of targets above it.  A lift up to the same order is recounted by
+core_sets._require_certificate, the one check that turns a failed
+difference claim into a CertificateError; blow_up checks both of its
+inputs the same way.
 
 Randomized side: uniform inclusion in a finite abelian group and weighted
 inclusion along an integer sequence, with Monte Carlo validation that checks
@@ -37,10 +40,10 @@ from .core_sets import (
     _enumerable,
     _group_counts,
     _pair_counts,
+    _require_certificate,
     _residues,
     format_fraction,
     is_prime,
-    verify_certificate,
 )
 
 __all__ = [
@@ -214,9 +217,8 @@ def best_shift_union(p: int, k: int, seed: int = 0) -> ParabolaUnion:
     instance_floor = k * k - 2 * (k - 1) - best_score
     spec = subset.group
     if spec.order <= _EXHAUSTIVE_ORDER:
-        counts = _group_counts(subset.flat, spec, "difference")
-        verified_g = int(counts.min())
-        nonzero_min = int(np.delete(counts, 0).min()) if spec.order > 1 else verified_g
+        # r(0) = |A| is the largest count: the minimum is that of a nonzero shift
+        verified_g = int(_group_counts(subset.flat, spec, "difference").min())
         mode = "exhaustive"
     else:
         rng = Generator(Philox(key=seed & ((1 << 128) - 1)))
@@ -228,9 +230,9 @@ def best_shift_union(p: int, k: int, seed: int = 0) -> ParabolaUnion:
             a0, b0 = spec.unflatten(flat)
             c = sum(1 for (x, y) in members if ((x - a0) % p, (y - b0) % p) in members)
             mins.append(c)
-        nonzero_min = verified_g = min(mins)
+        verified_g = min(mins)
         mode = "sampled"
-    assert nonzero_min >= instance_floor, "per-instance character bound violated"
+    assert verified_g >= instance_floor, "per-instance character bound violated"
     return ParabolaUnion(
         p=p,
         k=k,
@@ -331,8 +333,10 @@ def cyclic_pipeline(k: int, s: int, p: int, seed: int = 0) -> CyclicPipelineRepo
     """Best-shift parabola union in (Z/pZ)^2 lifted to Z/(p^2 s)Z.
 
     The plane certificate uses the verified count (the character-sum
-    guarantee is vacuous at desk scales); the lift multiplies it by s-1,
-    and is recounted when its order is at most _EXHAUSTIVE_ORDER.
+    guarantee is vacuous at desk scales); the lift multiplies it by s-1.
+    When the lift's order is at most _EXHAUSTIVE_ORDER, its claim goes
+    through core_sets._require_certificate, whose recount is
+    verified_cyclic_g; above it, verified_cyclic_g is 0.
     The asymptotic recipe suggests k = 4 s^2 parabolas.
     """
     s = int(s)
@@ -348,12 +352,7 @@ def cyclic_pipeline(k: int, s: int, p: int, seed: int = 0) -> CyclicPipelineRepo
     cyclic_g = plane_g * (s - 1)
     verified = 0
     if lifted.group.order <= _EXHAUSTIVE_ORDER:
-        counts = _group_counts(lifted.flat, lifted.group, "difference")
-        verified = int(counts.min())
-        if verified < cyclic_g:
-            raise CertificateError(
-                f"lift lost the certificate: min count {verified} < {cyclic_g}"
-            )
+        verified = _require_certificate(lifted, cyclic_g, name="lift").achieved_g
     return CyclicPipelineReport(
         p=p,
         k=k,
@@ -381,30 +380,14 @@ def blow_up(
     if C.group.rank != 1:
         raise ValueError("C must live in a cyclic group")
     q = C.group.factors[0]
-    g1 = _certified("A", A, g1, N, f"[{N}]")
-    g2 = _certified("C", C, g2, None, f"Z/{q}Z")
+    v1, v2 = _require_certificate(A, g1, N, name="A"), _require_certificate(C, g2, name="C")
     if max(-q * int(A.array[0]), q * int(A.array[-1]) + q) >= 2**63:
         raise ValueError("blow-up entries must fit in int64")
     # the preimages in [1, q], ascending, so the outer sum comes out sorted
     lifts = np.sort(np.where(C.flat == 0, q, C.flat))
     out = IntSet((q * A.array[:, None] + lifts).ravel())
     assert out.size == A.size * C.size, "blow-up must be injective"
-    return out, g1, g2
-
-
-def _certified(name: str, A, g: int | None, N: int | None, domain: str) -> int:
-    """g, or A's achieved difference count when g is None, once one
-    verify_certificate call shows that A is a g-difference set for domain
-    (a 1-difference set when g is None)."""
-    claim = 1 if g is None else g
-    v = verify_certificate(A, g=claim, N=N, mode="difference")
-    if not v.passed:
-        raise CertificateError(
-            f"{name} is not a {claim}-difference set for {domain}: shift "
-            f"{v.witness} has count {v.achieved_g}",
-            v,
-        )
-    return v.achieved_g if g is None else g
+    return out, g1 or v1.achieved_g, g2 or v2.achieved_g
 
 
 # ---------------------------------------------------------------------------

@@ -712,13 +712,10 @@ def verify_certificate(A, g: int, N: int | None = None, mode: str = "difference"
     if isinstance(A, GroupSubset):
         if N is not None:
             raise ValueError("N applies only to integer sets")
-        if mode == "difference":
-            arr = _group_counts(A.flat, A.group, "difference")
-            achieved, bad = int(arr.min()), np.flatnonzero(arr < g)
-        else:
-            arr = _group_counts(A.flat, A.group, "sum")
-            achieved, bad = int(arr.max()), np.flatnonzero(arr > g)
-        witness = A.group.unflatten(int(bad[0])) if bad.size else None
+        arr = _group_counts(A.flat, A.group, "difference" if mode == "difference" else "sum")
+        achieved, bad = (int(arr.min()), arr < g) if mode == "difference" else (int(arr.max()), arr > g)
+        i = int(bad.argmax())
+        witness = A.group.unflatten(i) if bad[i] else None
         return Verdict(witness is None, achieved, witness)
     if not isinstance(A, IntSet):
         raise TypeError("expected IntSet or GroupSubset")
@@ -731,22 +728,54 @@ def verify_certificate(A, g: int, N: int | None = None, mode: str = "difference"
         raise ValueError("empty set")
     if mode == "difference":
         start, offsets, counts = _pair_counts(A.array, "difference", 1, N)
-        # 0-based positions in 1..N of the shifts that reach g, ascending
-        good = offsets[counts >= g] + (start - 1)
-        gaps = np.flatnonzero(good != np.arange(len(good)))
-        if gaps.size:
-            witness = int(gaps[0]) + 1
-        else:
-            witness = len(good) + 1 if len(good) < N else None
         achieved = int(counts.min()) if len(counts) == N else 0
-        return Verdict(witness is None, achieved, witness)
+        good = offsets[counts >= g]
+        # 0-based positions in 1..N of the shifts that reach g, ascending, so
+        # good[i] == i up to the first failing position and > i from there
+        good += start - 1
+        lo, hi = 0, len(good)
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if good[mid] == mid:
+                lo = mid + 1
+            else:
+                hi = mid
+        return Verdict(lo == N, achieved, lo + 1 if lo < N else None)
     # Sidon over [N]: support must lie in [1, N], so every sum is in [2, 2N]
     if A.array[0] < 1 or int(A.array[-1]) > N:
         raise ValueError("support outside [1,N]")
     start, offsets, counts = _pair_counts(A.array, "sum", 2, 2 * N)
-    hits = np.flatnonzero(counts > g)
-    witness = start + int(offsets[hits[0]]) if hits.size else None
+    bad = counts > g
+    i = int(bad.argmax())
+    witness = start + int(offsets[i]) if bad[i] else None
     return Verdict(witness is None, int(counts.max()), witness)
+
+
+def _require_certificate(A, g: int | None, N: int | None = None, *, name: str) -> Verdict:
+    """A's passing verdict as a g-difference set: for [N] when A is an
+    IntSet, for its whole group when A is a GroupSubset.  g None claims 1,
+    so the achieved count is at least 1.
+
+    The one place a failed claim becomes a CertificateError, which names the
+    set, the domain, the least failing shift w and the count at w, and
+    carries the verdict.
+    """
+    claim = 1 if g is None else g
+    v = verify_certificate(A, claim, N, "difference")
+    if v.passed:
+        return v
+    if isinstance(A, IntSet):
+        domain, have, shifted = f"[{N}]", A.array, A.array + v.witness
+    else:
+        domain = " x ".join(f"Z/{n}" for n in A.group.factors)
+        have, shifted = A.flat, _flat(A.group, _residues(A.group, A.flat) + v.witness)
+    # the pairs (b + w, b): elements b whose shift by w lies in A
+    at = np.minimum(np.searchsorted(have, shifted), len(have) - 1)
+    count = int((have[at] == shifted).sum())
+    w = v.to_json()["witness"]  # a vector as a list, as the verdict prints it
+    raise CertificateError(
+        f"{name} is not a {claim}-difference set for {domain}: shift {w} has count {count}", v
+    )
 
 
 # ---------------------------------------------------------------------------

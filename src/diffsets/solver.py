@@ -142,19 +142,29 @@ class ExtremalResult:
 
     @classmethod
     def from_json(cls, data: dict) -> "ExtremalResult":
-        """Inverse of to_json; witness and nodes may be absent."""
+        """Inverse of to_json; witness and nodes may be absent.  Anything
+        else malformed is refused with a ValueError."""
         if (
             not isinstance(data, dict)
             or not {"quantity", "g", "value"} <= data.keys()
             or ("N" in data) == ("group" in data)
         ):
             raise ValueError("a solve result needs quantity, g, value and one of N or group")
+        quantity, witness = data["quantity"], data.get("witness")
+        if {"eta": "N", "beta": "N", "gamma": "group", "alpha": "group"}.get(str(quantity)) not in data:
+            raise ValueError(
+                f"quantity {quantity!r} is not eta or beta with N, nor gamma or alpha with group"
+            )
+        for key in ("g", "value", "N"):
+            if type(data.get(key, 1)) is not int or data.get(key, 1) < 1:  # bools are refused too
+                raise ValueError(f"{key} must be a positive integer, not {data[key]!r}")
+        if not isinstance(data.get("group", []), list) or not isinstance(witness, (list, type(None))):
+            raise ValueError("group must be a list of factors, and witness a list or null")
         group = GroupSpec(tuple(data["group"])) if "group" in data else None
-        witness = data.get("witness")
         if witness is not None:
             witness = IntSet.of(witness) if group is None else GroupSubset.of(group, witness)
         return cls(
-            data["quantity"],
+            quantity,
             data["g"],
             data.get("N"),
             group,

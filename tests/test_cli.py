@@ -14,7 +14,7 @@ import pytest
 from diffsets import cli
 from diffsets.cli import dispatch
 from diffsets.constructions import parabola_set, random_group_subset
-from diffsets.core_sets import GroupSpec
+from diffsets.core_sets import GroupSpec, GroupSubset
 
 
 def run_cli(capsys, *argv):
@@ -71,6 +71,11 @@ class TestVerify:
             capsys, "verify", "--set", group_set_file, "--g", "1", "--N", "7"
         )
         assert code == 2 and "integer sets" in err
+
+    def test_missing_or_stray_N_is_refused(self, capsys, int_set_file, group_set_file):
+        for path, N in ((int_set_file, []), (group_set_file, ["--N", "3"])):
+            code, out, err = run_cli(capsys, "verify", "--set", path, "--g", "1", *N)
+            assert code == 2 and out == "" and err.startswith("error: N ")
 
     def test_oracle_recount_matches(self, capsys, int_set_file, group_set_file):
         code, payload, _ = run_json(
@@ -735,6 +740,35 @@ class TestSolveAndReport:
         code, _, err = run_cli(capsys, "report", "ratios", "--results", str(bad))
         assert code == 2 and "one of N or group" in err
 
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            ({"g": 0}, "g must be a positive integer"),
+            ({"g": "1"}, "g must be a positive integer"),
+            ({"g": True}, "g must be a positive integer"),
+            ({"value": -3}, "value must be a positive integer"),
+            ({"N": 2.5}, "N must be a positive integer"),
+            ({"quantity": "zeta"}, "quantity 'zeta' is not eta or beta"),
+            ({"quantity": "gamma"}, "quantity 'gamma' is not eta or beta with N"),
+            ({"N": None}, "N must be a positive integer"),
+            ({"witness": 7}, "witness a list or null"),
+            ({"quantity": "gamma", "N": None, "group": 5}, "group must be a list"),
+        ],
+        ids=[
+            "g-zero", "g-string", "g-bool", "value-negative", "N-float", "unknown-quantity",
+            "gamma-with-N", "N-null", "witness-int", "group-int",
+        ],
+    )
+    def test_report_refuses_malformed_fields(self, capsys, tmp_path, change, message):
+        good = {"quantity": "eta", "g": 1, "N": 3, "value": 3, "witness": [0, 1, 3]}
+        data = {**good, **change}
+        if data.get("N") is None and "group" in data:
+            del data["N"]
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(data))
+        code, out, err = run_cli(capsys, "report", "ratios", "--results", str(bad))
+        assert (code, out) == (2, "") and err.startswith("error: ") and message in err
+
 
 class TestBounds:
     def test_interval(self, capsys):
@@ -847,6 +881,87 @@ class TestEmitter:
         first, verdict = err.split("\n", 1)
         assert code == 1 and out == "" and first.startswith("certificate violation")
         assert verdict == self.dumps({"achieved_g": 0, "passed": False, "witness": [0, 1]})
+
+
+def _sparse_lift(A, s):
+    """Stands in for lift_to_cyclic: {0, 1, 3} in the lift's group Z/(p^2 s)."""
+    return GroupSubset.of(GroupSpec((A.group.order * s,)), [(0,), (1,), (3,)])
+
+
+_C7 = {"invariant_factors": [7], "elements": [[1], [2], [4]]}
+_PLANE = {"invariant_factors": [3, 3], "elements": [[x, y] for x in range(3) for y in range(3)]}
+
+
+class TestCertificateViolations:
+    """Every failed difference claim, whatever command makes it, gets one
+    message form and its verdict (expected values counted by hand).  A
+    list or dict in argv is written to a file whose path takes its place."""
+
+    @pytest.mark.parametrize(
+        "argv, patch, message, verdict",
+        [
+            (
+                # counts 2, 1, 0, 0, 0 at shifts 1..5: the first failure is
+                # shift 1, above the least count
+                ["bridge", "set-to-fn", "--set", [0, 1, 2], "--g", "3", "--N", "5"],
+                None,
+                "A is not a 3-difference set for [5]: shift 1 has count 2",
+                {"passed": False, "achieved_g": 0, "witness": 1},
+            ),
+            (
+                ["bridge", "torus", "--g", "1", "--set", {"invariant_factors": [6], "elements": [[0], [1]]}],
+                None,
+                "A is not a 1-difference set for Z/6: shift [2] has count 0",
+                {"passed": False, "achieved_g": 0, "witness": [2]},
+            ),
+            (
+                ["construct", "blowup", "--A", [0, 2], "--N", "3", "--C", _C7],
+                None,
+                "A is not a 1-difference set for [3]: shift 1 has count 0",
+                {"passed": False, "achieved_g": 0, "witness": 1},
+            ),
+            (
+                ["construct", "blowup", "--A", [0, 1, 3], "--N", "3", "--C", _C7, "--g2", "2"],
+                None,
+                "C is not a 2-difference set for Z/7: shift [1] has count 1",
+                {"passed": False, "achieved_g": 1, "witness": [1]},
+            ),
+            (
+                # the union certifies 5 = plane_g * (s - 1); {0, 1, 3} in
+                # Z/242 fails first at shift 0, counted 3 times
+                ["construct", "pipeline", "--k", "3", "--s", "2", "--p", "11"],
+                ("diffsets.constructions.lift_to_cyclic", _sparse_lift),
+                "lift is not a 5-difference set for Z/242: shift [0] has count 3",
+                {"passed": False, "achieved_g": 0, "witness": [0]},
+            ),
+            (
+                ["construct", "lift", "--s", "2", "--g", "1", "--A", parabola_set(3, 1).to_json()],
+                None,
+                "input is not a 1-difference set for Z/3 x Z/3: shift [0, 1] has count 0",
+                {"passed": False, "achieved_g": 0, "witness": [0, 1]},
+            ),
+            (
+                # the whole of (Z/3)^2 passes; its stand-in lift {0, 1, 3} in
+                # Z/18 misses shift 4
+                ["construct", "lift", "--s", "2", "--g", "1", "--A", _PLANE],
+                ("diffsets.cli.lift_to_cyclic", _sparse_lift),
+                "lift is not a 1-difference set for Z/18: shift [4] has count 0",
+                {"passed": False, "achieved_g": 0, "witness": [4]},
+            ),
+        ],
+        ids=["set-to-fn", "torus", "blowup-A", "blowup-C", "pipeline-lift", "lift-input", "lift-output"],
+    )
+    def test_one_message_and_the_verdict(self, capsys, monkeypatch, tmp_path, argv, patch, message, verdict):
+        if patch is not None:
+            monkeypatch.setattr(*patch)
+        files = {i: tmp_path / f"{i}.json" for i, arg in enumerate(argv) if not isinstance(arg, str)}
+        for i, path in files.items():
+            path.write_text(json.dumps(argv[i]))
+        code, out, err = run_cli(capsys, *(str(files.get(i, arg)) for i, arg in enumerate(argv)))
+        first, rest = err.split("\n", 1)
+        assert (code, out) == (1, "")
+        assert first == f"certificate violation: {message}"
+        assert json.loads(rest) == verdict
 
 
 class TestPlumbing:

@@ -316,6 +316,38 @@ def test_pair_memory_follows_the_pairs_not_the_window(convolutions, elems, N):
     assert (v.passed, v.achieved_g, v.witness) == (False, 0, witness)
 
 
+@pytest.mark.parametrize("shape", ["group", "line"])
+def test_verify_adds_no_window_long_index_list(convolutions, shape):
+    # failing certificates on the pair paths, scaled down from 3,000 elements
+    # of Z/(2*10^7) and 12,000 of [0, 1.59*10^7): past its count kernel,
+    # verify_certificate may hold at most one byte per cell of the window
+    rng = np.random.default_rng(1)
+    if shape == "group":
+        window = 2 * 10**6
+        A = GroupSubset(GroupSpec((window,)), rng.choice(window, 950, replace=False)[:, None])
+        kernel, kwargs = lambda: core_sets._group_counts(A.flat, A.group, "difference"), {}
+    else:
+        window = 1_590_000
+        A = IntSet(rng.choice(window, 3800, replace=False))
+        kernel, kwargs = lambda: core_sets._pair_counts(A.array, "difference", 1, window), {"N": window}
+    peaks = []
+    for run in (kernel, lambda: verify_certificate(A, 1, **kwargs)):
+        tracemalloc.start()
+        try:
+            v = run()
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert convolutions == []
+    assert peaks[1] <= peaks[0] + window, peaks
+    # the least shift of count 0: every shift below it is some difference
+    elems = A.array.tolist() if shape == "line" else A.flat.tolist()
+    S, w = set(elems), v.witness if shape == "line" else v.witness[0]
+    assert (v.passed, v.achieved_g) == (False, 0)
+    assert not any((a + w) % window in S for a in elems)
+    assert all(any((a + m) % window in S for a in elems) for m in range(1, w))
+
+
 def test_convolve_matches_oracle():
     # self and reverse products, of lists and of int64 arrays
     rng = random.Random(808)
@@ -541,9 +573,17 @@ def test_verify_matches_oracle_randomized():
         g = rng.randint(1, 3)
         v = verify_certificate(A, g=g, N=N, mode="difference")
         assert v.passed == oracles.is_g_difference_interval(elems, g, N)
+        counts = oracles.diff_counts(elems)
+        failing = [m for m in range(1, N + 1) if counts.get(m, 0) < g]
+        assert v.witness == (failing[0] if failing else None)
+        assert v.achieved_g == min(counts.get(m, 0) for m in range(1, N + 1))
         sidon_elems = sorted(set(rng.choices(range(1, N + 1), k=k)))
         v = verify_certificate(IntSet.of(sidon_elems), g=g, N=N, mode="sidon")
         assert v.passed == oracles.is_g_sidon_interval(sidon_elems, g, N)
+        counts = oracles.sum_counts(sidon_elems)
+        failing = [m for m in sorted(counts) if counts[m] > g]
+        assert v.witness == (failing[0] if failing else None)
+        assert v.achieved_g == max(counts.values())
 
 
 # --- serialization and ledger ----------------------------------------------
