@@ -21,6 +21,17 @@ is cut when it exceeds t*reach + step*t*(t - 1)/2, the most t more elements
 add (reach: the live count for eta, 2|A| + 1 for gamma), or when a counter
 is below g - step*t.
 
+eta tests that bound for all N children of a node at once.  A child's drop
+and its live count are correlations of the live mask with the missing
+counters and with a run of ones, so one Python int product of the masks
+spread into w-bit slots (Kronecker substitution) holds all N of them, and
+one add and one mask compare every slot with the bound (SWAR).  Only the
+survivors are grown.  A screened-out child still costs one node, so values,
+witnesses and node counts are those of the per-child test.  Each loop
+charges its children to the node budget before a subtree, on leaving, and as
+soon as the next child would spend past the limit, so a budget stops the
+search within one child of it.
+
 The group cover search pins more.  Fix a size k that has a cover and let L
 be the lex-first k-cover through 0.  If |G| > 1, L contains the element h of
 flat index 1: L - L = G, so a - b = h for some a, b in L, and L - b, a
@@ -48,7 +59,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -85,9 +96,9 @@ class BudgetExceeded(Exception):
 class SearchConfig:
     """Node budget and symmetry switch.
 
-    node_budget: search nodes before giving up with a non-exhaustive result;
-    group operation rows are built as the search places elements, so the
-    budget bounds the set-up too.
+    node_budget: search nodes before giving up with a non-exhaustive result,
+    at least 0; group operation rows are built as the search places
+    elements, so the budget bounds the set-up too.
     translation_fix: pin min(A) = 0 for eta, 0 in A for gamma/alpha, and
     for gamma also the element of flat index 1, or e_1, ..., e_n in (Z/p)^n
     (see the module docstring for the lemmas).  False drops every pin (eta's
@@ -98,6 +109,10 @@ class SearchConfig:
 
     node_budget: int = 20_000_000
     translation_fix: bool = True
+
+    def __post_init__(self):
+        if self.node_budget < 0:
+            raise ValueError(f"node budget must be at least 0, not {self.node_budget}")
 
 
 @dataclass(frozen=True)
@@ -211,6 +226,10 @@ class _Rule:
     elements placed so far; t more elements add at most
     t*reach + step*t*(t - 1)/2.
     step: the most one new element raises any one counter.
+    screen(state, missing, c, t): None, or the candidates, ascending, whose
+    child may pass the deficit bound: with `missing` the counters below g,
+    those whose drop plus t*(reach(child) - 1) is at least c > 0.  Only a
+    rule whose candidates hold no pinned element has one.
     """
 
     size: int
@@ -220,6 +239,7 @@ class _Rule:
     grow: Callable[[object, int], tuple[object, int]]
     reach: Callable[[object], int]
     step: int
+    screen: Callable[[object, int, int, int], Iterable[int]] | None = None
 
 
 @dataclass(frozen=True)
@@ -236,6 +256,9 @@ class _Sums:
     pinned: tuple[int, ...]
     double: Sequence[int]
     row: Callable[[int], Sequence[int]]
+
+
+_BITS = bytes.maketrans(b"01", b"\0\1")  # bin() digits to byte values
 
 
 def _ascending(lo: int, hi: int):
@@ -274,14 +297,16 @@ def _cover_at_size(rule: _Rule, g: int, k: int, budget: _Budget):
     levels has g + step blocks laid out like those of hits, block i holding
     the counters at least g - i (so blocks g and up are full).  A child is
     checked in its parent's loop, its levels raised only when it passes the
-    deficit check; it keeps them, so backtracking undoes nothing.  The loop
-    counts its children and charges them to the budget at once, before a
-    subtree and on leaving, so an overrun stops the same searches.
+    deficit check; it keeps them, so backtracking undoes nothing.  The rule's
+    screen, if any, drops children that fail the deficit bound before they
+    are grown; each still counts as one node.  The loop charges its children
+    to the budget before a subtree, on leaving, and as soon as the next one
+    would spend past the limit, so a budget stops within one child of it.
     """
     if len(rule.pinned) > k:
         return None
-    candidates, grow, reach, step, size = (
-        rule.candidates, rule.grow, rule.reach, rule.step, rule.size
+    candidates, grow, reach, step, size, screen = (
+        rule.candidates, rule.grow, rule.reach, rule.step, rule.size, rule.screen
     )
     skip = frozenset(rule.pinned)
     full = (1 << size) - 1
@@ -303,11 +328,18 @@ def _cover_at_size(rule: _Rule, g: int, k: int, budget: _Budget):
     def extend(last, state, levels, deficit, t) -> bool:
         t -= 1  # left to place below a child
         pairs = step * t * (t - 1) // 2
-        nodes = 0  # children not yet charged
-        for x in candidates(last, t + 1):
-            if x in skip:
+        cands = candidates(last, t + 1)
+        c = deficit - t - pairs  # at most 0: every child passes the bound
+        picks = cands if screen is None or c <= 0 else screen(state, full & ~levels, c, t)
+        mark = cands.start - 1  # x - mark: the children through x not yet charged
+        stop = mark + budget.limit - budget.spent  # the last x the budget covers
+        for x in picks:
+            if x in skip:  # not a child
+                mark += 1
+                stop += 1
                 continue
-            nodes += 1
+            if x > stop:
+                budget.charge(x - mark)  # raises BudgetExceeded
             child, hits = grow(state, x)
             d = deficit - (hits & ~levels).bit_count()
             if t == 0:
@@ -319,14 +351,15 @@ def _cover_at_size(rule: _Rule, g: int, k: int, budget: _Budget):
                 child_levels = lift(levels, hits)
                 if too_low(child_levels, t):
                     continue
-                budget.charge(nodes)
-                nodes = 0
+                budget.charge(x - mark)
+                mark = x
                 if not extend(x, child, child_levels, d, t):
+                    stop = mark + budget.limit - budget.spent
                     continue
-            budget.charge(nodes)
+            budget.charge(x - mark)
             path.append(x)
             return True
-        budget.charge(nodes)
+        budget.charge(cands.stop - 1 - mark)
         return False
 
     state, deficit = rule.start, g * size
@@ -439,8 +472,10 @@ def eta_exact(g: int, N: int, cfg: SearchConfig = SearchConfig()) -> ExtremalRes
     if g < 1 or N < 1:
         raise ValueError("need g >= 1 and N >= 1")
 
+    first = 1 if cfg.translation_fix else 0  # past the pinned 0
+
     def candidates(last, left):
-        return range(N + 1) if last is None else range(last + 1, last + N + 1)
+        return range(first, N + 1) if last is None else range(last + 1, last + N + 1)
 
     full = (1 << N) - 1
 
@@ -452,6 +487,38 @@ def eta_exact(g: int, N: int, cfg: SearchConfig = SearchConfig()) -> ExtremalRes
         hit = (live << (x - last - 1)) & full
         return (((hit << 1) | 1) & full, x), hit
 
+    # The screen's product, shifted down live.bit_length() slots, holds in
+    # slot s the drop of child x = last + 1 + s plus t*R(s), R(s) the live
+    # bits still live after x (reach(child) = 1 + R(s)); adding half - c sets
+    # a slot's top bit when it reaches c.  A node with p elements placed and
+    # k = p + 1 + t in the end fills a slot to at most p*(t + 1) <= k*k/4,
+    # and its own bound keeps c at most that: q bytes hold it below the top bit.
+    fallback = _greedy_difference_cover(g, N)
+    q = (len(fallback) ** 2 // 4).bit_length() // 8 + 1
+    w = 8 * q
+    low = ((1 << (w * N)) - 1) // ((1 << w) - 1)  # 1 in each of N slots
+    stays = low >> w  # 1 in slots 0..N - 2: the live bits a shift keeps below N - 1
+    high, half = low << (w - 1), 1 << (w - 1)
+
+    def spread(m: int, order: str) -> int:
+        """m's bits in w-bit slots, read in `order`: bit i in slot i for
+        "big", in slot m.bit_length() - i for "little" (slot 0 empty)."""
+        digits = bin(m).encode().translate(_BITS, b"b")
+        if q > 1:
+            slots = bytearray(q * len(digits))
+            slots[q - 1 if order == "big" else 0 :: q] = digits
+            digits = slots
+        return int.from_bytes(digits, order)
+
+    def screen(state, missing, c, t):
+        live, last = state
+        product = spread(live, "little") * (spread(missing, "big") + t * stays)
+        passing = ((product >> (w * live.bit_length())) + low * (half - c)) & high
+        while passing:
+            bit = passing & -passing
+            yield last + bit.bit_length() // w  # x = last + 1 + s
+            passing ^= bit
+
     rule = _Rule(
         size=N,  # counter m - 1 holds shift m
         pinned=(0,) if cfg.translation_fix else (),
@@ -461,8 +528,8 @@ def eta_exact(g: int, N: int, cfg: SearchConfig = SearchConfig()) -> ExtremalRes
         # a later x pairs only with the live elements, those in (last - N, last]
         reach=lambda state: state[0].bit_count(),
         step=1,
+        screen=screen,
     )
-    fallback = _greedy_difference_cover(g, N)
     budget = _Budget(cfg.node_budget)
     elems, exhaustive = _cover(rule, g, max(2, ceil_sqrt(2 * g * N)), fallback, budget)
     witness = IntSet.of(elems)

@@ -689,6 +689,14 @@ class TestSolveAndReport:
         assert code == 0
         assert payload["exhaustive"] is False
 
+    def test_solve_refuses_negative_budget(self, capsys):
+        for quantity in ("eta", "beta"):
+            code, out, err = run_cli(capsys, "solve", quantity, "--g", "1", "--N", "5", "--budget", "-5")
+            assert (code, out) == (2, "")
+            assert err.startswith("error: ") and "node budget" in err
+        code, payload, _ = run_json(capsys, "solve", "eta", "--g", "1", "--N", "5", "--budget", "0")
+        assert code == 0 and (payload["nodes"], payload["exhaustive"]) == (1, False)
+
     def test_solve_parameter_mixups(self, capsys):
         code, _, err = run_cli(capsys, "solve", "eta", "--g", "1")
         assert code == 2 and "--N" in err

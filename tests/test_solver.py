@@ -1,9 +1,12 @@
 """Extremal searches against full-enumeration oracles and counting bounds."""
 
 import csv
+import dataclasses
 import io
 import math
+import random
 import time
+import tracemalloc
 
 import pytest
 
@@ -126,6 +129,115 @@ def test_eta_budget_edge():
     assert verify_certificate(short.witness, g=1, N=18, mode="difference").passed
     exact = eta_exact(1, 18, SearchConfig(node_budget=45_927))
     assert exact.exhaustive and exact.value == 7 and exact.nodes == 45_927
+
+
+def _change_rule(monkeypatch, change):
+    """Run every cover search on change(rule) in place of its rule."""
+    cover = solver._cover_at_size
+    monkeypatch.setattr(solver, "_cover_at_size", lambda rule, *args: cover(change(rule), *args))
+
+
+def _grown(monkeypatch):
+    """The children the cover search grows, pins left out, in order."""
+    grown = []
+
+    def counted(rule):
+        def grow(state, x):
+            if x not in rule.pinned:
+                grown.append(x)
+            return rule.grow(state, x)
+
+        return dataclasses.replace(rule, grow=grow)
+
+    _change_rule(monkeypatch, counted)
+    return grown
+
+
+def test_eta_screen_grows_only_passing_children(monkeypatch):
+    # 45,925 children are counted, but only those that pass the deficit
+    # bound (2,556 of them) are grown
+    grown = _grown(monkeypatch)
+    r = eta_exact(1, 18)
+    assert r.nodes == 45_927
+    assert len(grown) < r.nodes // 10
+
+
+@pytest.mark.parametrize("N", [18, 130], ids=["one-byte-slots", "two-byte-slots"])
+def test_eta_screen_keeps_exactly_the_children_the_bound_keeps(monkeypatch, N):
+    # random nodes within the screen's slot bound (p placed, t left after
+    # the child, p + 1 + t <= k, c <= (t + 1)*|live|), checked against the
+    # per-child test: drop + t*(reach(child) - 1) >= c
+    rules = []
+
+    def capture(rule, g, lo, fallback, budget):
+        rules.append((rule, len(fallback)))
+        return fallback, False
+
+    monkeypatch.setattr(solver, "_cover", capture)
+    eta_exact(1, N)
+    (rule, kmax), = rules
+    rng = random.Random(N)
+    for _ in range(400):
+        k = rng.randint(2, kmax)
+        p = rng.randint(1, k - 1)
+        t = k - p - 1
+        live = sum(1 << i for i in rng.sample(range(1, N), min(p - 1, N - 1))) | 1
+        state, missing = (live, rng.randint(0, 3 * N)), rng.getrandbits(N)
+        c = rng.randint(1, (t + 1) * live.bit_count())
+        kept = []
+        for x in range(state[1] + 1, state[1] + N + 1):
+            child, hits = rule.grow(state, x)
+            if (hits & missing).bit_count() + t * (rule.reach(child) - 1) >= c:
+                kept.append(x)
+        assert list(rule.screen(state, missing, c, t)) == kept
+
+
+SCREEN_CASES = [(g, N) for g in range(1, 5) for N in range(1, 13)] + [(1, 18)]
+
+
+@pytest.mark.parametrize("pin", [True, False], ids=["pinned", "free"])
+@pytest.mark.parametrize("budget", [0, 37, 500, None], ids=["0", "37", "500", "default"])
+def test_eta_screen_changes_no_result(monkeypatch, pin, budget):
+    # the screen only skips children the deficit bound would cut, and
+    # charges them as it would: the same loop without it gives the same
+    # values, witnesses, node counts and exhaustive flags
+    kwargs = {"translation_fix": pin} if budget is None else {"translation_fix": pin, "node_budget": budget}
+    cfg = SearchConfig(**kwargs)
+    screened = [eta_exact(g, N, cfg) for g, N in SCREEN_CASES]
+    _change_rule(monkeypatch, lambda rule: dataclasses.replace(rule, screen=None))
+    for (g, N), r in zip(SCREEN_CASES, screened):
+        plain = eta_exact(g, N, cfg)
+        assert (r.value, r.witness, r.nodes, r.exhaustive) == (
+            plain.value, plain.witness, plain.nodes, plain.exhaustive
+        ), (g, N)
+
+
+def test_eta_screen_memory_does_not_grow_with_N():
+    # slot constants and operands are O(N) words; no table per N
+    tracemalloc.start()
+    try:
+        r = eta_exact(1, 300, SearchConfig(node_budget=20_000))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (r.value, r.nodes, r.exhaustive) == (36, 20_001, False)
+    assert peak < 1_000_000
+
+
+def test_budget_stops_a_loop_within_one_child(monkeypatch):
+    # the first loop in Z/100 x Z/100 has 9,914 children; a budget of 100 is
+    # spent among them, and the loop stops there instead of at its end
+    grown = _grown(monkeypatch)
+    r = gamma_exact(1, GroupSpec((100, 100)), SearchConfig(node_budget=100))
+    assert (r.value, r.exhaustive, r.nodes) == (10_000, False, 101)
+    assert len(grown) <= 101
+
+
+def test_negative_budget_is_refused():
+    with pytest.raises(ValueError, match="node budget"):
+        SearchConfig(node_budget=-1)
+    r = eta_exact(1, 5, SearchConfig(node_budget=0))
+    assert (r.exhaustive, r.nodes) == (False, 1)
 
 
 # (g, N): (value, lex-min witness, nodes), frozen from the search with
