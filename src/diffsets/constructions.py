@@ -37,9 +37,9 @@ from .core_sets import (
     GroupSpec,
     GroupSubset,
     IntSet,
+    _difference_window,
     _enumerable,
     _group_counts,
-    _pair_counts,
     _require_certificate,
     _residues,
     format_fraction,
@@ -417,8 +417,8 @@ class RandomModel:
             if not 1 <= self.g <= _enumerable(self.group):
                 raise ValueError("need 1 <= g <= |G|")
         elif self.kind == "sequence-weighted":
-            if self.probs is None or self.target_N is None:
-                raise ValueError("sequence-weighted model needs probs and target_N")
+            if self.probs is None or self.target_N is None or self.target_N < 1:
+                raise ValueError("sequence-weighted model needs probs and a positive target_N")
             if not self.probs.in_unit_range():
                 raise ValueError("probabilities must lie in [0, 1]")
         else:
@@ -698,9 +698,8 @@ def _make_sequence_trial(model: RandomModel, delta: Fraction, epsilon: Fraction)
         A = sequence_random_set(probs, seed)
         if A.size < 2:
             return A.size, 0, 0, False
-        start, offsets, counts = _pair_counts(A.array, "difference", 1, N)
-        r_min = int(counts.min()) if len(counts) == N else 0
-        probe_count = int(counts[offsets == probe_m - start].sum())
+        counts, r_min = _difference_window(A.array, N)
+        probe_count = int(counts[probe_m - 1])
         ok = r_min**3 >= count_floor_cubed and A.size**3 <= size_cap_cubed
         return A.size, r_min, probe_count, ok
 

@@ -21,9 +21,11 @@ behind the decimal module, multiplies large operands by a number-theoretic
 transform.  Only where the k^2 ordered pairs cost less, for a hull of more
 than k^2/128 cells on the line or a padded group of more than k^2 cells, are
 the pairs binned directly with numpy instead: on the line in O(min(n, k^2))
-memory for a window of n shifts, however wide the hull.  Importing this
-module fails without the C decimal module: the pure-Python fallback would
-make the same products orders of magnitude slower.
+memory for a window of n shifts, however wide the hull.  A window is
+handed over whole, a check of the shifts 1..N counts at most k(k-1)/2+1 of
+them, and a kernel over _ORDER_LIMIT int64 slots is refused.
+Importing this module fails without the C decimal module: the pure-Python
+fallback would make the same products orders of magnitude slower.
 """
 
 from __future__ import annotations
@@ -82,8 +84,8 @@ _CHUNK_CELLS = 1 << 18
 # pairs per cell for hulls of 6e4 to 1e6 cells.  In a group the pair path's
 # modular arithmetic moves the crossover to about one pair per padded cell.
 _CELL_PAIRS = 128
-# Largest group whose every element gets an int64 slot: a count array, or a
-# draw or shift map of the random models (400 MB at the limit).
+# Most int64 slots held at once (400 MB): a group's counts, a random draw or
+# shift map, or the product, window or pairs of _pair_counts.
 _ORDER_LIMIT = 50_000_000
 _PROFILE_LIMIT = 5_000_000  # most counts a profile lists: shifts, or group elements
 
@@ -542,16 +544,18 @@ def _pair_counts(elements, mode: str, lo: int, hi: int):
     """Exact ordered-pair difference or sum counts at the shifts lo..hi, for
     distinct ascending elements (IntSet.array, or a sequence of ints).
 
-    Returns (start, offsets, counts): the shifts start + offsets, ascending,
-    are the shifts of the window that some pair reaches, each with its
-    positive count; every other shift counts 0.  The window is first
-    clipped to the reachable shifts, so nothing is allocated for the rest.
+    Returns (shifts, counts), each shift with its count; every other shift
+    counts 0.  The window is first clipped to the reachable shifts wlo..whi.
     The counts are the hull's indicator convolved with its reverse
-    (differences) or itself (sums); when the hull has more than
-    k^2/_CELL_PAIRS cells, the k^2 pairs are binned directly instead: into
-    the n-shift window when n <= k^2, else by sorting the pairs that land in
-    it.  Either way memory is O(min(n, k^2)), however far apart the
-    elements lie.
+    (differences) or itself (sums) or, for a hull of more than
+    k^2/_CELL_PAIRS cells, the k^2 pairs binned into the n-shift window when
+    n <= k^2: either way the window is handed over whole, with shifts =
+    range(wlo, whi + 1).  For a wider window the pairs that land in it are
+    sorted, and shifts is an array of those they reach: memory is
+    O(min(n, k^2)).  A path that would hold more than _ORDER_LIMIT int64
+    slots (2 span + 1 for the product, n or k^2 for the pairs) is refused
+    with a ValueError.  A check of the shifts 1..N asks for no more than
+    1..k(k-1)/2+1 (_difference_window).
     """
     a = np.asarray(elements, dtype=np.int64)
     k = len(a)
@@ -565,23 +569,23 @@ def _pair_counts(elements, mode: str, lo: int, hi: int):
     base = -span if mode == "difference" else 2 * first
     wlo, whi = max(lo, base), min(hi, base + 2 * span)
     if wlo > whi:
-        empty = np.zeros(0, dtype=np.int64)
-        return lo, empty, empty
+        return range(0), np.zeros(0, dtype=np.int64)
+    n = whi - wlo + 1
+    product = (span + 1) * _CELL_PAIRS <= k * k
+    slots = 2 * span + 1 if product else min(n, k * k)
+    if slots > _ORDER_LIMIT:
+        raise ValueError(f"{k} elements need {slots} counts or pairs at once (limit {_ORDER_LIMIT})")
     e = a - first
-    if (span + 1) * _CELL_PAIRS <= k * k:
+    shifts = range(wlo, whi + 1)
+    if product:
         ind = np.zeros(span + 1, dtype=np.int64)
         ind[e] = 1
-        window = _convolve(ind, reverse=mode == "difference")[wlo - base : whi - base + 1]
-        offsets = np.flatnonzero(window)
-        return wlo, offsets, window[offsets]
+        return shifts, _convolve(ind, reverse=mode == "difference")[wlo - base : whi - base + 1]
     # with e the offsets from the first element, pair (a, b) lands at
     # offset e[a] + other[b] of the window
     other = (span - e if mode == "difference" else e) - (wlo - base)
-    n = whi - wlo + 1
     if n <= k * k:
-        window = _pair_sums(e, other, size=n)
-        offsets = np.flatnonzero(window)
-        return wlo, offsets, window[offsets]
+        return shifts, _pair_sums(e, other, size=n)
     hits = []
     rows = max(1, _CHUNK_CELLS // k)
     for i0 in range(0, k, rows):
@@ -591,7 +595,17 @@ def _pair_counts(elements, mode: str, lo: int, hi: int):
     hits = np.concatenate(hits)  # rebound, so the sort holds one copy of the pairs
     hits.sort()  # then run lengths: not np.unique, which imports numpy.ma
     first = np.flatnonzero(np.r_[hits.size > 0, hits[1:] != hits[:-1]])  # run starts
-    return wlo, hits[first], np.diff(np.r_[first, len(hits)])
+    return wlo + hits[first], np.diff(np.r_[first, len(hits)])
+
+
+def _difference_window(a: np.ndarray, N: int):
+    """Difference counts of the elements a at the shifts 1, 2, ..., and their
+    minimum over 1..N.  The k(k-1)/2 pairs a > b reach at most that many
+    positive shifts, so only 1..min(N, k(k-1)/2+1) are counted, on a dense
+    path; a window shorter than N holds a 0 or is followed by one."""
+    k = len(a)
+    counts = _pair_counts(a, "difference", 1, min(N, k * (k - 1) // 2 + 1))[1]
+    return counts, int(counts.min()) if len(counts) == N else 0
 
 
 def _flat(spec: GroupSpec, vectors) -> np.ndarray:
@@ -663,9 +677,11 @@ def _profile(A: IntSet, kind: str, shifts: tuple[int, int]) -> RepProfile:
         raise ValueError("empty shift interval")
     if hi - lo + 1 > _PROFILE_LIMIT:
         raise ValueError(f"shift interval too large to materialize (limit {_PROFILE_LIMIT})")
-    start, offsets, counts = _pair_counts(A.array, kind, lo, hi)
+    shifts, counts = _pair_counts(A.array, kind, lo, hi)
+    if not isinstance(shifts, range):  # the sorted path's array, as ints
+        shifts = shifts.tolist()
     table = dict.fromkeys(range(lo, hi + 1), 0)
-    table.update(zip((start + o for o in offsets.tolist()), counts.tolist()))
+    table.update(zip(shifts, counts.tolist()))
     return RepProfile.build(kind, f"[{lo},{hi}]", table)
 
 
@@ -727,27 +743,17 @@ def verify_certificate(A, g: int, N: int | None = None, mode: str = "difference"
     if A.size == 0:
         raise ValueError("empty set")
     if mode == "difference":
-        start, offsets, counts = _pair_counts(A.array, "difference", 1, N)
-        achieved = int(counts.min()) if len(counts) == N else 0
-        good = offsets[counts >= g]
-        # 0-based positions in 1..N of the shifts that reach g, ascending, so
-        # good[i] == i up to the first failing position and > i from there
-        good += start - 1
-        lo, hi = 0, len(good)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if good[mid] == mid:
-                lo = mid + 1
-            else:
-                hi = mid
-        return Verdict(lo == N, achieved, lo + 1 if lo < N else None)
+        counts, achieved = _difference_window(A.array, N)
+        # the sentinel at len(counts): a 0 past a window shorter than N, else a pass
+        i = int(np.append(counts < g, True).argmax())
+        return Verdict(i == N, achieved, i + 1 if i < N else None)
     # Sidon over [N]: support must lie in [1, N], so every sum is in [2, 2N]
     if A.array[0] < 1 or int(A.array[-1]) > N:
         raise ValueError("support outside [1,N]")
-    start, offsets, counts = _pair_counts(A.array, "sum", 2, 2 * N)
+    shifts, counts = _pair_counts(A.array, "sum", 2, 2 * N)
     bad = counts > g
     i = int(bad.argmax())
-    witness = start + int(offsets[i]) if bad[i] else None
+    witness = int(shifts[i]) if bad[i] else None
     return Verdict(witness is None, int(counts.max()), witness)
 
 

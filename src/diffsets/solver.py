@@ -68,6 +68,7 @@ from .core_sets import (
     GroupSpec,
     GroupSubset,
     IntSet,
+    _enumerable,
     _residues,
     ceil_sqrt,
     is_prime,
@@ -259,6 +260,9 @@ class _Sums:
 
 
 _BITS = bytes.maketrans(b"01", b"\0\1")  # bin() digits to byte values
+# Largest group solved: each element placed gets a |G|-long row.  Z/500 x Z/500
+# takes 2 s and 0.43 GB for `solve gamma --g 1 --budget 1000`.
+_SOLVE_LIMIT = 250_000
 
 
 def _ascending(lo: int, hi: int):
@@ -280,7 +284,8 @@ class _Rows(dict):
 
 def _group_maps(group: GroupSpec, sign: int, scale: int):
     """Flat-index maps: rows[a][y] = a + sign*y, each row built when first
-    read, and the list y -> scale*y."""
+    read, and the list y -> scale*y; refused above _SOLVE_LIMIT elements."""
+    _enumerable(group, _SOLVE_LIMIT)
     axes = np.indices(group.factors).reshape(group.rank, -1)
 
     def flat(coords) -> list[int]:

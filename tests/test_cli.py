@@ -5,6 +5,7 @@ import io
 import json
 import os
 import random
+import resource
 import subprocess
 import sys
 import time
@@ -26,6 +27,25 @@ def run_cli(capsys, *argv):
 def run_json(capsys, *argv):
     code, out, err = run_cli(capsys, *argv, "--json")
     return code, json.loads(out), err
+
+
+def run_in_2gb(*argv):
+    """The CLI in a fresh process under 2 GB of address space, as in CI: an
+    input whose arrays outgrow it exits 1 with a MemoryError unless refused."""
+
+    def cap():
+        hard = resource.getrlimit(resource.RLIMIT_AS)[1]
+        soft = 2_000_000 * 1024
+        if hard != resource.RLIM_INFINITY:
+            soft = min(soft, hard)
+        resource.setrlimit(resource.RLIMIT_AS, (soft, hard))
+
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    script = "import sys; from diffsets.cli import dispatch; sys.exit(dispatch(sys.argv[1:]))"
+    out = subprocess.run(
+        [sys.executable, "-c", script, *argv], capture_output=True, env=env, text=True, preexec_fn=cap
+    )
+    return out.returncode, out.stdout, out.stderr
 
 
 @pytest.fixture
@@ -87,6 +107,17 @@ class TestVerify:
             capsys, "verify", "--set", group_set_file, "--g", "1", "--oracle"
         )
         assert code == 0 and payload["oracle"]["match"] is True
+
+    def test_pair_work_over_the_order_limit_is_refused(self, tmp_path):
+        # 20,000 elements of [1, 10^12): a difference window of 2 * 10^8
+        # shifts, or 4 * 10^8 sorted sum pairs, each past 50,000,000 slots
+        path = tmp_path / "far.json"
+        path.write_text(json.dumps(sorted(random.Random(12).sample(range(1, 10**12), 20_000))))
+        for mode in ("difference", "sidon"):
+            argv = ["--set", str(path), "--g", "2", "--N", str(10**12 + 1), "--mode", mode]
+            code, out, err = run_in_2gb("verify", *argv)
+            assert (code, out) == (2, ""), err
+            assert err.startswith("error:") and "limit 50000000" in err
 
     def test_sidon_mode(self, capsys, tmp_path):
         path = tmp_path / "s.json"
@@ -433,6 +464,19 @@ class TestRandom:
             sets.append(payload["set"])
         assert sets[0] == sets[1] == [2, 3, 8]
 
+    @pytest.mark.parametrize("N", ["0", "-5"])
+    def test_sequence_trials_refuse_a_shift_range_below_1(self, capsys, tmp_path, N):
+        # each trial reads the count at shift 1, so [1, N] must hold it
+        path = tmp_path / "probs.json"
+        data = {"support": [0, 1, 2], "coeffs": ["1", "1", "1"], "cbrt_scale_n": None}
+        path.write_text(json.dumps(data))
+        code, out, err = run_cli(
+            capsys, "random", "sequence", "--probs", str(path), "--N", N,
+            "--trials", "2", "--delta", "1/2", "--epsilon", "1/5",
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith("error:") and "positive target_N" in err
+
     @pytest.mark.parametrize(
         "support, coeffs, message",
         [
@@ -696,6 +740,14 @@ class TestSolveAndReport:
             assert err.startswith("error: ") and "node budget" in err
         code, payload, _ = run_json(capsys, "solve", "eta", "--g", "1", "--N", "5", "--budget", "0")
         assert code == 0 and (payload["nodes"], payload["exhaustive"]) == (1, False)
+
+    def test_group_over_the_solve_limit_is_refused(self):
+        # a |G|-long row per placed element: Z/1000 x Z/1000 ran out of 2 GB
+        for quantity, factors in (("gamma", ("1000", "1000")), ("alpha", ("1000000",))):
+            argv = ["--g", "1", "--factors", *factors, "--budget", "1000"]
+            code, out, err = run_in_2gb("solve", quantity, *argv)
+            assert (code, out) == (2, ""), err
+            assert err.startswith("error:") and "too large" in err and "250000" in err
 
     def test_solve_parameter_mixups(self, capsys):
         code, _, err = run_cli(capsys, "solve", "eta", "--g", "1")

@@ -236,11 +236,14 @@ def test_pair_counts_windows_against_oracle(convolutions, add_at, path):
                 centre = rng.choice(reach + [rng.randint(*reach)])
                 lo = centre - rng.randint(0, 50)
                 hi = centre + rng.randint(0, 50)
-            start, offsets, counts = core_sets._pair_counts(tuple(elems), mode, lo, hi)
-            shifts = [start + o for o in offsets.tolist()]
-            assert shifts == sorted(m for m in want if lo <= m <= hi)
-            assert counts.tolist() == [want[m] for m in shifts]
-            assert offsets.dtype == counts.dtype == np.int64
+            shifts, counts = core_sets._pair_counts(tuple(elems), mode, lo, hi)
+            # the dense paths hand over their whole window, zeros included
+            assert isinstance(shifts, range) == (path != "pairs-sorted")
+            got = dict(zip(map(int, shifts), counts.tolist()))
+            assert list(got) == sorted(got) and len(got) == len(counts)
+            assert {m: c for m, c in got.items() if c} == {m: c for m, c in want.items() if lo <= m <= hi}
+            assert all(lo <= m <= hi and c == want.get(m, 0) for m, c in got.items())
+            assert counts.dtype == np.asarray(shifts).dtype == np.int64
             assert len(counts) <= 2 * span + 1
     assert bool(convolutions) == (path == "decimal")
     assert bool(add_at) == (path == "pairs-dense")
@@ -271,15 +274,14 @@ def test_pair_paths_across_chunks(monkeypatch, add_at):
     elems = sorted(rng.sample(range(100_000), 50))
     want = oracles.diff_counts(elems)
     for lo, hi in ((-100, 100), (-100_000, 100_000)):  # 201 <= 50^2 shifts bin, 200,001 sort
-        start, offsets, counts = core_sets._pair_counts(tuple(elems), "difference", lo, hi)
-        assert dict(zip((start + offsets).tolist(), counts.tolist())) == {
-            m: c for m, c in want.items() if lo <= m <= hi
-        }
+        shifts, counts = core_sets._pair_counts(tuple(elems), "difference", lo, hi)
+        got = dict(zip(map(int, shifts), counts.tolist()))
+        assert {m: c for m, c in got.items() if c} == {m: c for m, c in want.items() if lo <= m <= hi}
         assert bool(add_at) == (hi == 100)
         add_at.clear()
     # a sorted window that no pair reaches
-    start, offsets, counts = core_sets._pair_counts((0, 10**6), "difference", 100, 200)
-    assert (offsets.tolist(), counts.tolist(), counts.dtype) == ([], [], np.int64) and add_at == []
+    shifts, counts = core_sets._pair_counts((0, 10**6), "difference", 100, 200)
+    assert (shifts.tolist(), counts.tolist(), counts.dtype) == ([], [], np.int64) and add_at == []
     core_sets._pair_counts(tuple(sorted(rng.sample(range(300), 50))), "sum", 0, 600)
     assert len(add_at) == 50 and max(add_at) <= 64  # every sum lands in the window
     spec = GroupSpec((2,) * 8)
@@ -346,6 +348,67 @@ def test_verify_adds_no_window_long_index_list(convolutions, shape):
     assert (v.passed, v.achieved_g) == (False, 0)
     assert not any((a + w) % window in S for a in elems)
     assert all(any((a + m) % window in S for a in elems) for m in range(1, w))
+
+
+def test_verify_peak_is_about_one_window(convolutions):
+    # 3,800 elements of [0, 1.59*10^6), scaled down from 12,000 of
+    # [0, 1.59*10^7): the kernel's window of N int64 counts is verify's one
+    # large array, with no index list or gathered copy beside it
+    N = 1_590_000
+    A = IntSet(np.random.default_rng(1).choice(N, 3800, replace=False))
+    tracemalloc.start()
+    try:
+        v = verify_certificate(A, 1, N=N)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert convolutions == []
+    assert peak <= 1.5 * 8 * N, peak
+    # the least shift of count 0: every shift below it is some difference
+    S, w = set(A.array.tolist()), v.witness
+    assert (v.passed, v.achieved_g) == (False, 0)
+    assert not any(a + w in S for a in S)
+    assert all(any(a + m in S for a in S) for m in range(1, w))
+
+
+@pytest.mark.parametrize("elems", [(0, 1, 3), (0, 1, 4, 6), (0, 1, 4, 9, 11)])
+def test_verify_counts_at_most_k_choose_2_plus_1_shifts(monkeypatch, elems):
+    # the k(k-1)/2 pairs a > b leave a shift of count 0 in 1..k(k-1)/2+1,
+    # so verify over [1, 10^12] asks the kernel for no shift past it
+    asked, real = [], core_sets._pair_counts
+
+    def spy(a, mode, lo, hi):
+        asked.append(hi - lo + 1)
+        return real(a, mode, lo, hi)
+
+    monkeypatch.setattr(core_sets, "_pair_counts", spy)
+    v = verify_certificate(IntSet.of(elems), 1, N=10**12)
+    want = oracles.diff_counts(elems)
+    witness = next(m for m in range(1, 10**12) if m not in want)
+    assert (v.passed, v.achieved_g, v.witness) == (False, 0, witness)
+    k = len(elems)
+    assert len(asked) == 1 and asked[0] <= k * (k - 1) // 2 + 1
+
+
+def test_pair_counts_refuses_more_slots_than_the_order_limit(monkeypatch, convolutions):
+    # the product holds 2 span + 1 slots, the binned window n, the sorted
+    # pairs k^2; one slot over the limit is refused
+    monkeypatch.setattr(core_sets, "_ORDER_LIMIT", 400)
+    sparse = tuple(range(0, 2 * 10**6, 10**5))  # 20 far-apart elements: 400 pairs
+    for elems, hi, ok in (
+        (tuple(range(200)), 10, True),  # the product of 399 slots
+        (tuple(range(201)), 10, False),  # 401
+        (sparse, 400, True),  # a window of 400 shifts
+        (sparse, 401, True),  # 401 shifts, so the 400 pairs are sorted
+        (sparse + (2 * 10**6,), 401, False),  # a window of 401 shifts
+        (sparse + (2 * 10**6,), 10**6, False),  # 441 pairs
+    ):
+        if ok:
+            core_sets._pair_counts(elems, "difference", 1, hi)
+        else:
+            with pytest.raises(ValueError, match="limit 400"):
+                core_sets._pair_counts(elems, "difference", 1, hi)
+    assert convolutions == [200]
 
 
 def test_convolve_matches_oracle():
@@ -444,8 +507,8 @@ def test_verify_huge_N_without_an_O_N_array():
     t0 = time.perf_counter()
     v = verify_certificate(IntSet.of([0, 1, 3]), 1, N=10**12)
     assert (v.passed, v.achieved_g, v.witness) == (False, 0, 4)
-    start, offsets, counts = core_sets._pair_counts((0, 1, 3), "difference", 1, 10**12)
-    assert (start, offsets.tolist(), counts.tolist()) == (1, [0, 1, 2], [1, 1, 1])
+    shifts, counts = core_sets._pair_counts((0, 1, 3), "difference", 1, 10**12)
+    assert (shifts, counts.tolist()) == (range(1, 4), [1, 1, 1])
     assert time.perf_counter() - t0 < 1.0
 
 
@@ -459,9 +522,9 @@ def test_verify_far_apart_elements_in_O_k2_memory():
     v = verify_certificate(IntSet.of([1, 10**12]), 2, N=10**12, mode="sidon")
     assert (v.passed, v.achieved_g, v.witness) == (True, 2, None)
     elems = [0, 10**11, 10**11 + 1, 3 * 10**11]
-    start, offsets, counts = core_sets._pair_counts(tuple(elems), "difference", 1, 10**12)
+    shifts, counts = core_sets._pair_counts(tuple(elems), "difference", 1, 10**12)
     want = oracles.diff_counts(elems)
-    assert [start + o for o in offsets.tolist()] == sorted(m for m in want if m >= 1)
+    assert shifts.tolist() == sorted(m for m in want if m >= 1)
     assert counts.tolist() == [want[m] for m in sorted(m for m in want if m >= 1)]
     assert time.perf_counter() - t0 < 1.0
 
@@ -504,8 +567,8 @@ def test_dedupe_and_sorted_pair_counts_load_no_numpy_ma():
         "from diffsets import core_sets as cs\n"
         "cs.IntSet([9, -4, 2, 9, 0])\n"
         "cs.GroupSubset(cs.GroupSpec((5, 4)), [(3, 1), (0, 2), (3, 1)])\n"
-        "start, offsets, counts = cs._pair_counts((0, 3, 10**6), 'difference', -5, 5)\n"
-        "print((start + offsets).tolist(), counts.tolist(), 'numpy.ma' in sys.modules)\n"
+        "shifts, counts = cs._pair_counts((0, 3, 10**6), 'difference', -5, 5)\n"
+        "print(shifts.tolist(), counts.tolist(), 'numpy.ma' in sys.modules)\n"
     )
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
