@@ -4,6 +4,9 @@ Each subcommand prints one report: JSON with sorted keys and rationals as
 "p/q" strings, or a fixed-header CSV for ratio tables.  Identical inputs
 and seed reproduce identical bytes.  Exit codes: 0 success or passing
 check, 1 certificate violation found, 2 usage or input error.
+
+Each command line is parsed once, by its command's own parser; the full
+parser serves only help, usage errors and unusual forms.
 """
 
 from __future__ import annotations
@@ -49,6 +52,7 @@ from .core_sets import (
     _require_certificate,
     format_fraction,
     group_rep_profile,
+    parse_fraction,
     rep_diff_profile,
     rep_sum_profile,
     trivial_bounds,
@@ -596,16 +600,16 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--factors", type=int, nargs="+", required=True)
     sp.add_argument("--g", type=int, required=True)
     sp.add_argument("--trials", type=int, help="run Monte Carlo validation instead of one draw")
-    sp.add_argument("--delta", type=Fraction, help="difference-count slack, e.g. 3/10")
-    sp.add_argument("--epsilon", type=Fraction, help="size slack, e.g. 1/10")
+    sp.add_argument("--delta", type=parse_fraction, help="difference-count slack, e.g. 3/10")
+    sp.add_argument("--epsilon", type=parse_fraction, help="size slack, e.g. 1/10")
     sp.set_defaults(handler=_cmd_random_group)
 
     sp = rsub.add_parser("sequence", parents=[common], help="weighted inclusion from a probability file")
     sp.add_argument("--probs", required=True, help="ProbSeq JSON (see bridge probs)")
     sp.add_argument("--N", type=int, help="shift range checked per trial")
     sp.add_argument("--trials", type=int)
-    sp.add_argument("--delta", type=Fraction)
-    sp.add_argument("--epsilon", type=Fraction)
+    sp.add_argument("--delta", type=parse_fraction)
+    sp.add_argument("--epsilon", type=parse_fraction)
     sp.set_defaults(handler=_cmd_random_sequence)
 
     bridge = sub.add_parser("bridge", help="sets to step functions and back")
@@ -619,21 +623,21 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = bsub.add_parser("fn-check", parents=[common], help="autocorrelation minimum over a window")
     sp.add_argument("--fn", required=True, help="StepFunction JSON")
-    sp.add_argument("--lo", type=Fraction, default=Fraction(0))
-    sp.add_argument("--hi", type=Fraction, default=Fraction(1))
+    sp.add_argument("--lo", type=parse_fraction, default=Fraction(0))
+    sp.add_argument("--hi", type=parse_fraction, default=Fraction(1))
     sp.set_defaults(handler=_cmd_bridge_fn_check)
 
     sp = bsub.add_parser("averages", parents=[common], help="sliding-window averages with conditions")
     sp.add_argument("--fn", required=True)
     sp.add_argument("--N", type=int, required=True)
-    sp.add_argument("--tau-hat", type=Fraction, required=True, dest="tau_hat")
+    sp.add_argument("--tau-hat", type=parse_fraction, required=True, dest="tau_hat")
     sp.add_argument("--stretch", action="store_true")
     sp.set_defaults(handler=_cmd_bridge_averages)
 
     sp = bsub.add_parser("probs", parents=[common], help="inclusion probabilities from averages")
     sp.add_argument("--fn", required=True)
     sp.add_argument("--N", type=int, required=True)
-    sp.add_argument("--tau-hat", type=Fraction, required=True, dest="tau_hat")
+    sp.add_argument("--tau-hat", type=parse_fraction, required=True, dest="tau_hat")
     sp.add_argument("--stretch", action="store_true")
     sp.set_defaults(handler=_cmd_bridge_probs)
 
@@ -683,10 +687,41 @@ def _write(body, out: str | None):
             _emit(body, fh)
 
 
+@functools.cache
+def _leaves() -> dict:
+    """{command words: (its own parser, the dests the descent sets)}, e.g.
+    ("solve", "eta") -> (the eta parser, {"command": "solve", "quantity": "eta"})."""
+    table, todo = {}, [((), {}, _build_parser())]
+    while todo:
+        words, dests, parser = todo.pop()
+        subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        if not subs:
+            table[words] = parser, dests
+        for action in subs:
+            for name, child in action.choices.items():
+                todo.append((words + (name,), {**dests, action.dest: name}, child))
+    return table
+
+
+def _parse(argv) -> argparse.Namespace:
+    """Parse argv once, with its command's own parser, which is the object the
+    full descent would hand the rest of argv to.  A line naming no command, or
+    leaving arguments over, goes to the full parser, for its help, its usage
+    error or an unusual form."""
+    leaves = _leaves()
+    for words in (tuple(argv[:2]), tuple(argv[:1])):
+        if words in leaves:
+            parser, dests = leaves[words]
+            args, extras = parser.parse_known_args(argv[len(words) :], argparse.Namespace(**dests))
+            if not extras:
+                return args
+            break
+    return _build_parser().parse_args(argv)
+
+
 def dispatch(argv) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parse(argv)
     except SystemExit as exc:  # argparse exits 2 on usage errors, 0 on --help
         return int(exc.code or 0)
     run = _Run()

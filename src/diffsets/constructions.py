@@ -568,13 +568,19 @@ def monte_carlo_validate(
     The empirical frequency of each relative deviation is compared against
     the summed Chernoff bounds of the parts.
     Trials run one after another; trial t uses seed master_seed XOR t, so
-    each trial's outcome depends on its seed alone.
+    each trial's outcome depends on its seed alone.  A delta whose largest
+    tail multiple overflows a float is refused before the first trial.
     """
     trials = int(trials)
     if trials < 1:
         raise ValueError("need at least one trial")
     delta = Fraction(delta)
     epsilon = Fraction(epsilon)
+    top = max(_TAIL_MULTIPLIERS)
+    try:  # the tail checks compare delta times each multiplier as a float
+        float(top * delta)
+    except OverflowError:
+        raise ValueError(f"delta too large: {top} * delta overflows a float") from None
     if model.kind == "group-uniform":
         runner, probe = _make_group_trial(model, delta, epsilon)
     else:

@@ -415,6 +415,16 @@ class TestRandom:
         )
         assert code == 2 and "delta" in err
 
+    def test_huge_delta_is_refused_before_the_trials(self, capsys, tmp_path):
+        probs = tmp_path / "probs.json"
+        probs.write_text(json.dumps({"support": [0, 1, 2], "coeffs": ["1/2"] * 3, "cbrt_n": None}))
+        for model in (("group", "--factors", "10", "--g", "1"), ("sequence", "--probs", str(probs), "--N", "2")):
+            code, out, err = run_cli(
+                capsys, "random", *model, "--trials", "2", "--delta", "1e400", "--epsilon", "1/5"
+            )
+            assert (code, out) == (2, ""), model
+            assert err == "error: delta too large: 3 * delta overflows a float\n", model
+
     def test_sequence_paths(self, capsys, tmp_path, int_set_file):
         fn = tmp_path / "fn.json"
         probs = tmp_path / "probs.json"
@@ -1024,11 +1034,94 @@ class TestCertificateViolations:
         assert json.loads(rest) == verdict
 
 
+# One valid command line per leaf command, then the edge forms: help at each
+# level, "--", "--g=1", an abbreviated option, a missing --g, a bad type, an
+# unknown flag, extra positionals and lines that name no leaf command.
+PARSE_CASES = [
+    ["verify", "--set", "a.json", "--g", "1", "--N", "3", "--oracle", "--json"],
+    ["profile", "--set", "a.json", "--kind", "sum", "--lo", "0", "--hi", "6", "--seed", "4"],
+    ["construct", "parabola", "--p", "5", "--u", "1", "--oracle"],
+    ["construct", "lift", "--A", "p.json", "--s", "2", "--g", "1", "--out", "x.json"],
+    ["construct", "pipeline", "--k", "2", "--s", "2", "--p", "5", "--manifest", "m.json"],
+    ["construct", "blowup", "--A", "a.json", "--N", "3", "--C", "c.json", "--q", "7", "--g1", "1", "--g2", "1"],
+    ["random", "group", "--factors", "10", "10", "--g", "1", "--trials", "2", "--delta", "1/2", "--epsilon", "0.1"],
+    ["random", "sequence", "--probs", "p.json", "--N", "5", "--trials", "2", "--delta", "1/2", "--epsilon", "1/5"],
+    ["bridge", "set-to-fn", "--set", "a.json", "--g", "1", "--N", "3"],
+    ["bridge", "fn-check", "--fn", "f.json", "--lo", "1/2", "--hi", "1"],
+    ["bridge", "averages", "--fn", "f.json", "--N", "5", "--tau-hat", "1/4", "--stretch"],
+    ["bridge", "probs", "--fn", "f.json", "--N", "5", "--tau-hat", "1/4"],
+    ["bridge", "torus", "--set", "c.json", "--g", "1"],
+    ["solve", "eta", "--g", "1", "--N", "3", "--budget", "100", "--no-pin"],
+    ["solve", "gamma", "--g", "1", "--factors", "3", "3"],
+    ["solve", "beta", "--g", "2", "--N", "5", "--json"],
+    ["solve", "alpha", "--g", "1", "--factors", "7"],
+    ["report", "ratios", "--results", "a.json", "b.json", "--json"],
+    ["bounds", "--g", "2", "--N", "5"],
+    ["bounds"],
+    ["-h"],
+    ["solve", "-h"],
+    ["solve", "eta", "-h"],
+    ["verify", "--help"],
+    ["bridge", "averages", "-h"],
+    ["--", "verify", "--set", "a.json", "--g", "1"],
+    ["verify", "--set", "a.json", "--g", "1", "--"],
+    ["verify", "--", "--set", "a.json", "--g", "1"],
+    ["solve", "--", "eta", "--g", "1"],
+    ["report", "ratios", "--results", "a.json", "--", "b.json"],
+    ["solve", "eta", "--g=1", "--N=3"],
+    ["bridge", "averages", "--fn", "f.json", "--N", "5", "--tau", "1/4"],
+    ["solve", "eta"],
+    ["solve", "eta", "--g", "x"],
+    ["random", "group", "--factors", "10", "--g", "1", "--delta", "1/0"],
+    ["verify", "--unknown-flag"],
+    ["verify", "--set", "a.json", "--g", "1", "extra"],
+    ["solve", "eta", "extra", "--g", "1"],
+    ["bounds", "solve", "eta"],
+    [],
+    ["nonsense"],
+    ["solve"],
+    ["solve", "nonsense", "--g", "1"],
+]
+
+
 class TestPlumbing:
     def test_usage_errors(self, capsys):
         assert run_cli(capsys, "nonsense")[0] == 2
         assert run_cli(capsys, "solve", "eta")[0] == 2  # missing --g
         assert run_cli(capsys, "verify", "--unknown-flag")[0] == 2
+
+    @pytest.mark.parametrize("argv", PARSE_CASES, ids=" ".join)
+    def test_one_parse_matches_the_full_descent(self, capsys, argv):
+        # the full argparse descent is the oracle for the leaf-parser path
+        def outcome(parse):
+            try:
+                result = vars(parse(list(argv))), None
+            except SystemExit as exc:
+                result = None, exc.code
+            captured = capsys.readouterr()
+            return (*result, captured.out, captured.err)
+
+        assert outcome(cli._parse) == outcome(cli._build_parser().parse_args)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["random", "group", "--factors", "10", "--g", "1", "--trials", "2", "--delta", "1/0", "--epsilon", "1/5"],
+            ["random", "group", "--factors", "10", "--g", "1", "--trials", "2", "--delta", "1/5", "--epsilon", "1/0"],
+            ["random", "sequence", "--probs", "p.json", "--trials", "2", "--delta", "1/0", "--epsilon", "1/5"],
+            ["random", "sequence", "--probs", "p.json", "--trials", "2", "--delta", "1/5", "--epsilon", "1/0"],
+            ["bridge", "fn-check", "--fn", "f.json", "--lo", "1/0"],
+            ["bridge", "fn-check", "--fn", "f.json", "--hi", "1/0"],
+            ["bridge", "averages", "--fn", "f.json", "--N", "5", "--tau-hat", "1/0"],
+            ["bridge", "probs", "--fn", "f.json", "--N", "5", "--tau-hat", "1/0"],
+        ],
+        ids=lambda argv: f"{argv[1]} {argv[argv.index('1/0') - 1]}",
+    )
+    def test_zero_denominator_options_are_usage_errors(self, capsys, argv):
+        option = argv[argv.index("1/0") - 1]
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.endswith(f"error: argument {option}: invalid parse_fraction value: '1/0'\n")
 
     def test_out_file_and_byte_stability(self, capsys, tmp_path):
         a, b = tmp_path / "a.out", tmp_path / "b.out"
@@ -1073,6 +1166,10 @@ class TestPlumbing:
             ["bounds", "--g", "2", "--N", "5", "--json"],
             ["verify", "--set", group_set_file, "--g", "1"],
             ["verify", "--set", int_set_file, "--g", "2", "--N", "3"],
+            ["solve", "eta", "--g", "x"],
+            ["bounds", "--g", "2", "--N", "5", "--"],
+            ["--", "bounds"],
+            ["bounds", "--g", "1", "--N", "3"],
         ]
         in_process = [run_cli(capsys, *argv) for argv in commands]
         assert cli._build_parser() is cli._build_parser()
@@ -1085,7 +1182,7 @@ class TestPlumbing:
             assert (fresh.returncode, fresh.stdout, fresh.stderr) == (
                 code, out.encode(), err.encode()
             ), argv
-        assert [c for c, _, _ in in_process] == [0, 2, 0, 0, 1]
+        assert [c for c, _, _ in in_process] == [0, 2, 0, 0, 1, 2, 2, 2, 0]
 
     def test_import_loads_no_thread_pool_or_logging(self):
         # trials run serially, so start-up imports neither module
