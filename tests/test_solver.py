@@ -537,6 +537,41 @@ def test_beta_rejects_bad_parameters():
         beta_exact(1, 0)
 
 
+# (g, N): (value, lex-min witness, nodes), frozen like GAMMA_FROZEN, for
+# every beta case of the benchmark
+BETA_FROZEN = {
+    (1, 1): (1, (1,), 2),
+    (1, 2): (1, (1,), 2),
+    (1, 3): (1, (1,), 3),
+    (1, 4): (1, (1,), 4),
+    (1, 5): (1, (1,), 5),
+    (1, 6): (1, (1,), 6),
+    (1, 7): (1, (1,), 7),
+    (1, 8): (1, (1,), 8),
+    (2, 1): (1, (1,), 2),
+    (2, 2): (2, (1, 2), 3),
+    (2, 3): (2, (1, 2), 3),
+    (2, 4): (3, (1, 2, 4), 4),
+    (2, 5): (3, (1, 2, 4), 8),
+    (2, 6): (3, (1, 2, 4), 16),
+    (2, 7): (4, (1, 2, 5, 7), 17),
+    (2, 8): (4, (1, 2, 4, 8), 32),
+    (3, 1): (1, (1,), 2),
+    (3, 2): (2, (1, 2), 3),
+    (3, 3): (3, (1, 2, 3), 4),
+    (3, 4): (3, (1, 2, 3), 4),
+    (3, 5): (4, (1, 2, 3, 5), 5),
+    (3, 6): (4, (1, 2, 3, 5), 12),
+}
+
+
+def test_beta_frozen_search():
+    for (g, N), expected in BETA_FROZEN.items():
+        r = beta_exact(g, N)
+        assert (r.value, r.witness.elements, r.nodes) == expected, (g, N)
+        assert r.exhaustive
+
+
 # --- alpha: maximum g-Sidon subsets of a group ------------------------------
 
 
@@ -587,6 +622,48 @@ def test_alpha_unpinned_search_matches():
 def test_alpha_rejects_bad_g():
     with pytest.raises(ValueError):
         alpha_exact(0, GroupSpec((5,)))
+
+
+# (g, factors): (value, lex-min witness, nodes), frozen like GAMMA_FROZEN, for
+# every alpha case of the benchmark
+ALPHA_FROZEN = {
+    (1, (2,)): (1, ((0,),), 1),
+    (2, (2,)): (2, ((0,), (1,)), 2),
+    (1, (3,)): (1, ((0,),), 1),
+    (2, (3,)): (2, ((0,), (1,)), 2),
+    (3, (3,)): (3, ((0,), (1,), (2,)), 3),
+    (1, (4,)): (1, ((0,),), 1),
+    (2, (4,)): (2, ((0,), (1,)), 3),
+    (3, (4,)): (3, ((0,), (1,), (2,)), 3),
+    (1, (5,)): (1, ((0,),), 1),
+    (2, (5,)): (2, ((0,), (1,)), 4),
+    (3, (5,)): (3, ((0,), (1,), (2,)), 6),
+    (1, (6,)): (1, ((0,),), 1),
+    (2, (6,)): (3, ((0,), (1,), (3,)), 8),
+    (3, (6,)): (3, ((0,), (1,), (2,)), 10),
+    (1, (7,)): (1, ((0,),), 1),
+    (2, (7,)): (3, ((0,), (1,), (3,)), 9),
+    (3, (7,)): (4, ((0,), (1,), (2,), (4,)), 14),
+    (1, (8,)): (1, ((0,),), 1),
+    (2, (8,)): (3, ((0,), (1,), (3,)), 14),
+    (3, (8,)): (4, ((0,), (1,), (2,), (4,)), 25),
+    (1, (2, 4)): (1, ((0, 0),), 1),
+    (2, (2, 4)): (3, ((0, 0), (0, 1), (1, 0)), 14),
+    (3, (2, 4)): (4, ((0, 0), (0, 1), (0, 2), (1, 0)), 25),
+    (1, (12,)): (1, ((0,),), 1),
+    (2, (12,)): (4, ((0,), (1,), (3,), (7,)), 49),
+    (3, (12,)): (4, ((0,), (1,), (2,), (4,)), 127),
+    (1, (2, 2, 3)): (1, ((0, 0, 0),), 1),
+    (2, (2, 2, 3)): (4, ((0, 0, 0), (0, 0, 1), (0, 1, 0), (1, 0, 1)), 53),
+    (3, (2, 2, 3)): (4, ((0, 0, 0), (0, 0, 1), (0, 1, 0), (1, 0, 0)), 121),
+}
+
+
+def test_alpha_frozen_search():
+    for (g, factors), expected in ALPHA_FROZEN.items():
+        r = alpha_exact(g, GroupSpec(factors))
+        assert (r.value, r.witness.elements, r.nodes) == expected, (g, factors)
+        assert r.exhaustive
 
 
 # --- result records and the ratio table -------------------------------------
