@@ -21,6 +21,16 @@ is cut when it exceeds t*reach + step*t*(t - 1)/2, the most t more elements
 add (reach: the live count for eta, 2|A| + 1 for gamma), or when a counter
 is below g - step*t.
 
+Group searches need no operation table: `_padded` lays G = Z/m_1 x ... x
+Z/m_n out in slots, 2m on each inner axis of order m and m_1 rows, so the
+slot of a + x is offsets[a] + offsets[x], with no carry, and alpha's pack
+reads counts[reduce[offsets[a] + offsets[x]]].  gamma keeps A and -A as copy
+masks, each element at every copy (coordinates c and c + m, 2m_1 rows).
+Shifted down by offsets[x], A's mask holds each a - x at one live slot, all
+coordinates below m_i; -A's, shifted down by wrap - offsets[x] (wrap: the
+slot of (m_1, ..., m_n)), holds each x - a.  So its hits are two shifts, and
+the padding slots are dead counters, held full from the start.
+
 eta tests that bound for all N children of a node at once.  A child's drop
 and its live count are correlations of the live mask with the missing
 counters and with a run of ones, so one Python int product of the masks
@@ -98,8 +108,9 @@ class SearchConfig:
     """Node budget and symmetry switch.
 
     node_budget: search nodes before giving up with a non-exhaustive result,
-    at least 0; group operation rows are built as the search places
-    elements, so the budget bounds the set-up too.
+    at least 0; every candidate tested counts as one node.  A group's slot
+    layout is built once, in numpy, before the search, and the slot limit
+    bounds it.
     translation_fix: pin min(A) = 0 for eta, 0 in A for gamma/alpha, and
     for gamma also the element of flat index 1, or e_1, ..., e_n in (Z/p)^n
     (see the module docstring for the lemmas).  False drops every pin (eta's
@@ -214,7 +225,7 @@ class _Budget:
 class _Rule:
     """How difference sets of one kind grow; the cover search reads nothing else.
 
-    size: number of counters (shifts 1..N or group elements).
+    size: number of counters (shifts 1..N or group slots).
     pinned: elements placed before the search starts; the others skip them.
     candidates(last, left): range for the next element after the previous
     unpinned one (None before the first) when `left` elements, this one
@@ -231,6 +242,8 @@ class _Rule:
     child may pass the deficit bound: with `missing` the counters below g,
     those whose drop plus t*(reach(child) - 1) is at least c > 0.  Only a
     rule whose candidates hold no pinned element has one.
+    dead: the counters that stand for nothing (a group's padding slots);
+    they are held full from the start and never hit.
     """
 
     size: int
@@ -241,6 +254,7 @@ class _Rule:
     reach: Callable[[object], int]
     step: int
     screen: Callable[[object, int, int, int], Iterable[int]] | None = None
+    dead: int = 0
 
 
 @dataclass(frozen=True)
@@ -248,20 +262,22 @@ class _Sums:
     """How Sidon sets of one kind grow; the pack search reads nothing else.
 
     Elements of `universe` are placed in ascending order, `pinned` first.
-    Counters count sums of ordered pairs: placing x adds 1 to double[x] (x + x)
-    and 2 to row(a)[x] (a + x) for each a placed before; these are distinct.
+    Counters count sums of ordered pairs: placing x adds 1 to the counter of
+    x + x and 2 to that of a + x for each a placed before; these are
+    distinct.  The counter of a + x is reduce[offsets[a] + offsets[x]].
     """
 
     size: int
     universe: range
     pinned: tuple[int, ...]
-    double: Sequence[int]
-    row: Callable[[int], Sequence[int]]
+    offsets: Sequence[int]
+    reduce: Sequence[int]
 
 
 _BITS = bytes.maketrans(b"01", b"\0\1")  # bin() digits to byte values
-# Largest group solved: each element placed gets a |G|-long row.  Z/500 x Z/500
-# takes 2 s and 0.43 GB for `solve gamma --g 1 --budget 1000`.
+# Largest group solved, and 4x it the most slots of its layout: every group of
+# rank <= 2 within the limit fits.  Z/500 x Z/500 has 10^6 slots, held in
+# numpy arrays, lists and copy masks of that many bits.
 _SOLVE_LIMIT = 250_000
 
 
@@ -270,29 +286,31 @@ def _ascending(lo: int, hi: int):
     return lambda last, left: range(lo if last is None else last + 1, hi - left + 1)
 
 
-class _Rows(dict):
-    """Rows of a group operation table, each built the first time it is read."""
-
-    def __init__(self, build):
-        super().__init__()
-        self.build = build
-
-    def __missing__(self, a):
-        row = self[a] = self.build(a)
-        return row
-
-
-def _group_maps(group: GroupSpec, sign: int, scale: int):
-    """Flat-index maps: rows[a][y] = a + sign*y, each row built when first
-    read, and the list y -> scale*y; refused above _SOLVE_LIMIT elements."""
-    _enumerable(group, _SOLVE_LIMIT)
-    axes = np.indices(group.factors).reshape(group.rank, -1)
-
-    def flat(coords) -> list[int]:
-        return np.ravel_multi_index(tuple(coords), group.factors, mode="wrap").tolist()
-
-    rows = _Rows(lambda a: flat(axes[:, a : a + 1] + sign * axes))
-    return rows, flat(scale * axes)
+def _padded(group: GroupSpec):
+    """group's slot layout (module docstring): offsets, neg and reduce as
+    int64 arrays, offsets[x] and neg[x] the slots of x and -x and reduce[s]
+    the flat index of the sum slot s; the masks zero, of 0 at its 2^rank
+    copies, and live, of every element's slot; and wrap.  Refused with a
+    ValueError above _SOLVE_LIMIT elements or 4*_SOLVE_LIMIT slots (2^rank*|G|,
+    the span of a copy mask), before anything is built.
+    """
+    order = _enumerable(group, _SOLVE_LIMIT)
+    slots = 2**group.rank * order
+    if slots > 4 * _SOLVE_LIMIT:
+        raise ValueError(f"group of order {order} needs {slots} slots to solve (limit {4 * _SOLVE_LIMIT})")
+    factors, strides = group._axes
+    steps = np.cumprod(np.r_[1, 2 * factors[:0:-1]])[::-1]  # each inner axis 2m wide
+    flat, sums = np.arange(order), np.arange(2 * ((factors - 1) @ steps) + 1)
+    offsets = neg = reduce = 0
+    zero = live = 1
+    for m, stride, step in zip(factors.tolist(), strides.tolist(), steps.tolist()):
+        c = flat // stride % m
+        offsets = offsets + c * step
+        neg = neg + -c % m * step
+        reduce = reduce + sums // step % (2 * m) % m * stride
+        zero *= 1 + (1 << m * step)  # coordinates 0 and m on this axis
+        live *= ((1 << m * step) - 1) // ((1 << step) - 1)  # 0, ..., m - 1
+    return offsets, neg, reduce, zero, live, int(factors @ steps)
 
 
 def _cover_at_size(rule: _Rule, g: int, k: int, budget: _Budget):
@@ -367,8 +385,8 @@ def _cover_at_size(rule: _Rule, g: int, k: int, budget: _Budget):
         budget.charge(cands.stop - 1 - mark)
         return False
 
-    state, deficit = rule.start, g * size
-    levels = sum(full << (i * size) for i in range(g, g + step))
+    state, deficit = rule.start, g * (size - rule.dead.bit_count())
+    levels = sum(full << (i * size) for i in range(g, g + step)) | rule.dead * copies
     for x in rule.pinned:
         state, hits = grow(state, x)
         deficit -= (hits & ~levels).bit_count()
@@ -409,19 +427,19 @@ def _pack(rule: _Sums, g: int, budget: _Budget):
     room, before any counter is raised.  On budget exhaustion the best set
     so far is returned.
     """
-    double, row, top = rule.double, rule.row, rule.universe.stop
+    offsets, reduce, top = rule.offsets, rule.reduce, rule.universe.stop
     counts = [0] * rule.size
     cap = math.isqrt(g * rule.size)  # an n-set adds n^2 counts in all
     chosen: list[int] = []
-    rows: list[Sequence[int]] = []  # row(a) for each chosen a
+    slots: list[int] = []  # offsets[a] for each chosen a
     best: list[int] = []
 
-    def place(x):
-        counts[double[x]] += 1
-        for r in rows:
-            counts[r[x]] += 2
+    def place(x, at):
+        counts[reduce[at + at]] += 1
+        for a in slots:
+            counts[reduce[a + at]] += 2
         chosen.append(x)
-        rows.append(row(x))
+        slots.append(at)
 
     def extend():
         budget.charge(1)
@@ -433,22 +451,23 @@ def _pack(rule: _Sums, g: int, budget: _Budget):
         for x in range(chosen[-1] + 1 if chosen else rule.universe.start, top):
             if s + top - x <= len(best):
                 break
-            if counts[double[x]] == g:
+            at = offsets[x]
+            if counts[reduce[at + at]] == g:
                 continue
-            for r in rows:
-                if counts[r[x]] > g - 2:
+            for a in slots:
+                if counts[reduce[a + at]] > g - 2:
                     break
             else:
-                place(x)
+                place(x, at)
                 extend()
                 chosen.pop()
-                rows.pop()
-                counts[double[x]] -= 1
-                for r in rows:
-                    counts[r[x]] -= 2
+                slots.pop()
+                counts[reduce[at + at]] -= 1
+                for a in slots:
+                    counts[reduce[a + at]] -= 2
 
     for x in rule.pinned:
-        place(x)
+        place(x, offsets[x])
     try:
         extend()
     except BudgetExceeded:
@@ -579,24 +598,28 @@ def gamma_exact(g: int, group: GroupSpec, cfg: SearchConfig = SearchConfig()) ->
     g = int(g)
     if g < 1 or g > group.order:
         raise ValueError("need 1 <= g <= |G|")
-    rows, neg = _group_maps(group, -1, -1)
+    offsets, neg, _, zero, live, wrap = _padded(group)
+    size = live.bit_length()
+    offsets, neg = offsets.tolist(), neg.tolist()
 
-    def grow(chosen, x):
-        up, down = 1, 0  # {0} | {a - x}, {x - a}
-        for a in chosen:
-            d = rows[a][x]  # a - x
-            up |= 1 << d
-            down |= 1 << neg[d]
-        return chosen + (x,), (up | down) | (up & down) << group.order
+    def grow(state, x):
+        # state: the copy masks of A and -A, and |A|
+        mine, theirs, n = state
+        at = offsets[x]
+        up = (mine >> at) & live | 1  # {0} | (A - x)
+        down = (theirs >> (wrap - at)) & live  # x - A
+        state = mine | zero << at, theirs | zero << neg[x], n + 1
+        return state, (up | down) | (up & down) << size
 
     rule = _Rule(
-        size=group.order,
+        size=size,
         pinned=(0,) + _basis_pins(group) if cfg.translation_fix else (),
         candidates=_ascending(0, group.order),
-        start=(),
+        start=(0, 0, 0),
         grow=grow,
-        reach=lambda chosen: 2 * len(chosen) + 1,  # x - a, a - x and x - x
+        reach=lambda state: 2 * state[2] + 1,  # x - a, a - x and x - x
         step=2,  # x raises d through a = x + d and a = x - d
+        dead=((1 << size) - 1) ^ live,
     )
     lo = max(trivial_bounds(g, group=group).sharper_cover_lower, g, 1)
     budget = _Budget(cfg.node_budget)
@@ -628,8 +651,8 @@ def beta_exact(g: int, N: int, cfg: SearchConfig = SearchConfig()) -> ExtremalRe
         size=2 * N - 1,  # counter s - 2 holds the sum s
         universe=range(1, N + 1),
         pinned=(),
-        double=range(-2, 2 * N, 2),
-        row=lambda a: range(a - 2, a + N),
+        offsets=list(range(-1, N)),  # a + x has slot a + x - 2
+        reduce=list(range(2 * N - 1)),
     )
     budget = _Budget(cfg.node_budget)
     elems, exhaustive = _pack(rule, g, budget)
@@ -651,14 +674,13 @@ def alpha_exact(g: int, group: GroupSpec, cfg: SearchConfig = SearchConfig()) ->
     g = int(g)
     if g < 1:
         raise ValueError("need g >= 1")
-    rows, double = _group_maps(group, 1, 2)
-
+    offsets, _, reduce, _, _, _ = _padded(group)
     rule = _Sums(
         size=group.order,
         universe=range(group.order),
         pinned=(0,) if cfg.translation_fix else (),
-        double=double,
-        row=rows.__getitem__,
+        offsets=offsets.tolist(),
+        reduce=reduce.tolist(),
     )
     budget = _Budget(cfg.node_budget)
     flats, exhaustive = _pack(rule, g, budget)

@@ -759,6 +759,15 @@ class TestSolveAndReport:
             assert (code, out) == (2, ""), err
             assert err.startswith("error:") and "too large" in err and "250000" in err
 
+    def test_group_over_the_slot_limit_is_refused(self):
+        # (Z/2)^17 is within the order limit, but its layout needs 2^17 * 2^17
+        # slots; a table per placed element once ran out of 2 GB here
+        for quantity in ("gamma", "alpha"):
+            argv = ["--g", "1", "--factors", *["2"] * 17, "--budget", "1000"]
+            code, out, err = run_in_2gb("solve", quantity, *argv)
+            assert (code, out) == (2, ""), err
+            assert err.startswith("error:") and "17179869184 slots" in err and "1000000" in err
+
     def test_solve_parameter_mixups(self, capsys):
         code, _, err = run_cli(capsys, "solve", "eta", "--g", "1")
         assert code == 2 and "--N" in err

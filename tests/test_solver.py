@@ -478,6 +478,35 @@ def test_one_certificate_check_per_cover_solve(monkeypatch):
         assert checked == [r.witness]
 
 
+@pytest.mark.parametrize("factors", [(7,), (2, 4), (3, 1, 5), (2, 2, 3)])
+def test_slot_layout_matches_group_arithmetic(factors):
+    # sums reduce to a + x, and the copy masks of A and -A, shifted as gamma
+    # shifts them, hold exactly A - x and x - A at the live slots
+    group = GroupSpec(factors)
+    offsets, neg, reduce, zero, live, wrap = solver._padded(group)
+    offsets, neg, reduce = offsets.tolist(), neg.tolist(), reduce.tolist()
+    elems = [group.unflatten(x) for x in range(group.order)]
+
+    def flat(v):
+        return group.flatten(v)
+
+    assert live == sum(1 << o for o in offsets)
+    rng = random.Random(5)
+    for a, ea in enumerate(elems):
+        assert neg[a] == offsets[flat(tuple(-c for c in ea))]
+        for x, ex in enumerate(elems):
+            assert reduce[offsets[a] + offsets[x]] == flat(tuple(i + j for i, j in zip(ea, ex)))
+    for _ in range(20):
+        A = rng.sample(range(group.order), rng.randint(1, group.order))
+        mine = sum(zero << offsets[a] for a in A)
+        theirs = sum(zero << neg[a] for a in A)
+        for x, ex in enumerate(elems):
+            minus = {flat(tuple(i - j for i, j in zip(elems[a], ex))) for a in A}
+            plus = {flat(tuple(j - i for i, j in zip(elems[a], ex))) for a in A}
+            assert (mine >> offsets[x]) & live == sum(1 << offsets[d] for d in minus)
+            assert (theirs >> (wrap - offsets[x])) & live == sum(1 << offsets[d] for d in plus)
+
+
 def test_gamma_rejects_bad_g():
     with pytest.raises(ValueError):
         gamma_exact(0, GroupSpec((5,)))
