@@ -424,8 +424,10 @@ def _pack(rule: _Sums, g: int, budget: _Budget):
     DFS meets sets of equal size in lex order and the bound only cuts
     branches that cannot beat the best so far, so the first optimum found is
     the lex-first one.  A candidate is dropped at the first counter without
-    room, before any counter is raised.  On budget exhaustion the best set
-    so far is returned.
+    room, before any counter is raised.  Each candidate tested is one node,
+    charged as in `_cover_at_size`: before a subtree, on leaving, and as
+    soon as the next one would spend past the limit.  On budget exhaustion
+    the best set so far is returned.
     """
     offsets, reduce, top = rule.offsets, rule.reduce, rule.universe.stop
     counts = [0] * rule.size
@@ -442,15 +444,20 @@ def _pack(rule: _Sums, g: int, budget: _Budget):
         slots.append(at)
 
     def extend():
-        budget.charge(1)
         s = len(chosen)
         if s > len(best):
             best[:] = chosen
         if s >= cap:
             return
-        for x in range(chosen[-1] + 1 if chosen else rule.universe.start, top):
+        first = chosen[-1] + 1 if chosen else rule.universe.start
+        mark = end = first - 1  # x - mark: the candidates through x not yet charged
+        stop = mark + budget.limit - budget.spent  # the last x the budget covers
+        for x in range(first, top):
             if s + top - x <= len(best):
                 break
+            end = x
+            if x > stop:
+                budget.charge(x - mark)  # raises BudgetExceeded
             at = offsets[x]
             if counts[reduce[at + at]] == g:
                 continue
@@ -458,6 +465,8 @@ def _pack(rule: _Sums, g: int, budget: _Budget):
                 if counts[reduce[a + at]] > g - 2:
                     break
             else:
+                budget.charge(x - mark)
+                mark = x
                 place(x, at)
                 extend()
                 chosen.pop()
@@ -465,10 +474,13 @@ def _pack(rule: _Sums, g: int, budget: _Budget):
                 counts[reduce[at + at]] -= 1
                 for a in slots:
                     counts[reduce[a + at]] -= 2
+                stop = mark + budget.limit - budget.spent
+        budget.charge(end - mark)
 
     for x in rule.pinned:
         place(x, offsets[x])
     try:
+        budget.charge(1)
         extend()
     except BudgetExceeded:
         return best, False

@@ -768,6 +768,15 @@ class TestSolveAndReport:
             assert (code, out) == (2, ""), err
             assert err.startswith("error:") and "17179869184 slots" in err and "1000000" in err
 
+    def test_largest_rank_two_group_solves(self):
+        # Z/500 x Z/500 fills the slot limit exactly
+        for quantity, g in (("gamma", 1), ("alpha", 2)):
+            argv = ["--g", str(g), "--factors", "500", "500", "--budget", "1000", "--json"]
+            code, out, err = run_in_2gb("solve", quantity, *argv)
+            payload = json.loads(out)
+            assert code == 0, err
+            assert (payload["exhaustive"], payload["nodes"]) == (False, 1001)
+
     def test_solve_parameter_mixups(self, capsys):
         code, _, err = run_cli(capsys, "solve", "eta", "--g", "1")
         assert code == 2 and "--N" in err

@@ -567,30 +567,30 @@ def test_beta_rejects_bad_parameters():
 
 
 # (g, N): (value, lex-min witness, nodes), frozen like GAMMA_FROZEN, for
-# every beta case of the benchmark
+# every beta case of the benchmark; each candidate tested is one node
 BETA_FROZEN = {
     (1, 1): (1, (1,), 2),
     (1, 2): (1, (1,), 2),
-    (1, 3): (1, (1,), 3),
-    (1, 4): (1, (1,), 4),
-    (1, 5): (1, (1,), 5),
-    (1, 6): (1, (1,), 6),
-    (1, 7): (1, (1,), 7),
-    (1, 8): (1, (1,), 8),
+    (1, 3): (1, (1,), 6),
+    (1, 4): (1, (1,), 10),
+    (1, 5): (1, (1,), 15),
+    (1, 6): (1, (1,), 21),
+    (1, 7): (1, (1,), 28),
+    (1, 8): (1, (1,), 36),
     (2, 1): (1, (1,), 2),
     (2, 2): (2, (1, 2), 3),
-    (2, 3): (2, (1, 2), 3),
-    (2, 4): (3, (1, 2, 4), 4),
-    (2, 5): (3, (1, 2, 4), 8),
-    (2, 6): (3, (1, 2, 4), 16),
-    (2, 7): (4, (1, 2, 5, 7), 17),
-    (2, 8): (4, (1, 2, 4, 8), 32),
+    (2, 3): (2, (1, 2), 4),
+    (2, 4): (3, (1, 2, 4), 5),
+    (2, 5): (3, (1, 2, 4), 12),
+    (2, 6): (3, (1, 2, 4), 28),
+    (2, 7): (4, (1, 2, 5, 7), 30),
+    (2, 8): (4, (1, 2, 4, 8), 60),
     (3, 1): (1, (1,), 2),
     (3, 2): (2, (1, 2), 3),
     (3, 3): (3, (1, 2, 3), 4),
-    (3, 4): (3, (1, 2, 3), 4),
-    (3, 5): (4, (1, 2, 3, 5), 5),
-    (3, 6): (4, (1, 2, 3, 5), 12),
+    (3, 4): (3, (1, 2, 3), 5),
+    (3, 5): (4, (1, 2, 3, 5), 6),
+    (3, 6): (4, (1, 2, 3, 5), 17),
 }
 
 
@@ -654,37 +654,37 @@ def test_alpha_rejects_bad_g():
 
 
 # (g, factors): (value, lex-min witness, nodes), frozen like GAMMA_FROZEN, for
-# every alpha case of the benchmark
+# every alpha case of the benchmark; each candidate tested is one node
 ALPHA_FROZEN = {
     (1, (2,)): (1, ((0,),), 1),
     (2, (2,)): (2, ((0,), (1,)), 2),
     (1, (3,)): (1, ((0,),), 1),
     (2, (3,)): (2, ((0,), (1,)), 2),
     (3, (3,)): (3, ((0,), (1,), (2,)), 3),
-    (1, (4,)): (1, ((0,),), 1),
+    (1, (4,)): (1, ((0,),), 4),
     (2, (4,)): (2, ((0,), (1,)), 3),
     (3, (4,)): (3, ((0,), (1,), (2,)), 3),
-    (1, (5,)): (1, ((0,),), 1),
-    (2, (5,)): (2, ((0,), (1,)), 4),
+    (1, (5,)): (1, ((0,),), 5),
+    (2, (5,)): (2, ((0,), (1,)), 10),
     (3, (5,)): (3, ((0,), (1,), (2,)), 6),
-    (1, (6,)): (1, ((0,),), 1),
-    (2, (6,)): (3, ((0,), (1,), (3,)), 8),
-    (3, (6,)): (3, ((0,), (1,), (2,)), 10),
-    (1, (7,)): (1, ((0,),), 1),
-    (2, (7,)): (3, ((0,), (1,), (3,)), 9),
-    (3, (7,)): (4, ((0,), (1,), (2,), (4,)), 14),
-    (1, (8,)): (1, ((0,),), 1),
-    (2, (8,)): (3, ((0,), (1,), (3,)), 14),
-    (3, (8,)): (4, ((0,), (1,), (2,), (4,)), 25),
-    (1, (2, 4)): (1, ((0, 0),), 1),
-    (2, (2, 4)): (3, ((0, 0), (0, 1), (1, 0)), 14),
-    (3, (2, 4)): (4, ((0, 0), (0, 1), (0, 2), (1, 0)), 25),
-    (1, (12,)): (1, ((0,),), 1),
-    (2, (12,)): (4, ((0,), (1,), (3,), (7,)), 49),
-    (3, (12,)): (4, ((0,), (1,), (2,), (4,)), 127),
-    (1, (2, 2, 3)): (1, ((0, 0, 0),), 1),
-    (2, (2, 2, 3)): (4, ((0, 0, 0), (0, 0, 1), (0, 1, 0), (1, 0, 1)), 53),
-    (3, (2, 2, 3)): (4, ((0, 0, 0), (0, 0, 1), (0, 1, 0), (1, 0, 0)), 121),
+    (1, (6,)): (1, ((0,),), 6),
+    (2, (6,)): (3, ((0,), (1,), (3,)), 10),
+    (3, (6,)): (3, ((0,), (1,), (2,)), 20),
+    (1, (7,)): (1, ((0,),), 7),
+    (2, (7,)): (3, ((0,), (1,), (3,)), 15),
+    (3, (7,)): (4, ((0,), (1,), (2,), (4,)), 20),
+    (1, (8,)): (1, ((0,),), 8),
+    (2, (8,)): (3, ((0,), (1,), (3,)), 41),
+    (3, (8,)): (4, ((0,), (1,), (2,), (4,)), 35),
+    (1, (2, 4)): (1, ((0, 0),), 8),
+    (2, (2, 4)): (3, ((0, 0), (0, 1), (1, 0)), 36),
+    (3, (2, 4)): (4, ((0, 0), (0, 1), (0, 2), (1, 0)), 35),
+    (1, (12,)): (1, ((0,),), 12),
+    (2, (12,)): (4, ((0,), (1,), (3,), (7,)), 137),
+    (3, (12,)): (4, ((0,), (1,), (2,), (4,)), 389),
+    (1, (2, 2, 3)): (1, ((0, 0, 0),), 12),
+    (2, (2, 2, 3)): (4, ((0, 0, 0), (0, 0, 1), (0, 1, 0), (1, 0, 1)), 128),
+    (3, (2, 2, 3)): (4, ((0, 0, 0), (0, 0, 1), (0, 1, 0), (1, 0, 0)), 353),
 }
 
 
@@ -693,6 +693,20 @@ def test_alpha_frozen_search():
         r = alpha_exact(g, GroupSpec(factors))
         assert (r.value, r.witness.elements, r.nodes) == expected, (g, factors)
         assert r.exhaustive
+
+
+def test_alpha_memory_follows_the_group_not_the_budget():
+    # nothing is tabulated per placed element, so a 16x budget peaks no higher
+    peaks = []
+    for budget in (50, 800):
+        tracemalloc.start()
+        try:
+            r = alpha_exact(2, GroupSpec((3000,)), SearchConfig(node_budget=budget))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert not r.exhaustive
+    assert peaks[1] <= peaks[0] + 64 * 1024, peaks
 
 
 # --- result records and the ratio table -------------------------------------
