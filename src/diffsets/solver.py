@@ -298,19 +298,19 @@ def _padded(group: GroupSpec):
     slots = 2**group.rank * order
     if slots > 4 * _SOLVE_LIMIT:
         raise ValueError(f"group of order {order} needs {slots} slots to solve (limit {4 * _SOLVE_LIMIT})")
-    factors, strides = group._axes
-    steps = np.cumprod(np.r_[1, 2 * factors[:0:-1]])[::-1]  # each inner axis 2m wide
-    flat, sums = np.arange(order), np.arange(2 * ((factors - 1) @ steps) + 1)
-    offsets = neg = reduce = 0
+    factors, strides, steps = group.factors, group.strides(), [1]
+    for m in factors[:0:-1]:  # each inner axis 2m slots wide
+        steps.insert(0, 2 * m * steps[0])
+    offsets = neg = reduce = np.zeros(1, dtype=np.int64)
     zero = live = 1
-    for m, stride, step in zip(factors.tolist(), strides.tolist(), steps.tolist()):
-        c = flat // stride % m
-        offsets = offsets + c * step
-        neg = neg + -c % m * step
-        reduce = reduce + sums // step % (2 * m) % m * stride
+    for m, stride, step in zip(factors, strides, steps):  # grids in flat order
+        c = np.arange(m)
+        offsets = np.add.outer(offsets, c * step).ravel()
+        neg = np.add.outer(neg, -c % m * step).ravel()
+        reduce = np.add.outer(reduce, np.arange(2 * m) % m * stride).ravel()
         zero *= 1 + (1 << m * step)  # coordinates 0 and m on this axis
         live *= ((1 << m * step) - 1) // ((1 << step) - 1)  # 0, ..., m - 1
-    return offsets, neg, reduce, zero, live, int(factors @ steps)
+    return offsets, neg, reduce, zero, live, sum(m * step for m, step in zip(factors, steps))
 
 
 def _cover_at_size(rule: _Rule, g: int, k: int, budget: _Budget):

@@ -761,7 +761,7 @@ class TestSolveAndReport:
 
     def test_group_over_the_slot_limit_is_refused(self):
         # (Z/2)^17 is within the order limit, but its layout needs 2^17 * 2^17
-        # slots; a table per placed element once ran out of 2 GB here
+        # slots; with a |G|-long table row per placed element it outgrew 2 GB
         for quantity in ("gamma", "alpha"):
             argv = ["--g", "1", "--factors", *["2"] * 17, "--budget", "1000"]
             code, out, err = run_in_2gb("solve", quantity, *argv)
@@ -773,9 +773,8 @@ class TestSolveAndReport:
         for quantity, g in (("gamma", 1), ("alpha", 2)):
             argv = ["--g", str(g), "--factors", "500", "500", "--budget", "1000", "--json"]
             code, out, err = run_in_2gb("solve", quantity, *argv)
-            payload = json.loads(out)
             assert code == 0, err
-            assert (payload["exhaustive"], payload["nodes"]) == (False, 1001)
+            assert (json.loads(out)["exhaustive"], json.loads(out)["nodes"]) == (False, 1001)
 
     def test_solve_parameter_mixups(self, capsys):
         code, _, err = run_cli(capsys, "solve", "eta", "--g", "1")

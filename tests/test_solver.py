@@ -486,10 +486,7 @@ def test_slot_layout_matches_group_arithmetic(factors):
     offsets, neg, reduce, zero, live, wrap = solver._padded(group)
     offsets, neg, reduce = offsets.tolist(), neg.tolist(), reduce.tolist()
     elems = [group.unflatten(x) for x in range(group.order)]
-
-    def flat(v):
-        return group.flatten(v)
-
+    flat = group.flatten
     assert live == sum(1 << o for o in offsets)
     rng = random.Random(5)
     for a, ea in enumerate(elems):
@@ -693,6 +690,13 @@ def test_alpha_frozen_search():
         r = alpha_exact(g, GroupSpec(factors))
         assert (r.value, r.witness.elements, r.nodes) == expected, (g, factors)
         assert r.exhaustive
+
+
+def test_pack_budget_bounds_the_candidate_scan():
+    # g = 1 admits no second element, so the loop after the pinned 0 tests
+    # every other element; each test is one node, and the budget stops it
+    r = alpha_exact(1, GroupSpec((100_000,)), SearchConfig(node_budget=100))
+    assert (r.value, r.exhaustive, r.nodes) == (1, False, 101)
 
 
 def test_alpha_memory_follows_the_group_not_the_budget():
