@@ -431,7 +431,9 @@ def _pack(rule: _Sums, g: int, budget: _Budget):
     """
     offsets, reduce, top = rule.offsets, rule.reduce, rule.universe.stop
     counts = [0] * rule.size
-    cap = math.isqrt(g * rule.size)  # an n-set adds n^2 counts in all
+    # an n-set adds n^2 counts in all; under g = 1 no pair fits, since a + x
+    # with a != x is counted twice
+    cap = 1 if g == 1 else math.isqrt(g * rule.size)
     chosen: list[int] = []
     slots: list[int] = []  # offsets[a] for each chosen a
     best: list[int] = []
@@ -453,7 +455,7 @@ def _pack(rule: _Sums, g: int, budget: _Budget):
         mark = end = first - 1  # x - mark: the candidates through x not yet charged
         stop = mark + budget.limit - budget.spent  # the last x the budget covers
         for x in range(first, top):
-            if s + top - x <= len(best):
+            if min(cap, s + top - x) <= len(best):
                 break
             end = x
             if x > stop:

@@ -568,12 +568,12 @@ def test_beta_rejects_bad_parameters():
 BETA_FROZEN = {
     (1, 1): (1, (1,), 2),
     (1, 2): (1, (1,), 2),
-    (1, 3): (1, (1,), 6),
-    (1, 4): (1, (1,), 10),
-    (1, 5): (1, (1,), 15),
-    (1, 6): (1, (1,), 21),
-    (1, 7): (1, (1,), 28),
-    (1, 8): (1, (1,), 36),
+    (1, 3): (1, (1,), 2),
+    (1, 4): (1, (1,), 2),
+    (1, 5): (1, (1,), 2),
+    (1, 6): (1, (1,), 2),
+    (1, 7): (1, (1,), 2),
+    (1, 8): (1, (1,), 2),
     (2, 1): (1, (1,), 2),
     (2, 2): (2, (1, 2), 3),
     (2, 3): (2, (1, 2), 4),
@@ -658,29 +658,29 @@ ALPHA_FROZEN = {
     (1, (3,)): (1, ((0,),), 1),
     (2, (3,)): (2, ((0,), (1,)), 2),
     (3, (3,)): (3, ((0,), (1,), (2,)), 3),
-    (1, (4,)): (1, ((0,),), 4),
-    (2, (4,)): (2, ((0,), (1,)), 3),
+    (1, (4,)): (1, ((0,),), 1),
+    (2, (4,)): (2, ((0,), (1,)), 2),
     (3, (4,)): (3, ((0,), (1,), (2,)), 3),
-    (1, (5,)): (1, ((0,),), 5),
+    (1, (5,)): (1, ((0,),), 1),
     (2, (5,)): (2, ((0,), (1,)), 10),
-    (3, (5,)): (3, ((0,), (1,), (2,)), 6),
-    (1, (6,)): (1, ((0,),), 6),
-    (2, (6,)): (3, ((0,), (1,), (3,)), 10),
+    (3, (5,)): (3, ((0,), (1,), (2,)), 3),
+    (1, (6,)): (1, ((0,),), 1),
+    (2, (6,)): (3, ((0,), (1,), (3,)), 4),
     (3, (6,)): (3, ((0,), (1,), (2,)), 20),
-    (1, (7,)): (1, ((0,),), 7),
-    (2, (7,)): (3, ((0,), (1,), (3,)), 15),
-    (3, (7,)): (4, ((0,), (1,), (2,), (4,)), 20),
-    (1, (8,)): (1, ((0,),), 8),
+    (1, (7,)): (1, ((0,),), 1),
+    (2, (7,)): (3, ((0,), (1,), (3,)), 4),
+    (3, (7,)): (4, ((0,), (1,), (2,), (4,)), 5),
+    (1, (8,)): (1, ((0,),), 1),
     (2, (8,)): (3, ((0,), (1,), (3,)), 41),
-    (3, (8,)): (4, ((0,), (1,), (2,), (4,)), 35),
-    (1, (2, 4)): (1, ((0, 0),), 8),
+    (3, (8,)): (4, ((0,), (1,), (2,), (4,)), 5),
+    (1, (2, 4)): (1, ((0, 0),), 1),
     (2, (2, 4)): (3, ((0, 0), (0, 1), (1, 0)), 36),
-    (3, (2, 4)): (4, ((0, 0), (0, 1), (0, 2), (1, 0)), 35),
-    (1, (12,)): (1, ((0,),), 12),
-    (2, (12,)): (4, ((0,), (1,), (3,), (7,)), 137),
+    (3, (2, 4)): (4, ((0, 0), (0, 1), (0, 2), (1, 0)), 5),
+    (1, (12,)): (1, ((0,),), 1),
+    (2, (12,)): (4, ((0,), (1,), (3,), (7,)), 8),
     (3, (12,)): (4, ((0,), (1,), (2,), (4,)), 389),
-    (1, (2, 2, 3)): (1, ((0, 0, 0),), 12),
-    (2, (2, 2, 3)): (4, ((0, 0, 0), (0, 0, 1), (0, 1, 0), (1, 0, 1)), 128),
+    (1, (2, 2, 3)): (1, ((0, 0, 0),), 1),
+    (2, (2, 2, 3)): (4, ((0, 0, 0), (0, 0, 1), (0, 1, 0), (1, 0, 1)), 8),
     (3, (2, 2, 3)): (4, ((0, 0, 0), (0, 0, 1), (0, 1, 0), (1, 0, 0)), 353),
 }
 
@@ -693,10 +693,18 @@ def test_alpha_frozen_search():
 
 
 def test_pack_budget_bounds_the_candidate_scan():
-    # g = 1 admits no second element, so the loop after the pinned 0 tests
-    # every other element; each test is one node, and the budget stops it
-    r = alpha_exact(1, GroupSpec((100_000,)), SearchConfig(node_budget=100))
-    assert (r.value, r.exhaustive, r.nodes) == (1, False, 101)
+    # in (Z/2)^9 every x + x is 0, so under g = 2 no third element fits after
+    # the pinned 0 and the first one placed, and the loop tests every other
+    # element; each test is one node, and the budget stops it
+    r = alpha_exact(2, GroupSpec((2,) * 9), SearchConfig(node_budget=100))
+    assert (r.value, r.exhaustive, r.nodes) == (2, False, 101)
+
+
+def test_g1_pack_stops_at_one_element():
+    # a + x with a != x is counted twice, so under g = 1 no pair fits and the
+    # pinned 0 is proven optimal without scanning the group
+    r = alpha_exact(1, GroupSpec((250_000,)), SearchConfig(node_budget=1000))
+    assert (r.value, r.exhaustive, r.nodes) == (1, True, 1)
 
 
 def test_alpha_memory_follows_the_group_not_the_budget():
