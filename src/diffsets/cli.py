@@ -6,7 +6,8 @@ and seed reproduce identical bytes.  Exit codes: 0 success or passing
 check, 1 certificate violation found, 2 usage or input error.
 
 Each command line is parsed once, by its command's own parser; the full
-parser serves only help, usage errors and unusual forms.
+parser serves only help, usage errors and unusual forms.  --out and
+--manifest files are written over in place and cut to length.
 """
 
 from __future__ import annotations
@@ -15,6 +16,8 @@ import argparse
 import functools
 import hashlib
 import json
+import os
+import stat
 import sys
 import time
 from dataclasses import dataclass, field
@@ -679,12 +682,19 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _write(body, out: str | None):
-    """_emit body to the file out, or to stdout when out is None."""
+    """_emit body to the file out, or to stdout when out is None.
+
+    The file is written over in place and then cut to length, not opened
+    with O_TRUNC: on ext4 (auto_da_alloc) truncating a file and writing it
+    again starts writeback at close, which costs ten times the write.  A
+    device, FIFO or tty is not cut, since ftruncate refuses it."""
     if out is None:
         _emit(body, sys.stdout)
     else:
-        with open(out, "w", encoding="utf-8") as fh:
+        with open(os.open(out, os.O_WRONLY | os.O_CREAT, 0o666), "w", encoding="utf-8") as fh:
             _emit(body, fh)
+            if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+                fh.truncate()
 
 
 @functools.cache

@@ -752,7 +752,8 @@ class TestSolveAndReport:
         assert code == 0 and (payload["nodes"], payload["exhaustive"]) == (1, False)
 
     def test_group_over_the_solve_limit_is_refused(self):
-        # a |G|-long row per placed element: Z/1000 x Z/1000 ran out of 2 GB
+        # both orders are over the 250,000-element limit, which is checked
+        # before the slot layout is built
         for quantity, factors in (("gamma", ("1000", "1000")), ("alpha", ("1000000",))):
             argv = ["--g", "1", "--factors", *factors, "--budget", "1000"]
             code, out, err = run_in_2gb("solve", quantity, *argv)
@@ -1173,6 +1174,64 @@ class TestPlumbing:
             digest = hashlib.sha256(fh.read()).hexdigest()
         assert data["input_digests"] == {int_set_file: digest}
         assert "wall_clock_seconds" in data and "cmdline" in data
+
+    @pytest.mark.parametrize("old", [b"#", b"#" * 100_000], ids=["over-shorter", "over-longer"])
+    def test_out_and_manifest_overwrite_to_the_new_length(self, capsys, int_set_file, tmp_path, old):
+        # files are written over in place, so a longer old file must be cut
+        out, manifest = tmp_path / "v.json", tmp_path / "m.json"
+        out.write_bytes(old)
+        manifest.write_bytes(old)
+        argv = ["verify", "--set", int_set_file, "--g", "1", "--N", "3", "--json"]
+        code, expected, _ = run_cli(capsys, *argv)
+        assert code == 0
+        assert run_cli(capsys, *argv, "--out", str(out), "--manifest", str(manifest))[0] == 0
+        assert out.read_text() == expected
+        # the manifest's wall clock varies; its own canonical form is exact
+        text = manifest.read_text()
+        assert text == json.dumps(json.loads(text), sort_keys=True, indent=2) + "\n"
+
+    def test_out_to_dev_null(self, capsys, int_set_file):
+        code, out, err = run_cli(
+            capsys, "verify", "--set", int_set_file, "--g", "1", "--N", "3",
+            "--out", os.devnull, "--manifest", os.devnull,
+        )
+        assert (code, out, err) == (0, "", "")
+
+    def test_out_hard_link_sees_the_new_bytes(self, capsys, int_set_file, tmp_path):
+        out, link = tmp_path / "v.json", tmp_path / "link.json"
+        out.write_bytes(b"#" * 10_000)
+        os.link(out, link)
+        argv = ["verify", "--set", int_set_file, "--g", "1", "--N", "3", "--json"]
+        expected = run_cli(capsys, *argv)[1]
+        assert run_cli(capsys, *argv, "--out", str(out))[0] == 0
+        assert link.read_text() == out.read_text() == expected
+
+    def test_new_out_file_mode_follows_the_umask(self, capsys, int_set_file, tmp_path):
+        reference, out = tmp_path / "ref", tmp_path / "v.json"
+        with open(reference, "w"):
+            pass
+        argv = ["verify", "--set", int_set_file, "--g", "1", "--N", "3", "--out", str(out)]
+        assert run_cli(capsys, *argv)[0] == 0
+        assert out.stat().st_mode == reference.stat().st_mode
+
+    def test_writer_never_truncates_on_open(self, capsys, monkeypatch, int_set_file, tmp_path):
+        # O_TRUNC on an existing ext4 file starts writeback at close
+        flags, real_open = [], os.open
+
+        def spy(path, flag, *rest, **kwargs):
+            flags.append(flag)
+            return real_open(path, flag, *rest, **kwargs)
+
+        monkeypatch.setattr(os, "open", spy)
+        out, manifest = tmp_path / "v.json", tmp_path / "m.json"
+        for _ in range(2):  # new files, then existing ones
+            code, _, _ = run_cli(
+                capsys, "verify", "--set", int_set_file, "--g", "1", "--N", "3",
+                "--out", str(out), "--manifest", str(manifest),
+            )
+            assert code == 0
+        assert len(flags) == 4
+        assert not any(flag & os.O_TRUNC for flag in flags)
 
     def test_reused_parser_matches_fresh_processes(self, capsys, int_set_file, group_set_file):
         # one cached parser serves every dispatch; a usage error in between

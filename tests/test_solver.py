@@ -353,8 +353,8 @@ def test_gamma_cyclic_fallback_keeps_exhaustive_results(monkeypatch):
 
 
 def test_gamma_budget_bounds_setup():
-    # group rows are built as elements are placed, so ten nodes on a group
-    # of order 2000 cost ten rows, not the |G|^2 table
+    # the slot layout is built once, in time linear in its slots, so ten
+    # nodes on a group of order 2000 build no |G|^2 table
     start = time.perf_counter()
     r = gamma_exact(1, GroupSpec((2000,)), SearchConfig(node_budget=10))
     assert time.perf_counter() - start < 2.0
