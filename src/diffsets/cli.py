@@ -686,8 +686,8 @@ def _write(body, out: str | None):
 
     The file is written over in place and then cut to length, not opened
     with O_TRUNC: on ext4 (auto_da_alloc) truncating a file and writing it
-    again starts writeback at close, which costs ten times the write.  A
-    device, FIFO or tty is not cut, since ftruncate refuses it."""
+    again starts writeback at close, which costs about ten times the write.
+    A device, FIFO or tty is not cut, since ftruncate refuses it."""
     if out is None:
         _emit(body, sys.stdout)
     else:
