@@ -245,10 +245,10 @@ class StepFunction(_SqrtScale):
         scale = data.get("scale_sqrt")
         radicand = None
         if scale is not None:
-            try:
-                num, den = int(scale["num"]), int(scale["den"])
-            except (TypeError, KeyError):  # 1, [1] or {"num": 1}
-                raise ValueError('scale_sqrt must be null or {"num": p, "den": q}') from None
+            # integers only: not 1, [1], {"num": 1}, nor a float, string or bool at a key
+            if not isinstance(scale, dict) or {type(scale.get("num")), type(scale.get("den"))} != {int}:
+                raise ValueError('scale_sqrt must be null or {"num": p, "den": q}')
+            num, den = scale["num"], scale["den"]
             if den == 0:
                 raise ValueError("zero denominator in scale_sqrt")
             radicand = Fraction(num, den)
@@ -775,17 +775,14 @@ class ProbSeq(_Numerators):
         support, coeffs = _fields(data, "support", "coeffs")
         if len(support) != len(coeffs):
             raise ValueError(f"{len(support)} support indices for {len(coeffs)} coeffs")
-        try:
-            ratios = dict(zip(map(int, support), _parse_ratios(coeffs)))
-        except TypeError:  # an index such as [1] or null
-            raise ValueError("support indices must be integers") from None
+        if set(map(type, support)) - {int}:  # [1], null, 1.9, "2" or true
+            raise ValueError("support indices must be integers")
+        ratios = dict(zip(support, _parse_ratios(coeffs)))
         if len(ratios) != len(support):
             raise ValueError("support repeats an index")
         cbrt_n = data.get("cbrt_scale_n")
-        try:
-            cbrt_n = None if cbrt_n is None else int(cbrt_n)
-        except TypeError:  # [1] or {}
-            raise ValueError("cbrt_scale_n must be null or an integer") from None
+        if cbrt_n is not None and type(cbrt_n) is not int:  # [1], 8.7, "8" or true
+            raise ValueError("cbrt_scale_n must be null or an integer")
         return cls(_numerators(ratios), cbrt_n)
 
 
@@ -891,27 +888,23 @@ def torus_autocorrelation(h: TorusStepFunction, x) -> Fraction:
 
 
 def torus_autocorrelation_min(h: TorusStepFunction) -> tuple[Fraction, tuple[int, ...]]:
-    """Exact global minimum over the torus.
+    """Exact global minimum over the torus, at its first grid offset.
 
     On each cell of offsets the autocorrelation is multilinear in the offset
-    coordinates, so the global extremes are attained at grid offsets; the
-    scan over all |G| grid points is exact.
+    coordinates, so the global extremes are attained at grid offsets.  With
+    the values as integer numerators over one denominator D, the value at
+    every grid offset is the weighted difference count of the cells, over
+    D^2 and scaled, so one _group_counts call gives all |G| of them.
     """
     spec = h.group
-    distinct = set(h.values.values())
-    if len(distinct) == 1:
-        # indicator-type: counts of the support do the work
-        val = next(iter(distinct))
-        counts = _group_counts(_flat(spec, list(h.values)), spec, "difference")
-        idx = int(counts.argmin())
-        best = Fraction(int(counts[idx])) * val * val * h._scale_fraction() / spec.order
-        best_vec = spec.unflatten(idx)
-    else:
-        best, best_vec = None, None
-        for vec in spec.elements():
-            c = torus_autocorrelation(h, vec)
-            if best is None or c < best:
-                best, best_vec = c, vec
+    if not h.values:
+        return _ZERO, spec.unflatten(0)
+    den = math.lcm(*(v.denominator for v in h.values.values()))
+    nums = [v.numerator * (den // v.denominator) for v in h.values.values()]
+    counts = _group_counts(_flat(spec, list(h.values)), spec, "difference", nums)
+    idx = int(counts.argmin())
+    best = Fraction(int(counts[idx]), den * den) * h._scale_fraction() / spec.order
+    best_vec = spec.unflatten(idx)
     if best >= 1 and h.l1_norm() < 1:
         raise AssertionError("autocorrelation >= 1 forces L1 >= 1")
     return best, best_vec

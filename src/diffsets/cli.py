@@ -109,12 +109,16 @@ class _Run:
         self.digests[path] = hashlib.sha256(raw).hexdigest()
         return json.loads(raw)
 
-    def load_set(self, path: str):
-        """An array is an integer set; an object is a group subset."""
+    def load_set(self, path: str, kind=None, flag: str = ""):
+        """An array is an integer set; an object is a group subset.  With a
+        kind (IntSet or GroupSubset), a set of the other kind is refused
+        with a ValueError naming flag."""
         data = self.load_json(path)
-        if isinstance(data, list):
-            return IntSet.from_json(data)
-        return GroupSubset.from_json(data)
+        A = IntSet.from_json(data) if isinstance(data, list) else GroupSubset.from_json(data)
+        if kind is not None and not isinstance(A, kind):
+            what = "an integer-set JSON array" if kind is IntSet else "a group-subset JSON file"
+            raise ValueError(f"{flag} must be {what}")
+        return A
 
 
 _NUMBERS = frozenset((int, float, bool, type(None)))
@@ -218,18 +222,24 @@ def _oracle_achieved(A, N, mode) -> int:
     return max(counts.values(), default=0)
 
 
-def _oracle(A, N, mode, accept) -> tuple[dict, bool]:
-    """(oracle dict, ok): the exact recount of _oracle_achieved, ok when
-    accept(recount) holds; skipped, and ok, when the instance is too large."""
+def _oracle(result, A, N, mode, accept):
+    """A handler's (code, payload, summary), checked by the exact recount of
+    _oracle_achieved: a match when accept(recount) holds; skipped when the
+    instance is too large."""
     domain = N if isinstance(A, IntSet) else A.group.order
     if A.size * A.size > _ORACLE_PAIR_LIMIT or domain > _ORACLE_DOMAIN_LIMIT:
-        return {"checked": False, "reason": "instance too large"}, True
+        return _checked(result, {"checked": False, "reason": "instance too large"})
     achieved = _oracle_achieved(A, N, mode)
-    ok = accept(achieved)
-    return {"checked": True, "achieved_g": achieved, "match": ok}, ok
+    return _checked(result, {"checked": True, "achieved_g": achieved, "match": accept(achieved)})
 
 
-def _oracle_fail(payload, summary):
+def _checked(result, oracle: dict):
+    """result with payload["oracle"] = oracle; a mismatch exits 2 with one
+    stderr line."""
+    code, payload, summary = result
+    payload["oracle"] = oracle
+    if oracle.get("match", True):
+        return result
     print("oracle mismatch: independent recount disagrees", file=sys.stderr)
     return 2, payload, summary
 
@@ -253,12 +263,10 @@ def _cmd_verify(args, run):
         summary = f"PASS achieved_g={verdict.achieved_g}"
     else:
         summary = f"FAIL witness={verdict.witness} achieved_g={verdict.achieved_g}"
+    result = (0 if verdict.passed else 1), payload, summary
     if args.oracle:
-        oracle, ok = _oracle(A, args.N, args.mode, lambda a: a == verdict.achieved_g)
-        payload["oracle"] = oracle
-        if not ok:
-            return _oracle_fail(payload, summary)
-    return (0 if verdict.passed else 1), payload, summary
+        return _oracle(result, A, args.N, args.mode, lambda a: a == verdict.achieved_g)
+    return result
 
 
 def _cmd_profile(args, run):
@@ -293,31 +301,24 @@ def _cmd_construct_parabola(args, run):
                 (x * x - args.u * y) % args.p == 0 for x, y in A.elements
             )
             ok = on_curve and A.size == args.p
-            payload["oracle"] = {"checked": True, "match": ok}
-            if not ok:
-                return _oracle_fail(payload, summary)
+            return _checked((0, payload, summary), {"checked": True, "match": ok})
         return 0, payload, summary
     union = best_shift_union(args.p, args.k, seed=args.seed)
-    payload = union.to_json()
     summary = (
         f"union of {args.k} parabolas at t={union.t}: size {union.subset.size}, "
         f"verified_g={union.verified_g} ({union.verified_mode})"
     )
+    result = 0, union.to_json(), summary
     if args.oracle:
         g, exact = union.verified_g, union.verified_mode == "exhaustive"
         # sampled verification only upper-bounds the true minimum
         accept = (lambda a: a == g) if exact else (lambda a: a <= g)
-        oracle, ok = _oracle(union.subset, None, "difference", accept)
-        payload["oracle"] = oracle
-        if not ok:
-            return _oracle_fail(payload, summary)
-    return 0, payload, summary
+        return _oracle(result, union.subset, None, "difference", accept)
+    return result
 
 
 def _cmd_construct_lift(args, run):
-    A = run.load_set(args.A)
-    if not isinstance(A, GroupSubset):
-        raise ValueError("--A must be a group-subset JSON file")
+    A = run.load_set(args.A, GroupSubset, "--A")
     claim = None
     if args.g is not None:
         _require_certificate(A, args.g, name="input")
@@ -331,10 +332,7 @@ def _cmd_construct_lift(args, run):
         payload["certified_g"] = claim
         summary += f", {claim}-difference set"
         if args.oracle:
-            oracle, ok = _oracle(C, None, "difference", lambda a: a >= claim)
-            payload["oracle"] = oracle
-            if not ok:
-                return _oracle_fail(payload, summary)
+            return _oracle((0, payload, summary), C, None, "difference", lambda a: a >= claim)
     return 0, payload, summary
 
 
@@ -346,20 +344,14 @@ def _cmd_construct_pipeline(args, run):
         f"certified {report.cyclic_g}-difference set"
     )
     if args.oracle:
-        oracle, ok = _oracle(report.lifted, None, "difference", lambda a: a >= report.cyclic_g)
-        payload["oracle"] = oracle
-        if not ok:
-            return _oracle_fail(payload, summary)
+        g = report.cyclic_g
+        return _oracle((0, payload, summary), report.lifted, None, "difference", lambda a: a >= g)
     return 0, payload, summary
 
 
 def _cmd_construct_blowup(args, run):
-    A = run.load_set(args.A)
-    C = run.load_set(args.C)
-    if not isinstance(A, IntSet):
-        raise ValueError("--A must be an integer-set JSON array")
-    if not isinstance(C, GroupSubset):
-        raise ValueError("--C must be a group-subset JSON file")
+    A = run.load_set(args.A, IntSet, "--A")
+    C = run.load_set(args.C, GroupSubset, "--C")
     if C.group.rank != 1:
         raise ValueError("--C must live in a cyclic group")
     q = C.group.factors[0]
@@ -377,15 +369,16 @@ def _cmd_construct_blowup(args, run):
     }
     summary = f"blow-up: {B.size} elements, {g1 * g2}-difference set for [{q * args.N}]"
     if args.oracle:
-        oracle, ok = _oracle(B, q * args.N, "difference", lambda a: a >= g1 * g2)
-        payload["oracle"] = oracle
-        if not ok:
-            return _oracle_fail(payload, summary)
+        return _oracle((0, payload, summary), B, q * args.N, "difference", lambda a: a >= g1 * g2)
     return 0, payload, summary
 
 
 def _validate(args, kind: str, **model):
     """Seeded Monte Carlo trials; exit 1 when an empirical tail beats its bound."""
+    if args.delta is None or args.epsilon is None:
+        raise ValueError("--trials needs --delta and --epsilon")
+    if model.get("target_N", 1) is None:  # sequence trials check the shifts [1, N]
+        raise ValueError("--trials needs --N (shift range for the check)")
     model = RandomModel(kind, master_seed=args.seed, **model)
     report = monte_carlo_validate(model, args.trials, args.delta, args.epsilon)
     summary = f"{report.success_count}/{report.trials} trials within thresholds"
@@ -396,8 +389,6 @@ def _validate(args, kind: str, **model):
 def _cmd_random_group(args, run):
     group = GroupSpec(tuple(args.factors))
     if args.trials is not None:
-        if args.delta is None or args.epsilon is None:
-            raise ValueError("--trials needs --delta and --epsilon")
         return _validate(args, "group-uniform", group=group, g=args.g)
     A = random_group_subset(group, args.g, args.seed)
     payload = {"g": args.g, "seed": args.seed, "size": A.size, "set": A.to_json()}
@@ -407,10 +398,6 @@ def _cmd_random_group(args, run):
 def _cmd_random_sequence(args, run):
     probs = ProbSeq.from_json(run.load_json(args.probs))
     if args.trials is not None:
-        if args.delta is None or args.epsilon is None:
-            raise ValueError("--trials needs --delta and --epsilon")
-        if args.N is None:
-            raise ValueError("--trials needs --N (shift range for the check)")
         return _validate(args, "sequence-weighted", probs=probs, target_N=args.N)
     A = sequence_random_set(probs, args.seed)
     payload = {"seed": args.seed, "size": A.size, "set": A.to_json()}
@@ -418,9 +405,7 @@ def _cmd_random_sequence(args, run):
 
 
 def _cmd_bridge_set_to_fn(args, run):
-    A = run.load_set(args.set)
-    if not isinstance(A, IntSet):
-        raise ValueError("--set must be an integer-set JSON array")
+    A = run.load_set(args.set, IntSet, "--set")
     f = set_to_step(A, args.g, args.N)
     summary = f"step function with {len(f.values)} pieces"
     return 0, f.to_json(), summary
@@ -460,9 +445,7 @@ def _cmd_bridge_probs(args, run):
 
 
 def _cmd_bridge_torus(args, run):
-    A = run.load_set(args.set)
-    if not isinstance(A, GroupSubset):
-        raise ValueError("--set must be a group-subset JSON file")
+    A = run.load_set(args.set, GroupSubset, "--set")
     h = group_set_to_torus(A, args.g)
     low, cell = torus_autocorrelation_min(h)
     payload = {
@@ -531,8 +514,11 @@ def _cmd_bounds(args, run):
 
 
 @functools.cache
-def _build_parser() -> argparse.ArgumentParser:
-    """The CLI parser, built on the first dispatch and reused after."""
+def _commands() -> tuple[argparse.ArgumentParser, dict]:
+    """The CLI parser, built on the first dispatch and reused after, and its
+    leaf table {command words: (the leaf's own parser, the dests the full
+    descent sets)}, e.g. ("solve", "eta") -> (the eta parser, {"command":
+    "solve", "quantity": "eta"}), recorded as each leaf is added."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=0, help="master seed for any randomized path")
     common.add_argument("--json", action="store_true", help="emit the full JSON report")
@@ -551,110 +537,109 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Generalized difference sets and autocorrelation integrals.",
     )
     sub = p.add_subparsers(dest="command", required=True)
+    leaves = {}
 
-    sp = sub.add_parser("verify", parents=[common, oracle], help="check a certificate")
+    def leaf(subs, words, handler, parents=(common,), **kwargs):
+        sp = subs.add_parser(words[-1], parents=list(parents), **kwargs)
+        sp.set_defaults(handler=handler)
+        leaves[words] = sp, dict(zip(("command", subs.dest), words))
+        return sp
+
+    sp = leaf(sub, ("verify",), _cmd_verify, [common, oracle], help="check a certificate")
     sp.add_argument("--set", required=True, help="JSON file: array (integer set) or group subset")
     sp.add_argument("--mode", choices=("difference", "sidon"), default="difference")
     sp.add_argument("--g", type=int, required=True)
     sp.add_argument("--N", type=int, help="shift range for integer sets")
-    sp.set_defaults(handler=_cmd_verify)
 
-    sp = sub.add_parser("profile", parents=[common], help="representation-count profile")
+    sp = leaf(sub, ("profile",), _cmd_profile, help="representation-count profile")
     sp.add_argument("--set", required=True)
     sp.add_argument("--kind", choices=("difference", "sum"), default="difference")
     sp.add_argument("--lo", type=int, help="first shift (integer sets)")
     sp.add_argument("--hi", type=int, help="last shift (integer sets)")
-    sp.set_defaults(handler=_cmd_profile)
 
     construct = sub.add_parser("construct", help="explicit constructions")
     csub = construct.add_subparsers(dest="what", required=True)
 
-    sp = csub.add_parser("parabola", parents=[common, oracle], help="parabola or best-shift union")
+    sp = leaf(csub, ("construct", "parabola"), _cmd_construct_parabola, [common, oracle],
+              help="parabola or best-shift union")
     sp.add_argument("--p", type=int, required=True, help="odd prime modulus")
     sp.add_argument("--u", type=int, help="single parabola parameter")
     sp.add_argument("--k", type=int, help="number of parabolas in the union")
-    sp.set_defaults(handler=_cmd_construct_parabola)
 
-    sp = csub.add_parser("lift", parents=[common, oracle], help="lift a plane set to a cyclic group")
+    sp = leaf(csub, ("construct", "lift"), _cmd_construct_lift, [common, oracle],
+              help="lift a plane set to a cyclic group")
     sp.add_argument("--A", required=True, help="group-subset JSON over (Z/p)^2")
     sp.add_argument("--s", type=int, required=True)
     sp.add_argument("--g", type=int, help="certified difference count of A, verified first")
-    sp.set_defaults(handler=_cmd_construct_lift)
 
-    sp = csub.add_parser("pipeline", parents=[common, oracle], help="union then lift, certified end to end")
+    sp = leaf(csub, ("construct", "pipeline"), _cmd_construct_pipeline, [common, oracle],
+              help="union then lift, certified end to end")
     sp.add_argument("--k", type=int, required=True)
     sp.add_argument("--s", type=int, required=True)
     sp.add_argument("--p", type=int, required=True)
-    sp.set_defaults(handler=_cmd_construct_pipeline)
 
-    sp = csub.add_parser("blowup", parents=[common, oracle], help="compose interval and cyclic certificates")
+    sp = leaf(csub, ("construct", "blowup"), _cmd_construct_blowup, [common, oracle],
+              help="compose interval and cyclic certificates")
     sp.add_argument("--A", required=True, help="integer-set JSON")
     sp.add_argument("--N", type=int, required=True, help="shift range certified by A")
     sp.add_argument("--C", required=True, help="cyclic group-subset JSON")
     sp.add_argument("--q", type=int, help="order of the cyclic group (checked against C)")
     sp.add_argument("--g1", type=int, help="difference count claimed for A (default: achieved)")
     sp.add_argument("--g2", type=int, help="difference count claimed for C (default: achieved)")
-    sp.set_defaults(handler=_cmd_construct_blowup)
 
     random_p = sub.add_parser("random", help="random models and Monte Carlo validation")
     rsub = random_p.add_subparsers(dest="what", required=True)
 
-    sp = rsub.add_parser("group", parents=[common], help="uniform sqrt(g/|G|) inclusion")
+    sp = leaf(rsub, ("random", "group"), _cmd_random_group, help="uniform sqrt(g/|G|) inclusion")
     sp.add_argument("--factors", type=int, nargs="+", required=True)
     sp.add_argument("--g", type=int, required=True)
     sp.add_argument("--trials", type=int, help="run Monte Carlo validation instead of one draw")
     sp.add_argument("--delta", type=parse_fraction, help="difference-count slack, e.g. 3/10")
     sp.add_argument("--epsilon", type=parse_fraction, help="size slack, e.g. 1/10")
-    sp.set_defaults(handler=_cmd_random_group)
 
-    sp = rsub.add_parser("sequence", parents=[common], help="weighted inclusion from a probability file")
+    sp = leaf(rsub, ("random", "sequence"), _cmd_random_sequence,
+              help="weighted inclusion from a probability file")
     sp.add_argument("--probs", required=True, help="ProbSeq JSON (see bridge probs)")
     sp.add_argument("--N", type=int, help="shift range checked per trial")
     sp.add_argument("--trials", type=int)
     sp.add_argument("--delta", type=parse_fraction)
     sp.add_argument("--epsilon", type=parse_fraction)
-    sp.set_defaults(handler=_cmd_random_sequence)
 
     bridge = sub.add_parser("bridge", help="sets to step functions and back")
     bsub = bridge.add_subparsers(dest="what", required=True)
 
-    sp = bsub.add_parser("set-to-fn", parents=[common], help="indicator step function of a certified set")
+    sp = leaf(bsub, ("bridge", "set-to-fn"), _cmd_bridge_set_to_fn,
+              help="indicator step function of a certified set")
     sp.add_argument("--set", required=True)
     sp.add_argument("--g", type=int, required=True)
     sp.add_argument("--N", type=int, required=True)
-    sp.set_defaults(handler=_cmd_bridge_set_to_fn)
 
-    sp = bsub.add_parser("fn-check", parents=[common], help="autocorrelation minimum over a window")
+    sp = leaf(bsub, ("bridge", "fn-check"), _cmd_bridge_fn_check,
+              help="autocorrelation minimum over a window")
     sp.add_argument("--fn", required=True, help="StepFunction JSON")
     sp.add_argument("--lo", type=parse_fraction, default=Fraction(0))
     sp.add_argument("--hi", type=parse_fraction, default=Fraction(1))
-    sp.set_defaults(handler=_cmd_bridge_fn_check)
 
-    sp = bsub.add_parser("averages", parents=[common], help="sliding-window averages with conditions")
-    sp.add_argument("--fn", required=True)
-    sp.add_argument("--N", type=int, required=True)
-    sp.add_argument("--tau-hat", type=parse_fraction, required=True, dest="tau_hat")
-    sp.add_argument("--stretch", action="store_true")
-    sp.set_defaults(handler=_cmd_bridge_averages)
+    for what, handler, text in (
+        ("averages", _cmd_bridge_averages, "sliding-window averages with conditions"),
+        ("probs", _cmd_bridge_probs, "inclusion probabilities from averages"),
+    ):
+        sp = leaf(bsub, ("bridge", what), handler, help=text)
+        sp.add_argument("--fn", required=True)
+        sp.add_argument("--N", type=int, required=True)
+        sp.add_argument("--tau-hat", type=parse_fraction, required=True, dest="tau_hat")
+        sp.add_argument("--stretch", action="store_true")
 
-    sp = bsub.add_parser("probs", parents=[common], help="inclusion probabilities from averages")
-    sp.add_argument("--fn", required=True)
-    sp.add_argument("--N", type=int, required=True)
-    sp.add_argument("--tau-hat", type=parse_fraction, required=True, dest="tau_hat")
-    sp.add_argument("--stretch", action="store_true")
-    sp.set_defaults(handler=_cmd_bridge_probs)
-
-    sp = bsub.add_parser("torus", parents=[common], help="normalized indicator on the torus")
+    sp = leaf(bsub, ("bridge", "torus"), _cmd_bridge_torus, help="normalized indicator on the torus")
     sp.add_argument("--set", required=True, help="group-subset JSON")
     sp.add_argument("--g", type=int, required=True)
-    sp.set_defaults(handler=_cmd_bridge_torus)
 
     solve = sub.add_parser(
         "solve", help="exact extremal search; exhaustive=true means proven optimal"
     )
     ssub = solve.add_subparsers(dest="quantity", required=True)
     for quantity in ("eta", "gamma", "beta", "alpha"):
-        sp = ssub.add_parser(quantity, parents=[common])
+        sp = leaf(ssub, ("solve", quantity), _cmd_solve)
         sp.add_argument("--g", type=int, required=True)
         sp.add_argument("--N", type=int, help="interval parameter (eta, beta)")
         sp.add_argument("--factors", type=int, nargs="+", help="group factors (gamma, alpha)")
@@ -664,21 +649,24 @@ def _build_parser() -> argparse.ArgumentParser:
             action="store_true",
             help="drop every pin (translation, and gamma's flat index 1 or basis) as their check",
         )
-        sp.set_defaults(handler=_cmd_solve)
 
     report = sub.add_parser("report", help="tables over solved results")
     repsub = report.add_subparsers(dest="what", required=True)
-    sp = repsub.add_parser("ratios", parents=[common], help="value/sqrt(g*param) table with bound flags")
+    sp = leaf(repsub, ("report", "ratios"), _cmd_report_ratios,
+              help="value/sqrt(g*param) table with bound flags")
     sp.add_argument("--results", nargs="+", required=True, help="result JSON files from solve --json")
-    sp.set_defaults(handler=_cmd_report_ratios)
 
-    sp = sub.add_parser("bounds", parents=[common], help="published constants and trivial bounds")
+    sp = leaf(sub, ("bounds",), _cmd_bounds, help="published constants and trivial bounds")
     sp.add_argument("--g", type=int)
     sp.add_argument("--N", type=int)
     sp.add_argument("--factors", type=int, nargs="+")
-    sp.set_defaults(handler=_cmd_bounds)
 
-    return p
+    return p, leaves
+
+
+def _build_parser() -> argparse.ArgumentParser:
+    """The full parser, for help, usage errors and unusual forms."""
+    return _commands()[0]
 
 
 def _write(body, out: str | None):
@@ -697,28 +685,12 @@ def _write(body, out: str | None):
                 fh.truncate()
 
 
-@functools.cache
-def _leaves() -> dict:
-    """{command words: (its own parser, the dests the descent sets)}, e.g.
-    ("solve", "eta") -> (the eta parser, {"command": "solve", "quantity": "eta"})."""
-    table, todo = {}, [((), {}, _build_parser())]
-    while todo:
-        words, dests, parser = todo.pop()
-        subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
-        if not subs:
-            table[words] = parser, dests
-        for action in subs:
-            for name, child in action.choices.items():
-                todo.append((words + (name,), {**dests, action.dest: name}, child))
-    return table
-
-
 def _parse(argv) -> argparse.Namespace:
     """Parse argv once, with its command's own parser, which is the object the
     full descent would hand the rest of argv to.  A line naming no command, or
     leaving arguments over, goes to the full parser, for its help, its usage
     error or an unusual form."""
-    leaves = _leaves()
+    leaves = _commands()[1]
     for words in (tuple(argv[:2]), tuple(argv[:1])):
         if words in leaves:
             parser, dests = leaves[words]
@@ -740,32 +712,28 @@ def dispatch(argv) -> int:
         code, payload, summary = args.handler(args, run)
     except CertificateError as exc:
         print(f"certificate violation: {exc}", file=sys.stderr)
-        if getattr(exc, "verdict", None) is not None:
+        if exc.verdict is not None:
             _emit(exc.verdict.to_json(), sys.stderr)
         return 1
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     body = payload if isinstance(payload, str) or args.json else summary + "\n"
     try:
         _write(body, args.out)
+        if args.manifest:
+            manifest = RunManifest(
+                cmdline=list(argv),
+                seed=args.seed,
+                version=__version__,
+                input_digests=run.digests,
+                wall_clock_seconds=time.monotonic() - start,
+                outputs=[args.out or "stdout"],
+            )
+            _write(manifest.to_json(), args.manifest)
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if args.manifest:
-        manifest = RunManifest(
-            cmdline=list(argv),
-            seed=args.seed,
-            version=__version__,
-            input_digests=run.digests,
-            wall_clock_seconds=time.monotonic() - start,
-            outputs=[args.out or "stdout"],
-        )
-        try:
-            _write(manifest.to_json(), args.manifest)
-        except OSError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
     return code
 
 

@@ -628,14 +628,17 @@ def _enumerable(spec: GroupSpec, limit: int = _ORDER_LIMIT) -> int:
     return spec.order
 
 
-def _group_counts(flat: np.ndarray, spec: GroupSpec, mode: str) -> np.ndarray:
+def _group_counts(flat: np.ndarray, spec: GroupSpec, mode: str, weights=None) -> np.ndarray:
     """Exact counts over every element of spec, indexed by flattened residue,
-    for the subset given by its distinct flat indices.
+    for the subset given by its distinct flat indices.  With weights, one
+    nonnegative integer per index, a pair adds the product of its two
+    weights instead of 1: int64 while sum(w) * max(w) fits in 18 digits,
+    else Python ints in an object array.
 
     Each axis is padded to 2n-1 so the linear convolution of the indicators
-    cannot wrap, then folded mod n.  When the padded box holds more cells
-    than the k^2 pairs, the pairs are binned directly instead, _CHUNK_CELLS
-    residue cells per np.add.at.
+    (or weights) cannot wrap, then folded mod n.  When the padded box holds
+    more cells than the k^2 pairs, the pairs are binned directly instead,
+    _CHUNK_CELLS residue cells per np.add.at.
     """
     if len(flat) == 0:
         raise ValueError("empty set")
@@ -644,13 +647,17 @@ def _group_counts(flat: np.ndarray, spec: GroupSpec, mode: str) -> np.ndarray:
     k, d = x.shape
     factors = spec._axes[0]
     padded = tuple(2 * n - 1 for n in spec.factors)
+    w = 1 if weights is None else np.array(weights, dtype=object)
+    if weights is not None and _digits(_total(w) * int(w.max())) <= 18:
+        w = w.astype(np.int64)
+    dtype = np.int64 if weights is None else w.dtype
     if math.prod(padded) <= k * k:
         # reversing the flat indicator maps b to (n-1-b) on every axis, so
         # a - b lands at a - b + n - 1 before the fold: residue t + 1 mod n
         pstrides = np.asarray(GroupSpec(padded).strides(), dtype=np.int64)
-        ind = np.zeros(int((factors - 1) @ pstrides) + 1, dtype=np.int64)
-        ind[x @ pstrides] = 1
-        box = _convolve(ind, reverse=mode == "difference").reshape(padded)
+        ind = np.zeros(int((factors - 1) @ pstrides) + 1, dtype=dtype)
+        ind[x @ pstrides] = w
+        box = np.asarray(_convolve(ind, reverse=mode == "difference"), dtype=dtype).reshape(padded)
         for axis, n in enumerate(spec.factors):
             box = np.moveaxis(box, axis, 0)
             folded = box[:n].copy()
@@ -659,11 +666,12 @@ def _group_counts(flat: np.ndarray, spec: GroupSpec, mode: str) -> np.ndarray:
                 folded = np.roll(folded, 1, axis=0)
             box = np.moveaxis(folded, 0, axis)
         return box.reshape(order)
-    out = np.zeros(order, dtype=np.int64)
+    out = np.zeros(order, dtype=dtype)
     y = -x if mode == "difference" else x
     rows = max(1, _CHUNK_CELLS // (k * d))
     for i0 in range(0, k, rows):
-        np.add.at(out, _flat(spec, x[i0 : i0 + rows, None, :] + y[None, :, :]), 1)
+        add = 1 if weights is None else np.multiply.outer(w[i0 : i0 + rows], w).ravel()
+        np.add.at(out, _flat(spec, x[i0 : i0 + rows, None, :] + y[None, :, :]), add)
     return out
 
 

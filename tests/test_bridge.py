@@ -606,6 +606,21 @@ class TestProbSeq:
             with pytest.raises(ValueError):
                 ProbSeq.from_json({"support": support, "coeffs": coeffs, "cbrt_scale_n": None})
 
+    def test_from_json_refuses_non_integers(self):
+        # int() would read 1.9 and "2" as indices 1 and 2, and n = 8.7 as
+        # the cube 8, multiplying every probability by 4
+        data = {"support": [1, 2], "coeffs": ["1/2", "1/3"], "cbrt_scale_n": None}
+        for bad in ({"support": [1.9, "2"]}, {"support": [True, 2]}, {"cbrt_scale_n": 8.7},
+                    {"cbrt_scale_n": "8"}, {"cbrt_scale_n": False}):
+            with pytest.raises(ValueError, match="support|cbrt_scale_n"):
+                ProbSeq.from_json({**data, **bad})
+        fn = {"breakpoints": ["0", "1"], "values": ["1"]}
+        for scale in ({"num": 2.5, "den": "3"}, {"num": 2, "den": "3"}, {"num": 2, "den": 3.0},
+                      {"num": True, "den": 3}):
+            with pytest.raises(ValueError, match="scale_sqrt"):
+                StepFunction.from_json(dict(fn, scale_sqrt=scale))
+        assert StepFunction.from_json(dict(fn, scale_sqrt={"num": 2, "den": 3})).scale_sqrt == F(2, 3)
+
     def test_from_json_unreduced_terms(self):
         data = {"support": [0, 2], "coeffs": ["2/4", "3/9"], "cbrt_scale_n": None}
         assert ProbSeq.from_json(data) == ProbSeq({0: F(1, 2), 2: F(1, 3)})
@@ -761,6 +776,37 @@ class TestTorus:
         mn, arg = torus_autocorrelation_min(h)
         want = min(brute.values())
         assert mn == want and brute[arg[0]] == want
+
+    @pytest.mark.parametrize(
+        "factors, cells, top",
+        [
+            ((13,), [(0,), (1,), (3,), (9,)], 9),
+            ((13,), [(0,), (1,), (3,), (9,)], 10**12),
+            ((60, 90), 289, 9),
+            ((60, 90), 289, 10**12),
+        ],
+        ids=["pair-path", "pair-path-wide", "product-path", "product-path-wide"],
+    )
+    def test_weighted_min_matches_brute_pairs(self, factors, cells, top):
+        from diffsets.bridge import TorusStepFunction
+
+        # the min and its first grid offset from a pair loop over the cells,
+        # for values that are not all equal, on small and wide numerators;
+        # 289 cells on Z/60 x Z/90 took 1.75 s in a scan of every offset
+        rng = random.Random(top)
+        spec = GroupSpec(factors)
+        if isinstance(cells, int):
+            cells = rng.sample(list(spec.elements()), cells)
+        nums = {v: rng.randrange(1, top) * rng.choice((1, 2, 3, 5)) for v in cells}
+        h = TorusStepFunction(spec, {v: F(n, 30) for v, n in nums.items()}, F(2))
+        brute = dict.fromkeys(spec.elements(), 0)
+        for a, na in nums.items():
+            for b, nb in nums.items():
+                brute[tuple((y - x) % n for x, y, n in zip(a, b, factors))] += na * nb
+        low = min(brute.values())
+        first = next(v for v in spec.elements() if brute[v] == low)
+        assert low > 0
+        assert torus_autocorrelation_min(h) == (F(low * 2, 900 * spec.order), first)
 
     def test_rejects_non_certificate(self):
         spec = GroupSpec((6,))

@@ -14,7 +14,7 @@ import pytest
 
 from diffsets import cli
 from diffsets.cli import dispatch
-from diffsets.constructions import parabola_set, random_group_subset
+from diffsets.constructions import best_shift_union, parabola_set, random_group_subset
 from diffsets.core_sets import GroupSpec, GroupSubset
 
 
@@ -171,6 +171,28 @@ class TestSetFiles:
         code, out, err = run_cli(capsys, *argv)
         assert code == 2 and out == ""
         assert err.startswith("error:") and "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "command, files, message",
+        [
+            (("construct", "lift", "--s", "2"), {"--A": A01}, "--A must be a group-subset JSON file"),
+            (("construct", "blowup", "--N", "1"), {"--A": Z5, "--C": Z5},
+             "--A must be an integer-set JSON array"),
+            (("construct", "blowup", "--N", "1"), {"--A": A01, "--C": A01},
+             "--C must be a group-subset JSON file"),
+            (("bridge", "set-to-fn", "--g", "1", "--N", "2"), {"--set": Z5},
+             "--set must be an integer-set JSON array"),
+            (("bridge", "torus", "--g", "1"), {"--set": A01}, "--set must be a group-subset JSON file"),
+        ],
+        ids=["lift-A", "blowup-A", "blowup-C", "set-to-fn", "torus"],
+    )
+    def test_refuses_a_set_of_the_other_kind(self, capsys, tmp_path, command, files, message):
+        argv = list(command)
+        for flag, data in files.items():
+            path = tmp_path / f"{flag[2:]}.json"
+            path.write_text(json.dumps(data))
+            argv += [flag, str(path)]
+        assert run_cli(capsys, *argv) == (2, "", f"error: {message}\n")
 
     def test_payload_bytes_pinned(self, capsys, tmp_path):
         # payload digests frozen from the tuple-per-element IntSet and
@@ -356,6 +378,35 @@ class TestConstruct:
         )
         assert code == 1 and "certificate violation" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify", "--set", "int", "--g", "1", "--N", "3"],
+            ["construct", "parabola", "--p", "11", "--k", "3"],
+            ["construct", "lift", "--A", "plane", "--s", "2", "--g", "5"],
+            ["construct", "pipeline", "--k", "3", "--s", "2", "--p", "11"],
+            ["construct", "blowup", "--A", "int", "--N", "3", "--C", "group"],
+        ],
+        ids=lambda argv: argv[1] if argv[0] == "construct" else argv[0],
+    )
+    def test_oracle_mismatch_exits_2(self, capsys, monkeypatch, tmp_path, int_set_file, group_set_file, argv):
+        # a recount that disagrees with every claim: no count is negative
+        monkeypatch.setattr(cli, "_oracle_achieved", lambda A, N, mode: -1)
+        plane = tmp_path / "plane.json"
+        plane.write_text(json.dumps(best_shift_union(11, 3, seed=0).subset.to_json()))
+        files = {"int": int_set_file, "group": group_set_file, "plane": str(plane)}
+        code, out, err = run_cli(capsys, *(files.get(arg, arg) for arg in argv), "--oracle", "--json")
+        assert (code, err) == (2, "oracle mismatch: independent recount disagrees\n")
+        assert json.loads(out)["oracle"] == {"checked": True, "achieved_g": -1, "match": False}
+
+    def test_parabola_off_the_curve_is_an_oracle_mismatch(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "parabola_set", lambda p, u: GroupSubset.of(GroupSpec((p, p)), [(1, 0)]))
+        code, out, err = run_cli(
+            capsys, "construct", "parabola", "--p", "5", "--u", "1", "--oracle", "--json"
+        )
+        assert (code, err) == (2, "oracle mismatch: independent recount disagrees\n")
+        assert json.loads(out)["oracle"] == {"checked": True, "match": False}
+
     def test_blowup_q_mismatch(self, capsys, int_set_file, group_set_file):
         code, _, err = run_cli(
             capsys, "construct", "blowup", "--A", int_set_file, "--N", "3",
@@ -521,11 +572,23 @@ class TestRandom:
              {"breakpoints": ["0", "1"], "values": ["1"], "scale_sqrt": {"num": 1}}),
             (("random", "sequence"), "--probs",
              {"support": [0], "coeffs": ["1/2"], "cbrt_scale_n": [1]}),
+            (("random", "sequence"), "--probs",
+             {"support": [1.9, "2"], "coeffs": ["1/2", "1/3"], "cbrt_scale_n": None}),
+            (("random", "sequence"), "--probs", {"support": [True], "coeffs": ["1/2"]}),
+            (("random", "sequence"), "--probs",
+             {"support": [1, 2], "coeffs": ["1/8", "1/9"], "cbrt_scale_n": 8.7}),
+            (("random", "sequence"), "--probs", {"support": [1], "coeffs": ["1/8"], "cbrt_scale_n": "8"}),
+            (("bridge", "fn-check"), "--fn",
+             {"breakpoints": ["0", "1"], "values": ["1"], "scale_sqrt": {"num": 2.5, "den": "3"}}),
+            (("bridge", "fn-check"), "--fn",
+             {"breakpoints": ["0", "1"], "values": ["1"], "scale_sqrt": {"num": True, "den": 3}}),
         ],
         ids=[
             "probs-without-support", "probs-not-an-object", "fn-without-breakpoints",
             "probs-not-lists", "probs-index-not-an-int", "fn-not-lists",
             "fn-scale-not-an-object", "fn-scale-without-den", "probs-cbrt-not-an-int",
+            "probs-index-a-float-or-string", "probs-index-a-bool", "probs-cbrt-a-float",
+            "probs-cbrt-a-string", "fn-scale-float-and-string", "fn-scale-a-bool",
         ],
     )
     def test_refuses_files_missing_keys(self, capsys, tmp_path, command, flag, data):
@@ -1120,6 +1183,26 @@ class TestPlumbing:
             return (*result, captured.out, captured.err)
 
         assert outcome(cli._parse) == outcome(cli._build_parser().parse_args)
+
+    def test_valid_lines_never_reach_the_full_parser(self, capsys, monkeypatch):
+        # every line the full parser accepts is one its command's own parser takes
+        full = cli._build_parser()
+        valid = []
+        for argv in PARSE_CASES:
+            try:
+                valid.append((argv, vars(full.parse_args(list(argv)))))
+            except SystemExit:
+                pass
+        capsys.readouterr()
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the full parser ran")
+
+        monkeypatch.setattr(full, "parse_args", refuse)
+        # all 19 leaf commands are among them
+        assert len({(ns["command"], ns.get("what"), ns.get("quantity")) for _, ns in valid}) == 19
+        for argv, namespace in valid:
+            assert vars(cli._parse(list(argv))) == namespace, argv
 
     @pytest.mark.parametrize(
         "argv",
