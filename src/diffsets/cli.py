@@ -6,8 +6,10 @@ and seed reproduce identical bytes.  Exit codes: 0 success or passing
 check, 1 certificate violation found, 2 usage or input error.
 
 Each command line is parsed once, by its command's own parser; the full
-parser serves only help, usage errors and unusual forms.  --out and
---manifest files are written over in place and cut to length.
+parser serves only help, usage errors and unusual forms.  Handlers import
+the solver, bridge and constructions modules on first use, so a command
+loads only what it runs.  --out and --manifest files are written over in
+place and cut to length.
 """
 
 from __future__ import annotations
@@ -24,28 +26,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import __version__
-from .bridge import (
-    ProbSeq,
-    StepFunction,
-    autocorrelation_min,
-    averages_to_probs,
-    group_set_to_torus,
-    local_averages,
-    set_to_step,
-    torus_autocorrelation_min,
-    _window_averages,
-)
-from .constructions import (
-    RandomModel,
-    best_shift_union,
-    blow_up,
-    cyclic_pipeline,
-    lift_to_cyclic,
-    monte_carlo_validate,
-    parabola_set,
-    random_group_subset,
-    sequence_random_set,
-)
 from .core_sets import (
     BoundsLedger,
     CertificateError,
@@ -60,16 +40,6 @@ from .core_sets import (
     rep_sum_profile,
     trivial_bounds,
     verify_certificate,
-)
-from .solver import (
-    ExtremalResult,
-    SearchConfig,
-    alpha_exact,
-    beta_exact,
-    eta_exact,
-    gamma_exact,
-    ratio_report,
-    ratio_rows,
 )
 
 __all__ = ["RunManifest", "dispatch", "main"]
@@ -273,6 +243,8 @@ def _cmd_profile(args, run):
     A = run.load_set(args.set)
     if A.size == 0:
         raise ValueError("empty set")
+    if isinstance(A, GroupSubset) and (args.lo, args.hi) != (None, None):
+        raise ValueError("lo and hi apply only to integer sets")
     if isinstance(A, IntSet):
         lo, hi = args.lo, args.hi
         if args.kind == "difference":
@@ -290,6 +262,7 @@ def _cmd_profile(args, run):
 
 
 def _cmd_construct_parabola(args, run):
+    from .constructions import best_shift_union, parabola_set
     if (args.u is None) == (args.k is None):
         raise ValueError("give exactly one of --u or --k")
     if args.u is not None:
@@ -318,25 +291,29 @@ def _cmd_construct_parabola(args, run):
 
 
 def _cmd_construct_lift(args, run):
+    from .constructions import lift_to_cyclic
     A = run.load_set(args.A, GroupSubset, "--A")
-    claim = None
     if args.g is not None:
         _require_certificate(A, args.g, name="input")
-        claim = args.g * (args.s - 1)
+    claim = 0 if args.g is None else args.g * (args.s - 1)
     C = lift_to_cyclic(A, args.s)
     modulus = C.group.factors[0]
     payload = {"modulus": modulus, "s": args.s, "size": C.size, "set": C.to_json()}
     summary = f"lifted to Z/{modulus}: {C.size} elements"
-    if claim is not None and claim >= 1:
+    if claim >= 1:
         _require_certificate(C, claim, name="lift")
         payload["certified_g"] = claim
         summary += f", {claim}-difference set"
-        if args.oracle:
-            return _oracle((0, payload, summary), C, None, "difference", lambda a: a >= claim)
-    return 0, payload, summary
+    result = 0, payload, summary
+    if not args.oracle:
+        return result
+    if claim < 1:
+        return _checked(result, {"checked": False, "reason": "no claim to check"})
+    return _oracle(result, C, None, "difference", lambda a: a >= claim)
 
 
 def _cmd_construct_pipeline(args, run):
+    from .constructions import cyclic_pipeline
     report = cyclic_pipeline(args.k, args.s, args.p, seed=args.seed)
     payload = report.to_json()
     summary = (
@@ -350,6 +327,7 @@ def _cmd_construct_pipeline(args, run):
 
 
 def _cmd_construct_blowup(args, run):
+    from .constructions import blow_up
     A = run.load_set(args.A, IntSet, "--A")
     C = run.load_set(args.C, GroupSubset, "--C")
     if C.group.rank != 1:
@@ -375,6 +353,7 @@ def _cmd_construct_blowup(args, run):
 
 def _validate(args, kind: str, **model):
     """Seeded Monte Carlo trials; exit 1 when an empirical tail beats its bound."""
+    from .constructions import RandomModel, monte_carlo_validate
     if args.delta is None or args.epsilon is None:
         raise ValueError("--trials needs --delta and --epsilon")
     if model.get("target_N", 1) is None:  # sequence trials check the shifts [1, N]
@@ -387,6 +366,7 @@ def _validate(args, kind: str, **model):
 
 
 def _cmd_random_group(args, run):
+    from .constructions import random_group_subset
     group = GroupSpec(tuple(args.factors))
     if args.trials is not None:
         return _validate(args, "group-uniform", group=group, g=args.g)
@@ -396,6 +376,8 @@ def _cmd_random_group(args, run):
 
 
 def _cmd_random_sequence(args, run):
+    from .bridge import ProbSeq
+    from .constructions import sequence_random_set
     probs = ProbSeq.from_json(run.load_json(args.probs))
     if args.trials is not None:
         return _validate(args, "sequence-weighted", probs=probs, target_N=args.N)
@@ -405,6 +387,7 @@ def _cmd_random_sequence(args, run):
 
 
 def _cmd_bridge_set_to_fn(args, run):
+    from .bridge import set_to_step
     A = run.load_set(args.set, IntSet, "--set")
     f = set_to_step(A, args.g, args.N)
     summary = f"step function with {len(f.values)} pieces"
@@ -412,6 +395,7 @@ def _cmd_bridge_set_to_fn(args, run):
 
 
 def _cmd_bridge_fn_check(args, run):
+    from .bridge import StepFunction, autocorrelation_min
     f = StepFunction.from_json(run.load_json(args.fn))
     low, argmin = autocorrelation_min(f, args.lo, args.hi)
     passes = low >= 1
@@ -426,6 +410,7 @@ def _cmd_bridge_fn_check(args, run):
 
 
 def _cmd_bridge_averages(args, run):
+    from .bridge import StepFunction, local_averages
     f = StepFunction.from_json(run.load_json(args.fn))
     seq = local_averages(f, args.N, args.tau_hat, stretch=args.stretch)
     c = seq.conditions
@@ -436,6 +421,7 @@ def _cmd_bridge_averages(args, run):
 
 
 def _cmd_bridge_probs(args, run):
+    from .bridge import StepFunction, _window_averages, averages_to_probs
     f = StepFunction.from_json(run.load_json(args.fn))
     # averages_to_probs re-checks condition (2); condition (3) is not needed
     probs = averages_to_probs(_window_averages(f, args.N, args.tau_hat, args.stretch))
@@ -445,6 +431,7 @@ def _cmd_bridge_probs(args, run):
 
 
 def _cmd_bridge_torus(args, run):
+    from .bridge import group_set_to_torus, torus_autocorrelation_min
     A = run.load_set(args.set, GroupSubset, "--set")
     h = group_set_to_torus(A, args.g)
     low, cell = torus_autocorrelation_min(h)
@@ -459,6 +446,7 @@ def _cmd_bridge_torus(args, run):
 
 
 def _cmd_solve(args, run):
+    from .solver import SearchConfig, alpha_exact, beta_exact, eta_exact, gamma_exact
     kwargs = {"translation_fix": not args.no_pin}
     if args.budget is not None:
         kwargs["node_budget"] = args.budget
@@ -481,6 +469,7 @@ def _cmd_solve(args, run):
 
 
 def _cmd_report_ratios(args, run):
+    from .solver import ExtremalResult, ratio_report, ratio_rows
     results = [ExtremalResult.from_json(run.load_json(path)) for path in args.results]
     rows = ratio_rows(results)
     code = 1 if any(r["flag"] == "FATAL" for r in rows) else 0

@@ -27,11 +27,11 @@ import math
 import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
 import numpy as np
 from numpy.random import Generator, Philox
 
-from .bridge import ProbSeq
 from .core_sets import (
     CertificateError,
     GroupSpec,
@@ -45,6 +45,9 @@ from .core_sets import (
     format_fraction,
     is_prime,
 )
+
+if TYPE_CHECKING:  # ProbSeq is named only in annotations
+    from .bridge import ProbSeq
 
 __all__ = [
     "is_prime",

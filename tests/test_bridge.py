@@ -759,7 +759,7 @@ class TestTorus:
             for vec, count in list(prof.counts.items())[:6]:
                 assert torus_autocorrelation(h, vec) == F(count, g)
 
-    def test_mixed_values_take_generic_scan(self):
+    def test_mixed_values_take_weighted_counts(self):
         from diffsets.bridge import TorusStepFunction
 
         spec = GroupSpec((5,))

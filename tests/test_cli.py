@@ -274,6 +274,11 @@ class TestProfile:
         assert code == 2 and out == ""
         assert err.startswith("error:") and "too large" in err and "5000000" in err
 
+    @pytest.mark.parametrize("flag", ["--lo", "--hi"])
+    def test_window_on_a_group_set_is_refused(self, capsys, group_set_file, flag):
+        code, out, err = run_cli(capsys, "profile", "--set", group_set_file, flag, "3")
+        assert (code, out, err) == (2, "", "error: lo and hi apply only to integer sets\n")
+
     def test_empty_sets_refused(self, capsys, tmp_path):
         path = tmp_path / "empty.json"
         for data in ([], {"invariant_factors": [5], "elements": []}):
@@ -335,6 +340,18 @@ class TestConstruct:
         assert code == 0
         assert payload["modulus"] == 36 and payload["size"] == 12
         assert "certified_g" not in payload
+
+    @pytest.mark.parametrize("claim", [[], ["--g", "1"]], ids=["no-g", "claim-below-1"])
+    def test_lift_oracle_without_a_claim_says_so(self, capsys, tmp_path, claim):
+        # with s = 1 the claim g * (s - 1) is 0: nothing to recount either way
+        plane = tmp_path / "plane.json"
+        plane.write_text(json.dumps(_PLANE))  # the whole of (Z/3)^2 passes g = 1
+        code, payload, err = run_json(
+            capsys, "construct", "lift", "--A", str(plane), "--s", "1", *claim, "--oracle"
+        )
+        assert (code, err) == (0, "")
+        assert "certified_g" not in payload
+        assert payload["oracle"] == {"checked": False, "reason": "no claim to check"}
 
     def test_lift_rejects_failed_certificate(self, capsys, tmp_path):
         plane = tmp_path / "plane.json"
@@ -400,7 +417,7 @@ class TestConstruct:
         assert json.loads(out)["oracle"] == {"checked": True, "achieved_g": -1, "match": False}
 
     def test_parabola_off_the_curve_is_an_oracle_mismatch(self, capsys, monkeypatch):
-        monkeypatch.setattr(cli, "parabola_set", lambda p, u: GroupSubset.of(GroupSpec((p, p)), [(1, 0)]))
+        monkeypatch.setattr("diffsets.constructions.parabola_set", lambda p, u: GroupSubset.of(GroupSpec((p, p)), [(1, 0)]))
         code, out, err = run_cli(
             capsys, "construct", "parabola", "--p", "5", "--u", "1", "--oracle", "--json"
         )
@@ -1095,7 +1112,7 @@ class TestCertificateViolations:
                 # the whole of (Z/3)^2 passes; its stand-in lift {0, 1, 3} in
                 # Z/18 misses shift 4
                 ["construct", "lift", "--s", "2", "--g", "1", "--A", _PLANE],
-                ("diffsets.cli.lift_to_cyclic", _sparse_lift),
+                ("diffsets.constructions.lift_to_cyclic", _sparse_lift),
                 "lift is not a 1-difference set for Z/18: shift [4] has count 0",
                 {"passed": False, "achieved_g": 0, "witness": [4]},
             ),
@@ -1352,6 +1369,31 @@ class TestPlumbing:
         )
         fresh = subprocess.run([sys.executable, "-c", script], capture_output=True, env=env, text=True)
         assert (fresh.returncode, fresh.stdout) == (0, "[]\n"), fresh.stderr
+
+    @pytest.mark.parametrize(
+        "argv, loaded",
+        [
+            ([], []),
+            (["verify", "--set", "SET", "--g", "1", "--N", "3"], []),
+            (["solve", "eta", "--g", "1", "--N", "6"], ["solver"]),
+            (["construct", "pipeline", "--k", "3", "--s", "2", "--p", "11"], ["constructions"]),
+            (["bridge", "set-to-fn", "--set", "SET", "--g", "1", "--N", "3"], ["bridge"]),
+        ],
+        ids=["import", "verify", "solve-eta", "construct-pipeline", "bridge-set-to-fn"],
+    )
+    def test_a_command_loads_only_the_modules_it_runs(self, int_set_file, argv, loaded):
+        # in a fresh process: handlers import solver, bridge and constructions
+        # on first use, so importing the CLI loads none of them
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        script = (
+            "import sys, diffsets.cli as cli\n"
+            "code = cli.dispatch(sys.argv[1:]) if sys.argv[1:] else 0\n"
+            "print(sorted(m for m in ('bridge', 'constructions', 'solver') if 'diffsets.' + m in sys.modules))\n"
+            "sys.exit(code)\n"
+        )
+        argv = [int_set_file if arg == "SET" else arg for arg in argv]
+        fresh = subprocess.run([sys.executable, "-c", script, *argv], capture_output=True, env=env, text=True)
+        assert (fresh.returncode, fresh.stdout.splitlines()[-1]) == (0, str(loaded)), fresh.stderr
 
     def test_help_exits_zero(self, capsys):
         assert run_cli(capsys, "--help")[0] == 0
