@@ -465,19 +465,13 @@ class _Numerators:
         return tuple(s + j for j, n in enumerate(self.nums) if n)
 
     def _json_coeffs(self) -> list[str]:
-        """format_fraction of each nonzero entry, reduced by one gcd: a
-        vectorised np.gcd when nums and den fit in int64, else a big-int loop."""
+        """format_fraction of each nonzero entry, reduced by one gcd.  Each
+        reduced denominator den // gcd divides den, so it is formatted once."""
         den = self.den
-        try:
-            nums = np.array(self.nums, dtype=np.int64)
-            np.int64(den)
-        except OverflowError:
-            pairs = ((n // g, den // g) for n in self.nums if n for g in (math.gcd(n, den),))
-        else:
-            nums = nums[nums != 0]
-            g = np.gcd(nums, den)
-            pairs = zip((nums // g).tolist(), (den // g).tolist())
-        return [str(p) if q == 1 else f"{p}/{q}" for p, q in pairs]
+        nums = list(filter(None, self.nums))
+        gcds = list(map(math.gcd, nums, repeat(den)))
+        tails = {g: "" if g == den else f"/{den // g}" for g in set(gcds)}
+        return [f"{n // g}{tails[g]}" for n, g in zip(nums, gcds)]
 
 
 @dataclass(frozen=True)
@@ -684,15 +678,17 @@ def _fields(data, *keys) -> list:
     return [data[k] for k in keys]
 
 
-def _numerators(ratios: dict) -> tuple[int, list[int], int]:
-    """(start, nums, den) of {index: (numerator, denominator)} over its index hull."""
-    ratios = {i: r for i, r in ratios.items() if r[0]}
-    start, stop = min(ratios, default=0), max(ratios, default=-1) + 1
+def _numerators(indices, ratios) -> tuple[int, list[int], int]:
+    """(start, nums, den) of the entries p/q at indices, one (p, q) of ratios
+    each, over the index hull of the nonzero ones."""
+    nonzero = [i for i, (p, _) in zip(indices, ratios) if p]
+    start, stop = min(nonzero, default=0), max(nonzero, default=-1) + 1
     _check_span(stop - start)
-    den = math.lcm(*(q for _, q in ratios.values()))
+    den = math.lcm(*(q for p, q in ratios if p))
     nums = [0] * (stop - start)
-    for i, (p, q) in ratios.items():
-        nums[i - start] = p * (den // q)
+    for i, (p, q) in zip(indices, ratios):
+        if p:
+            nums[i - start] = p * (den // q)
     return start, nums, den
 
 
@@ -714,8 +710,8 @@ class ProbSeq(_Numerators):
 
     def __init__(self, coeffs, cbrt_n: int | None = None):
         if isinstance(coeffs, Mapping):
-            ratios = {int(i): Fraction(c).as_integer_ratio() for i, c in coeffs.items()}
-            coeffs = _numerators(ratios)
+            ratios = [Fraction(c).as_integer_ratio() for c in coeffs.values()]
+            coeffs = _numerators(list(map(int, coeffs)), ratios)
         start, nums, den = coeffs
         if cbrt_n is not None:
             cbrt_n = int(cbrt_n)
@@ -777,13 +773,13 @@ class ProbSeq(_Numerators):
             raise ValueError(f"{len(support)} support indices for {len(coeffs)} coeffs")
         if set(map(type, support)) - {int}:  # [1], null, 1.9, "2" or true
             raise ValueError("support indices must be integers")
-        ratios = dict(zip(support, _parse_ratios(coeffs)))
-        if len(ratios) != len(support):
+        ratios = _parse_ratios(coeffs)
+        if len(set(support)) != len(support):
             raise ValueError("support repeats an index")
         cbrt_n = data.get("cbrt_scale_n")
         if cbrt_n is not None and type(cbrt_n) is not int:  # [1], 8.7, "8" or true
             raise ValueError("cbrt_scale_n must be null or an integer")
-        return cls(_numerators(ratios), cbrt_n)
+        return cls(_numerators(support, ratios), cbrt_n)
 
 
 def averages_to_probs(a: AveragesSeq) -> ProbSeq:

@@ -16,13 +16,11 @@ from __future__ import annotations
 
 import argparse
 import functools
-import hashlib
 import json
 import os
 import stat
 import sys
 import time
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import __version__
@@ -42,41 +40,22 @@ from .core_sets import (
     verify_certificate,
 )
 
-__all__ = ["RunManifest", "dispatch", "main"]
+__all__ = ["dispatch", "main"]
 
 
-@dataclass
-class RunManifest:
-    """Reproducibility sidecar: what ran, on which inputs, writing where."""
-
-    cmdline: list
-    seed: int
-    version: str
-    input_digests: dict
-    wall_clock_seconds: float
-    outputs: list
-
-    def to_json(self) -> dict:
-        return {
-            "cmdline": list(self.cmdline),
-            "seed": self.seed,
-            "version": self.version,
-            "input_digests": dict(sorted(self.input_digests.items())),
-            "wall_clock_seconds": round(self.wall_clock_seconds, 3),
-            "outputs": list(self.outputs),
-        }
-
-
-@dataclass
 class _Run:
-    """Per-invocation state: input digests for the manifest."""
+    """Per-invocation state: the sha256 of each input file, taken only when
+    a manifest will record them (digests is then a dict, else None)."""
 
-    digests: dict = field(default_factory=dict)
+    def __init__(self, manifest: bool):
+        self.digests = {} if manifest else None
 
     def load_json(self, path: str):
         with open(path, "rb") as fh:
             raw = fh.read()
-        self.digests[path] = hashlib.sha256(raw).hexdigest()
+        if self.digests is not None:
+            import hashlib
+            self.digests[path] = hashlib.sha256(raw).hexdigest()
         return json.loads(raw)
 
     def load_set(self, path: str, kind=None, flag: str = ""):
@@ -263,8 +242,6 @@ def _cmd_profile(args, run):
 
 def _cmd_construct_parabola(args, run):
     from .constructions import best_shift_union, parabola_set
-    if (args.u is None) == (args.k is None):
-        raise ValueError("give exactly one of --u or --k")
     if args.u is not None:
         A = parabola_set(args.p, args.u)
         payload = {"p": args.p, "u": args.u, "size": A.size, "set": A.to_json()}
@@ -330,12 +307,8 @@ def _cmd_construct_blowup(args, run):
     from .constructions import blow_up
     A = run.load_set(args.A, IntSet, "--A")
     C = run.load_set(args.C, GroupSubset, "--C")
-    if C.group.rank != 1:
-        raise ValueError("--C must live in a cyclic group")
-    q = C.group.factors[0]
-    if args.q is not None and args.q != q:
-        raise ValueError(f"--q {args.q} does not match the group of C (order {q})")
     B, g1, g2 = blow_up(A, args.g1, args.N, C, args.g2)
+    q = C.group.factors[0]
     payload = {
         "set": B.to_json(),
         "size": B.size,
@@ -349,6 +322,15 @@ def _cmd_construct_blowup(args, run):
     if args.oracle:
         return _oracle((0, payload, summary), B, q * args.N, "difference", lambda a: a >= g1 * g2)
     return 0, payload, summary
+
+
+def _trials(args) -> bool:
+    """Whether --trials was given; without it, an option only trials read is refused."""
+    if args.trials is None:
+        given = [f"--{k}" for k in ("delta", "epsilon", "N") if getattr(args, k, None) is not None]
+        if given:
+            raise ValueError(f"{', '.join(given)}: only read with --trials")
+    return args.trials is not None
 
 
 def _validate(args, kind: str, **model):
@@ -368,7 +350,7 @@ def _validate(args, kind: str, **model):
 def _cmd_random_group(args, run):
     from .constructions import random_group_subset
     group = GroupSpec(tuple(args.factors))
-    if args.trials is not None:
+    if _trials(args):
         return _validate(args, "group-uniform", group=group, g=args.g)
     A = random_group_subset(group, args.g, args.seed)
     payload = {"g": args.g, "seed": args.seed, "size": A.size, "set": A.to_json()}
@@ -378,8 +360,9 @@ def _cmd_random_group(args, run):
 def _cmd_random_sequence(args, run):
     from .bridge import ProbSeq
     from .constructions import sequence_random_set
+    trials = _trials(args)  # refused before the file is read
     probs = ProbSeq.from_json(run.load_json(args.probs))
-    if args.trials is not None:
+    if trials:
         return _validate(args, "sequence-weighted", probs=probs, target_N=args.N)
     A = sequence_random_set(probs, args.seed)
     payload = {"seed": args.seed, "size": A.size, "set": A.to_json()}
@@ -447,20 +430,13 @@ def _cmd_bridge_torus(args, run):
 
 def _cmd_solve(args, run):
     from .solver import SearchConfig, alpha_exact, beta_exact, eta_exact, gamma_exact
-    kwargs = {"translation_fix": not args.no_pin}
+    kwargs = {"translation_fix": not getattr(args, "no_pin", False)}  # beta has no pin
     if args.budget is not None:
         kwargs["node_budget"] = args.budget
     cfg = SearchConfig(**kwargs)
-    if args.quantity in ("eta", "beta"):
-        if args.N is None:
-            raise ValueError(f"solve {args.quantity} needs --N")
-        fn = eta_exact if args.quantity == "eta" else beta_exact
-        result = fn(args.g, args.N, cfg)
-    else:
-        if args.factors is None:
-            raise ValueError(f"solve {args.quantity} needs --factors")
-        fn = gamma_exact if args.quantity == "gamma" else alpha_exact
-        result = fn(args.g, GroupSpec(tuple(args.factors)), cfg)
+    fn = {"eta": eta_exact, "gamma": gamma_exact, "beta": beta_exact, "alpha": alpha_exact}[args.quantity]
+    domain = args.N if args.quantity in ("eta", "beta") else GroupSpec(tuple(args.factors))
+    result = fn(args.g, domain, cfg)
     summary = (
         f"{result.quantity} g={result.g} param={result.size_param}: "
         f"value {result.value} (exhaustive={result.exhaustive})"
@@ -483,12 +459,8 @@ def _cmd_bounds(args, run):
     payload = {"ledger": BoundsLedger().to_json()}
     summary = "published ratio constants"
     if args.g is not None:
-        if (args.N is None) == (args.factors is None):
-            raise ValueError("give exactly one of --N or --factors with --g")
-        if args.N is not None:
-            tb = trivial_bounds(args.g, N=args.N)
-        else:
-            tb = trivial_bounds(args.g, group=GroupSpec(tuple(args.factors)))
+        group = None if args.factors is None else GroupSpec(tuple(args.factors))
+        tb = trivial_bounds(args.g, N=args.N, group=group)
         payload["trivial"] = tb.to_json()
         summary = (
             f"cover lower {tb.min_cover_lower}, packing upper {tb.max_packing_upper}"
@@ -509,10 +481,13 @@ def _commands() -> tuple[argparse.ArgumentParser, dict]:
     descent sets)}, e.g. ("solve", "eta") -> (the eta parser, {"command":
     "solve", "quantity": "eta"}), recorded as each leaf is added."""
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=0, help="master seed for any randomized path")
+    common.set_defaults(seed=0)  # the manifest's seed where no randomness runs
     common.add_argument("--json", action="store_true", help="emit the full JSON report")
     common.add_argument("--out", help="write the report to this path instead of stdout")
     common.add_argument("--manifest", help="write a run manifest (inputs, digests, timing) to this path")
+
+    seeded = argparse.ArgumentParser(add_help=False)
+    seeded.add_argument("--seed", type=int, default=0, help="master seed for the random draws")
 
     oracle = argparse.ArgumentParser(add_help=False)
     oracle.add_argument(
@@ -549,11 +524,12 @@ def _commands() -> tuple[argparse.ArgumentParser, dict]:
     construct = sub.add_parser("construct", help="explicit constructions")
     csub = construct.add_subparsers(dest="what", required=True)
 
-    sp = leaf(csub, ("construct", "parabola"), _cmd_construct_parabola, [common, oracle],
+    sp = leaf(csub, ("construct", "parabola"), _cmd_construct_parabola, [common, seeded, oracle],
               help="parabola or best-shift union")
     sp.add_argument("--p", type=int, required=True, help="odd prime modulus")
-    sp.add_argument("--u", type=int, help="single parabola parameter")
-    sp.add_argument("--k", type=int, help="number of parabolas in the union")
+    shape = sp.add_mutually_exclusive_group(required=True)
+    shape.add_argument("--u", type=int, help="single parabola parameter")
+    shape.add_argument("--k", type=int, help="number of parabolas in the union")
 
     sp = leaf(csub, ("construct", "lift"), _cmd_construct_lift, [common, oracle],
               help="lift a plane set to a cyclic group")
@@ -561,7 +537,7 @@ def _commands() -> tuple[argparse.ArgumentParser, dict]:
     sp.add_argument("--s", type=int, required=True)
     sp.add_argument("--g", type=int, help="certified difference count of A, verified first")
 
-    sp = leaf(csub, ("construct", "pipeline"), _cmd_construct_pipeline, [common, oracle],
+    sp = leaf(csub, ("construct", "pipeline"), _cmd_construct_pipeline, [common, seeded, oracle],
               help="union then lift, certified end to end")
     sp.add_argument("--k", type=int, required=True)
     sp.add_argument("--s", type=int, required=True)
@@ -572,21 +548,21 @@ def _commands() -> tuple[argparse.ArgumentParser, dict]:
     sp.add_argument("--A", required=True, help="integer-set JSON")
     sp.add_argument("--N", type=int, required=True, help="shift range certified by A")
     sp.add_argument("--C", required=True, help="cyclic group-subset JSON")
-    sp.add_argument("--q", type=int, help="order of the cyclic group (checked against C)")
     sp.add_argument("--g1", type=int, help="difference count claimed for A (default: achieved)")
     sp.add_argument("--g2", type=int, help="difference count claimed for C (default: achieved)")
 
     random_p = sub.add_parser("random", help="random models and Monte Carlo validation")
     rsub = random_p.add_subparsers(dest="what", required=True)
 
-    sp = leaf(rsub, ("random", "group"), _cmd_random_group, help="uniform sqrt(g/|G|) inclusion")
+    sp = leaf(rsub, ("random", "group"), _cmd_random_group, [common, seeded],
+              help="uniform sqrt(g/|G|) inclusion")
     sp.add_argument("--factors", type=int, nargs="+", required=True)
     sp.add_argument("--g", type=int, required=True)
     sp.add_argument("--trials", type=int, help="run Monte Carlo validation instead of one draw")
     sp.add_argument("--delta", type=parse_fraction, help="difference-count slack, e.g. 3/10")
     sp.add_argument("--epsilon", type=parse_fraction, help="size slack, e.g. 1/10")
 
-    sp = leaf(rsub, ("random", "sequence"), _cmd_random_sequence,
+    sp = leaf(rsub, ("random", "sequence"), _cmd_random_sequence, [common, seeded],
               help="weighted inclusion from a probability file")
     sp.add_argument("--probs", required=True, help="ProbSeq JSON (see bridge probs)")
     sp.add_argument("--N", type=int, help="shift range checked per trial")
@@ -630,14 +606,17 @@ def _commands() -> tuple[argparse.ArgumentParser, dict]:
     for quantity in ("eta", "gamma", "beta", "alpha"):
         sp = leaf(ssub, ("solve", quantity), _cmd_solve)
         sp.add_argument("--g", type=int, required=True)
-        sp.add_argument("--N", type=int, help="interval parameter (eta, beta)")
-        sp.add_argument("--factors", type=int, nargs="+", help="group factors (gamma, alpha)")
+        if quantity in ("eta", "beta"):
+            sp.add_argument("--N", type=int, required=True, help="interval parameter")
+        else:
+            sp.add_argument("--factors", type=int, nargs="+", required=True, help="group factors")
         sp.add_argument("--budget", type=int, help="search nodes, set-up included, before a partial result")
-        sp.add_argument(
-            "--no-pin",
-            action="store_true",
-            help="drop every pin (translation, and gamma's flat index 1 or basis) as their check",
-        )
+        if quantity != "beta":  # beta has no translation symmetry to pin
+            sp.add_argument(
+                "--no-pin",
+                action="store_true",
+                help="drop every pin (translation, and gamma's flat index 1 or basis) as their check",
+            )
 
     report = sub.add_parser("report", help="tables over solved results")
     repsub = report.add_subparsers(dest="what", required=True)
@@ -647,8 +626,9 @@ def _commands() -> tuple[argparse.ArgumentParser, dict]:
 
     sp = leaf(sub, ("bounds",), _cmd_bounds, help="published constants and trivial bounds")
     sp.add_argument("--g", type=int)
-    sp.add_argument("--N", type=int)
-    sp.add_argument("--factors", type=int, nargs="+")
+    domain = sp.add_mutually_exclusive_group()
+    domain.add_argument("--N", type=int)
+    domain.add_argument("--factors", type=int, nargs="+")
 
     return p, leaves
 
@@ -695,7 +675,7 @@ def dispatch(argv) -> int:
         args = _parse(argv)
     except SystemExit as exc:  # argparse exits 2 on usage errors, 0 on --help
         return int(exc.code or 0)
-    run = _Run()
+    run = _Run(bool(args.manifest))
     start = time.monotonic()
     try:
         code, payload, summary = args.handler(args, run)
@@ -711,15 +691,15 @@ def dispatch(argv) -> int:
     try:
         _write(body, args.out)
         if args.manifest:
-            manifest = RunManifest(
-                cmdline=list(argv),
-                seed=args.seed,
-                version=__version__,
-                input_digests=run.digests,
-                wall_clock_seconds=time.monotonic() - start,
-                outputs=[args.out or "stdout"],
-            )
-            _write(manifest.to_json(), args.manifest)
+            manifest = {
+                "cmdline": list(argv),
+                "seed": args.seed,
+                "version": __version__,
+                "input_digests": run.digests,
+                "wall_clock_seconds": round(time.monotonic() - start, 3),
+                "outputs": [args.out or "stdout"],
+            }
+            _write(manifest, args.manifest)
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

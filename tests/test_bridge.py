@@ -635,8 +635,8 @@ class TestProbSeq:
                 StepFunction.from_json(data)
 
     def test_json_coeffs_int64_and_big_int_paths(self):
-        # each entry must print as format_fraction of nums[j] / den; den and
-        # nums inside int64 take the np.gcd path, past it the big-int loop
+        # each entry must print as format_fraction of nums[j] / den, for den
+        # and nums inside int64 and past it
         rng = random.Random(907)
         for den in (1, 6, 2**62 + 2**40 * 3**5, 2**63 - 25, 2**63 + 3 * 5 * 7, 10**40 * 6):
             for _ in range(20):
@@ -649,6 +649,14 @@ class TestProbSeq:
         # small numerators over a denominator past int64
         den = 2**63 + 5
         assert ProbSeq((0, [1, 0, 2], den))._json_coeffs() == [f"1/{den}", f"2/{den}"]
+
+    def test_to_json_coeffs_are_format_fraction(self):
+        # one sequence within int64, one whose denominator exceeds 2^63
+        for p, within in ((ProbSeq((3, [0, 2, 5, 0, 12], 18)), True),
+                          (ProbSeq((-2, [1, 0, 2**64, 3 * 2**40], 2**64 + 9)), False)):
+            assert (p.den < 2**63) == within
+            want = [format_fraction(F(n, p.den)) for n in p.nums if n]
+            assert p.to_json()["coeffs"] == want
 
     def test_parse_ratios_matches_parse_ratio(self):
         rng = random.Random(702)

@@ -309,8 +309,8 @@ class TestConstruct:
         assert payload["oracle"] == {"checked": True, "achieved_g": 5, "match": True}
 
     def test_parabola_needs_u_or_k(self, capsys):
-        code, _, err = run_cli(capsys, "construct", "parabola", "--p", "5")
-        assert code == 2 and "exactly one" in err
+        code, out, err = run_cli(capsys, "construct", "parabola", "--p", "5")
+        assert (code, out) == (2, "") and "one of the arguments --u --k is required" in err
 
     def test_lift_with_certificate(self, capsys, tmp_path):
         code, union, _ = run_json(
@@ -378,7 +378,7 @@ class TestConstruct:
     def test_blowup_spec_example(self, capsys, int_set_file, group_set_file):
         code, payload, _ = run_json(
             capsys, "construct", "blowup", "--A", int_set_file, "--N", "3",
-            "--C", group_set_file, "--q", "7", "--oracle",
+            "--C", group_set_file, "--oracle",
         )
         assert code == 0
         assert payload["set"] == [1, 2, 4, 8, 9, 11, 22, 23, 25]
@@ -423,13 +423,6 @@ class TestConstruct:
         )
         assert (code, err) == (2, "oracle mismatch: independent recount disagrees\n")
         assert json.loads(out)["oracle"] == {"checked": True, "match": False}
-
-    def test_blowup_q_mismatch(self, capsys, int_set_file, group_set_file):
-        code, _, err = run_cli(
-            capsys, "construct", "blowup", "--A", int_set_file, "--N", "3",
-            "--C", group_set_file, "--q", "5",
-        )
-        assert code == 2 and "does not match" in err
 
 
 class TestRandom:
@@ -1134,14 +1127,17 @@ class TestCertificateViolations:
 
 # One valid command line per leaf command, then the edge forms: help at each
 # level, "--", "--g=1", an abbreviated option, a missing --g, a bad type, an
-# unknown flag, extra positionals and lines that name no leaf command.
+# unknown flag, options a command does not take, required and exclusive
+# option groups, trial-only options without --trials (refused by the
+# handler, not the parser), extra positionals and lines that name no leaf
+# command.
 PARSE_CASES = [
     ["verify", "--set", "a.json", "--g", "1", "--N", "3", "--oracle", "--json"],
-    ["profile", "--set", "a.json", "--kind", "sum", "--lo", "0", "--hi", "6", "--seed", "4"],
+    ["profile", "--set", "a.json", "--kind", "sum", "--lo", "0", "--hi", "6"],
     ["construct", "parabola", "--p", "5", "--u", "1", "--oracle"],
     ["construct", "lift", "--A", "p.json", "--s", "2", "--g", "1", "--out", "x.json"],
     ["construct", "pipeline", "--k", "2", "--s", "2", "--p", "5", "--manifest", "m.json"],
-    ["construct", "blowup", "--A", "a.json", "--N", "3", "--C", "c.json", "--q", "7", "--g1", "1", "--g2", "1"],
+    ["construct", "blowup", "--A", "a.json", "--N", "3", "--C", "c.json", "--g1", "1", "--g2", "1"],
     ["random", "group", "--factors", "10", "10", "--g", "1", "--trials", "2", "--delta", "1/2", "--epsilon", "0.1"],
     ["random", "sequence", "--probs", "p.json", "--N", "5", "--trials", "2", "--delta", "1/2", "--epsilon", "1/5"],
     ["bridge", "set-to-fn", "--set", "a.json", "--g", "1", "--N", "3"],
@@ -1171,6 +1167,17 @@ PARSE_CASES = [
     ["solve", "eta"],
     ["solve", "eta", "--g", "x"],
     ["random", "group", "--factors", "10", "--g", "1", "--delta", "1/0"],
+    ["verify", "--set", "a.json", "--g", "1", "--N", "3", "--seed", "1"],
+    ["solve", "gamma", "--g", "1", "--factors", "6", "--N", "5"],
+    ["solve", "eta", "--g", "1", "--N", "3", "--factors", "5"],
+    ["solve", "beta", "--g", "1", "--N", "3", "--no-pin"],
+    ["solve", "alpha", "--g", "1"],
+    ["construct", "blowup", "--A", "a.json", "--N", "3", "--C", "c.json", "--q", "7"],
+    ["construct", "parabola", "--p", "5"],
+    ["construct", "parabola", "--p", "5", "--u", "1", "--k", "2"],
+    ["bounds", "--g", "1", "--N", "3", "--factors", "4"],
+    ["random", "group", "--factors", "10", "--g", "1", "--delta", "1/2"],
+    ["random", "sequence", "--probs", "p.json", "--N", "64"],
     ["verify", "--unknown-flag"],
     ["verify", "--set", "a.json", "--g", "1", "extra"],
     ["solve", "eta", "extra", "--g", "1"],
@@ -1397,3 +1404,58 @@ class TestPlumbing:
 
     def test_help_exits_zero(self, capsys):
         assert run_cli(capsys, "--help")[0] == 0
+
+    @pytest.mark.parametrize("words", list(cli._commands()[1]), ids=" ".join)
+    def test_each_leaf_takes_only_the_options_it_reads(self, capsys, words):
+        assert run_cli(capsys, *words, "--help")[0] == 0
+        parser = cli._commands()[1][words][0]
+        options = {s for action in parser._actions for s in action.option_strings}
+        seeded = {("construct", "parabola"), ("construct", "pipeline"), ("random", "group"), ("random", "sequence")}
+        assert ("--seed" in options) == (words in seeded)
+        assert "--q" not in options
+        if words[0] == "solve":
+            assert ("--N" in options) == (words[1] in ("eta", "beta"))
+            assert ("--factors" in options) == (words[1] in ("gamma", "alpha"))
+            assert ("--no-pin" in options) == (words[1] != "beta")
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["verify", "--set", "SET", "--g", "1", "--N", "3", "--seed", "1"], "unrecognized arguments: --seed 1"),
+            (["solve", "gamma", "--g", "1", "--factors", "6", "--N", "5"], "unrecognized arguments: --N 5"),
+            (["solve", "eta", "--g", "1", "--N", "3", "--factors", "5"], "unrecognized arguments: --factors 5"),
+            (["solve", "beta", "--g", "1", "--N", "3", "--no-pin"], "unrecognized arguments: --no-pin"),
+            (["construct", "blowup", "--A", "SET", "--N", "3", "--C", "GROUP", "--q", "7"],
+             "unrecognized arguments: --q 7"),
+            (["random", "group", "--factors", "10", "--g", "1", "--delta", "1/2"],
+             "error: --delta: only read with --trials"),
+            (["random", "sequence", "--probs", "missing.json", "--N", "64"], "error: --N: only read with --trials"),
+            (["random", "sequence", "--probs", "missing.json", "--N", "64", "--epsilon", "1/5", "--seed", "2"],
+             "error: --epsilon, --N: only read with --trials"),
+        ],
+        ids=["verify --seed", "solve gamma --N", "solve eta --factors", "solve beta --no-pin",
+             "construct blowup --q", "random group --delta", "random sequence --N", "random sequence --epsilon --N"],
+    )
+    def test_an_option_the_command_does_not_read_exits_2(self, capsys, int_set_file, group_set_file, argv, message):
+        # "missing.json" does not exist: trial-only options are refused before --probs is read
+        files = {"SET": int_set_file, "GROUP": group_set_file}
+        code, out, err = run_cli(capsys, *(files.get(arg, arg) for arg in argv))
+        assert (code, out) == (2, "")
+        assert err.endswith(message + "\n"), err
+
+    @pytest.mark.parametrize("manifest", [False, True], ids=["no-manifest", "manifest"])
+    def test_only_a_manifest_hashes_the_inputs(self, int_set_file, tmp_path, manifest):
+        # in a fresh process: the sha256 of an input is taken, and hashlib
+        # imported, only for a manifest that records it
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        script = (
+            "import sys, diffsets.cli as cli\n"
+            "code = cli.dispatch(sys.argv[1:])\n"
+            "print('hashlib' in sys.modules)\n"
+            "sys.exit(code)\n"
+        )
+        argv = ["verify", "--set", int_set_file, "--g", "1", "--N", "3"]
+        if manifest:
+            argv += ["--manifest", str(tmp_path / "m.json")]
+        fresh = subprocess.run([sys.executable, "-c", script, *argv], capture_output=True, env=env, text=True)
+        assert (fresh.returncode, fresh.stdout.splitlines()[-1]) == (0, str(manifest)), fresh.stderr
