@@ -9,7 +9,9 @@ Each command line is parsed once, by its command's own parser; the full
 parser serves only help, usage errors and unusual forms.  Handlers import
 the solver, bridge and constructions modules on first use, so a command
 loads only what it runs.  --out and --manifest files are written over in
-place and cut to length.
+place and cut to length, with os.write: a report of up to 1 MiB in one
+write, a larger one in 1 MiB batches, so at most about 1 MiB of its text is
+held at once.
 """
 
 from __future__ import annotations
@@ -134,6 +136,31 @@ def _emit(body, fh) -> None:
     else:
         _write_json(body, fh.write)
         fh.write("\n")
+
+
+_BATCH = 1 << 20  # characters a _Sink holds before it writes them
+
+
+class _Sink:
+    """Text bound for the file descriptor fd: the pieces written are held
+    and passed to os.write, UTF-8 encoded, each time they exceed _BATCH
+    characters and once more at flush.  written counts the bytes written."""
+
+    def __init__(self, fd: int):
+        self.fd, self.pieces, self.held, self.written = fd, [], 0, 0
+
+    def write(self, text: str) -> None:
+        self.pieces.append(text)
+        self.held += len(text)
+        if self.held > _BATCH:
+            self.flush()
+
+    def flush(self) -> None:
+        data = memoryview("".join(self.pieces).encode())
+        self.pieces, self.held = [], 0
+        self.written += len(data)
+        while data:  # os.write may take less than it is given
+            data = data[os.write(self.fd, data) :]
 
 
 # ---------------------------------------------------------------------------
@@ -452,22 +479,22 @@ def _cmd_report_ratios(args, run):
     summary = f"{len(rows)} rows, {'all ok' if code == 0 else 'FATAL flags present'}"
     if args.json:
         return code, {"rows": rows}, summary
-    return code, ratio_report(results), summary
+    return code, ratio_report(rows), summary
 
 
 def _cmd_bounds(args, run):
     payload = {"ledger": BoundsLedger().to_json()}
-    summary = "published ratio constants"
-    if args.g is not None:
-        group = None if args.factors is None else GroupSpec(tuple(args.factors))
-        tb = trivial_bounds(args.g, N=args.N, group=group)
-        payload["trivial"] = tb.to_json()
-        summary = (
-            f"cover lower {tb.min_cover_lower}, packing upper {tb.max_packing_upper}"
-        )
-    elif args.N is not None or args.factors is not None:
-        raise ValueError("--N/--factors need --g")
-    return 0, payload, summary
+    domain = args.N is not None or args.factors is not None
+    if args.g is None:
+        if domain:
+            raise ValueError("--N/--factors need --g")
+        return 0, payload, "published ratio constants"
+    if not domain:
+        raise ValueError("--g needs --N or --factors")
+    group = None if args.factors is None else GroupSpec(tuple(args.factors))
+    tb = trivial_bounds(args.g, N=args.N, group=group)
+    payload["trivial"] = tb.to_json()
+    return 0, payload, f"cover lower {tb.min_cover_lower}, packing upper {tb.max_packing_upper}"
 
 
 # ---------------------------------------------------------------------------
@@ -641,17 +668,26 @@ def _build_parser() -> argparse.ArgumentParser:
 def _write(body, out: str | None):
     """_emit body to the file out, or to stdout when out is None.
 
-    The file is written over in place and then cut to length, not opened
-    with O_TRUNC: on ext4 (auto_da_alloc) truncating a file and writing it
-    again starts writeback at close, which costs about ten times the write.
-    A device, FIFO or tty is not cut, since ftruncate refuses it."""
+    The file is written through a _Sink, so a report under _BATCH leaves in
+    one write(2) and a larger one in batches of about _BATCH, never held
+    whole.  It is written over in place and then, if it was longer, cut to
+    the bytes written, not opened with O_TRUNC: on ext4 (auto_da_alloc)
+    truncating a file and writing it again starts writeback at close, which
+    costs about ten times the write.  A device, FIFO or tty is not cut,
+    since ftruncate refuses it."""
     if out is None:
         _emit(body, sys.stdout)
-    else:
-        with open(os.open(out, os.O_WRONLY | os.O_CREAT, 0o666), "w", encoding="utf-8") as fh:
-            _emit(body, fh)
-            if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
-                fh.truncate()
+        return
+    fd = os.open(out, os.O_WRONLY | os.O_CREAT, 0o666)
+    try:
+        sink = _Sink(fd)
+        _emit(body, sink)
+        sink.flush()
+        st = os.fstat(fd)
+        if stat.S_ISREG(st.st_mode) and st.st_size > sink.written:
+            os.ftruncate(fd, sink.written)
+    finally:
+        os.close(fd)
 
 
 def _parse(argv) -> argparse.Namespace:

@@ -18,12 +18,15 @@ All counts come from one kernel, _convolve: the indicator of the set's hull
 (or of its group, each axis padded to 2n-1) convolved with its reverse or
 itself, as one product of packed decimal integers.  libmpdec, the C library
 behind the decimal module, multiplies large operands by a number-theoretic
-transform.  Only where the k^2 ordered pairs cost less, for a hull of more
-than k^2/128 cells on the line or a padded group of more than k^2 cells, are
-the pairs binned directly with numpy instead: on the line in O(min(n, k^2))
-memory for a window of n shifts, however wide the hull.  A window is
-handed over whole, a check of the shifts 1..N counts at most k(k-1)/2+1 of
-them, and a kernel over _ORDER_LIMIT int64 slots is refused.
+transform.  Only where the k^2 ordered pairs cost less are they binned
+directly with numpy instead, by one cost rule: multiply when
+R * cells + F <= k^2.  On the line R = 128 pairs per hull cell and F = 0;
+in a group R = 3 pairs per padded cell and F = 4096 pairs, the product's
+fixed cost of about 50 us (measured constants at _CELL_PAIRS).  On the line
+the pairs take O(min(n, k^2)) memory for a window of n shifts, however wide
+the hull.  A window is handed over whole, a check of the shifts 1..N counts
+at most k(k-1)/2+1 of them, and a kernel over _ORDER_LIMIT int64 slots is
+refused.
 Importing this module fails without the C decimal module: the pure-Python
 fallback would make the same products orders of magnitude slower.
 """
@@ -79,11 +82,21 @@ _EXACT = decimal.Context(
 # Pairs per numpy chunk on the pair paths (residue cells in a group): 2 MB
 # of int64 keys.
 _CHUNK_CELLS = 1 << 18
-# On the line a hull cell costs the decimal path about as much as 128 pairs
-# cost the numpy pair path: the measured crossover lies between 60 and 270
-# pairs per cell for hulls of 6e4 to 1e6 cells.  In a group the pair path's
-# modular arithmetic moves the crossover to about one pair per padded cell.
+# One cost rule picks each kernel's path: multiply when R * cells + F <= k^2,
+# the product's cost counted in ordered pairs, else bin the pairs.  Minima of
+# 20-300 calls, numpy 2.4 on a 2-core x86 host:
+# - the line: R = _CELL_PAIRS, F = 0.  The crossover lies at 60-130 pairs per
+#   hull cell for 300 to 3e5 cells (60-270 up to 1e6), so R covers the fixed
+#   cost; an F of 4096 sent hulls at 128 pairs per cell to pairs 1.6-2.8
+#   times as slow.
+# - a group: R = _GROUP_CELL_PAIRS per padded cell, F = _PRODUCT_PAIRS.  The
+#   product costs about 50 us plus 0.1-0.2 us per cell, a pair 10-17 ns in
+#   Z/n and 30-45 ns at rank 2-3.  R = 3 keeps (Z/101)^2, k = 404 (4.04 pairs
+#   per cell) on the product, 5.5 ms against 6.9 ms; Z/n crosses nearer 20
+#   (Z/401, k = 140: 138 us against 191; Z/1000, k = 120: 383 against 145).
 _CELL_PAIRS = 128
+_GROUP_CELL_PAIRS = 3
+_PRODUCT_PAIRS = 4096
 # Most int64 slots held at once (400 MB): a group's counts, a random draw or
 # shift map, or the product, window or pairs of _pair_counts.
 _ORDER_LIMIT = 50_000_000
@@ -636,9 +649,10 @@ def _group_counts(flat: np.ndarray, spec: GroupSpec, mode: str, weights=None) ->
     else Python ints in an object array.
 
     Each axis is padded to 2n-1 so the linear convolution of the indicators
-    (or weights) cannot wrap, then folded mod n.  When the padded box holds
-    more cells than the k^2 pairs, the pairs are binned directly instead,
-    _CHUNK_CELLS residue cells per np.add.at.
+    (or weights) cannot wrap, then folded mod n.  Where the k^2 pairs cost
+    less than the product, _GROUP_CELL_PAIRS * cells + _PRODUCT_PAIRS > k^2,
+    they are binned directly instead, _CHUNK_CELLS residue cells per
+    np.add.at.
     """
     if len(flat) == 0:
         raise ValueError("empty set")
@@ -651,7 +665,7 @@ def _group_counts(flat: np.ndarray, spec: GroupSpec, mode: str, weights=None) ->
     if weights is not None and _digits(_total(w) * int(w.max())) <= 18:
         w = w.astype(np.int64)
     dtype = np.int64 if weights is None else w.dtype
-    if math.prod(padded) <= k * k:
+    if math.prod(padded) * _GROUP_CELL_PAIRS + _PRODUCT_PAIRS <= k * k:
         # reversing the flat indicator maps b to (n-1-b) on every axis, so
         # a - b lands at a - b + n - 1 before the fold: residue t + 1 mod n
         pstrides = np.asarray(GroupSpec(padded).strides(), dtype=np.int64)

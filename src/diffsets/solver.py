@@ -733,10 +733,11 @@ def ratio_rows(results, ledger: BoundsLedger = BoundsLedger()) -> list[dict]:
     return rows
 
 
-def ratio_report(results, ledger: BoundsLedger = BoundsLedger()) -> str:
-    """CSV of ratio_rows under the header quantity,g,param,value,ratio,flag."""
+def ratio_report(rows: list[dict]) -> str:
+    """CSV of the ratio_rows given, under the header
+    quantity,g,param,value,ratio,flag."""
     lines = ["quantity,g,param,value,ratio,flag"]
-    for row in ratio_rows(results, ledger):
+    for row in rows:
         lines.append(
             f"{row['quantity']},{row['g']},{row['param']},{row['value']},"
             f"{row['ratio']:.6f},{row['flag']}"

@@ -52,6 +52,7 @@ from diffsets.solver import (
     eta_exact,
     gamma_exact,
     ratio_report,
+    ratio_rows,
 )
 
 
@@ -451,7 +452,7 @@ def test_acceptance_12_ratio_tables_clean():
         + [_solved("gamma", g, f) for g, f in _GROUP_CASES]
         + [_solved("alpha", g, f) for g, f in _GROUP_CASES]
     )
-    table = ratio_report(results)
+    table = ratio_report(ratio_rows(results))
     lines = table.strip().splitlines()
     if lines[0] != "quantity,g,param,value,ratio,flag":
         problems.append("unexpected header")

@@ -859,7 +859,11 @@ class TestSolveAndReport:
             code, _, _ = run_cli(capsys, "solve", "eta", "--g", "1", "--N", "3", *flag)
             assert code == 2
 
-    def test_report_ratios_csv(self, capsys, tmp_path):
+    def test_report_ratios_csv(self, capsys, monkeypatch, tmp_path):
+        from diffsets import solver
+
+        calls, real_rows = [], solver.ratio_rows
+        monkeypatch.setattr(solver, "ratio_rows", lambda results: calls.append(1) or real_rows(results))
         paths = []
         for i, argv in enumerate(
             (
@@ -879,6 +883,7 @@ class TestSolveAndReport:
         assert lines[1] == "eta,1,1,2,2.000000,ok"
         assert lines[2] == "eta,1,3,3,1.732051,ok"
         assert lines[3] == "gamma,1,7,3,1.133893,ok"
+        assert len(calls) == 1  # the table prints the rows the exit code was read from
 
     def test_report_flags_impossible_row(self, capsys, tmp_path):
         fake = tmp_path / "fake.json"
@@ -949,10 +954,8 @@ class TestBounds:
         assert code == 0 and "trivial" not in payload
 
     def test_rejects_partial_arguments(self, capsys):
-        code, _, err = run_cli(capsys, "bounds", "--g", "2")
-        assert code == 2
-        code, _, err = run_cli(capsys, "bounds", "--N", "10")
-        assert code == 2
+        assert run_cli(capsys, "bounds", "--g", "2") == (2, "", "error: --g needs --N or --factors\n")
+        assert run_cli(capsys, "bounds", "--N", "10") == (2, "", "error: --N/--factors need --g\n")
 
 
 def _random_json(rng, depth=0):
@@ -1339,6 +1342,50 @@ class TestPlumbing:
             assert code == 0
         assert len(flags) == 4
         assert not any(flag & os.O_TRUNC for flag in flags)
+
+    def test_large_payload_streams_in_batches_and_cuts_to_length(self, monkeypatch, tmp_path):
+        # about 5 MB of JSON: several batches of 1 MiB, none holding the whole text
+        payload = {"coeffs": [f"{i}/7" for i in range(400_000)], "rows": [[i, -i] for i in range(20_000)]}
+        expected = (json.dumps(payload, sort_keys=True, indent=2) + "\n").encode()
+        out = tmp_path / "big.json"
+        out.write_bytes(b"#" * (len(expected) + 100_000))
+        sizes, real_write = [], os.write
+
+        def spy(fd, data):
+            sizes.append(len(data))
+            return real_write(fd, data)
+
+        monkeypatch.setattr(os, "write", spy)
+        cli._write(payload, str(out))
+        assert out.read_bytes() == expected
+        assert len(sizes) >= 4 and sum(sizes) == len(expected)
+        assert max(sizes) < cli._BATCH + 100_000
+
+    def test_a_small_report_is_one_write(self, capsys, monkeypatch, int_set_file, tmp_path):
+        calls, real_write = [], os.write
+
+        def spy(fd, data):
+            calls.append(bytes(data))
+            return real_write(fd, data)
+
+        monkeypatch.setattr(os, "write", spy)
+        out, manifest = tmp_path / "v.json", tmp_path / "m.json"
+        argv = ["verify", "--set", int_set_file, "--g", "1", "--N", "3", "--json"]
+        assert run_cli(capsys, *argv, "--out", str(out), "--manifest", str(manifest))[0] == 0
+        assert calls == [out.read_bytes(), manifest.read_bytes()]
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+    def test_out_to_a_full_device_closes_its_descriptor(self, capsys, int_set_file):
+        def descriptors():
+            return sorted(os.listdir("/proc/self/fd"))
+
+        before = descriptors()
+        code, out, err = run_cli(
+            capsys, "verify", "--set", int_set_file, "--g", "1", "--N", "3", "--out", "/dev/full"
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert descriptors() == before
 
     def test_reused_parser_matches_fresh_processes(self, capsys, int_set_file, group_set_file):
         # one cached parser serves every dispatch; a usage error in between

@@ -2,6 +2,7 @@
 
 import copy
 import decimal
+import math
 import os
 import pickle
 import random
@@ -251,11 +252,12 @@ def test_pair_counts_windows_against_oracle(convolutions, add_at, path):
 
 @pytest.mark.parametrize(
     "factors, k, decimal_path",
-    [((60, 90), 150, True), ((2,) * 12, 60, False)],
+    [((60, 90), 300, True), ((2,) * 12, 60, False)],
     ids=["plane-decimal", "cube-pairs"],
 )
 def test_group_counts_paths_against_oracle(convolutions, factors, k, decimal_path):
-    # Z/60 x Z/90 pads to 119 x 179 cells, under k^2; (Z/2)^12 pads to 3^12
+    # Z/60 x Z/90 pads to 119 x 179 = 21,301 cells: 3 per cell plus 4096 is
+    # under the 90,000 pairs of k = 300; (Z/2)^12 pads to 3^12
     spec = GroupSpec(factors)
     rng = random.Random(sum(factors))
     A = GroupSubset.of(spec, rng.sample(list(spec.elements()), k))
@@ -264,6 +266,40 @@ def test_group_counts_paths_against_oracle(convolutions, factors, k, decimal_pat
         arr = core_sets._group_counts(core_sets._flat(spec, A.elements), spec, mode).tolist()
         assert dict(zip(spec.elements(), arr)) == oracle(factors, A.elements)
     assert bool(convolutions) == decimal_path
+
+
+@pytest.mark.parametrize(
+    "factors, k, decimal_path",
+    [
+        ((5,), 4, False),
+        ((8,), 4, False),
+        ((12,), 5, False),
+        ((2, 4), 5, False),
+        ((2, 2, 3), 7, False),
+        ((600,), 36, False),
+        ((2000,), 100, False),
+        ((401,), 140, True),
+        ((101, 101), 404, True),
+        ((5000,), 1000, True),
+    ],
+    ids=lambda v: "x".join(map(str, v)) if isinstance(v, tuple) else str(v),
+)
+def test_group_count_path_follows_the_cost_rule(convolutions, factors, k, decimal_path):
+    # the product's fixed cost is about 4096 pairs, and each padded cell costs
+    # about 3: the witnesses of the small solves, with k^2 at least their
+    # padded cells, and Z/600 or Z/2000 bin their pairs, while Z/401, the
+    # plane (Z/101)^2 of the pipeline and the Monte Carlo's Z/5000 multiply
+    spec = GroupSpec(factors)
+    rng = random.Random(k)
+    flat = np.array(sorted(rng.sample(range(spec.order), k)), dtype=np.int64)
+    A = GroupSubset.of(spec, core_sets._residues(spec, flat))
+    assert math.prod(2 * n - 1 for n in factors) <= k * k
+    modes = ("difference", "sum") if k <= 150 else ("difference",)
+    for mode in modes:
+        oracle = oracles.group_diff_counts if mode == "difference" else oracles.group_sum_counts
+        arr = core_sets._group_counts(A.flat, spec, mode).tolist()
+        assert dict(zip(spec.elements(), arr)) == oracle(factors, A.elements)
+    assert len(convolutions) == (len(modes) if decimal_path else 0)
 
 
 def test_pair_paths_across_chunks(monkeypatch, add_at):

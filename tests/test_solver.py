@@ -26,6 +26,7 @@ from diffsets.solver import (
     eta_exact,
     gamma_exact,
     ratio_report,
+    ratio_rows,
 )
 
 
@@ -762,7 +763,7 @@ def test_ratio_report_known_rows():
         beta_exact(2, 5),
         alpha_exact(2, GroupSpec((6,))),
     ]
-    table = ratio_report(results)
+    table = ratio_report(ratio_rows(results))
     assert table.endswith("\n")
     rows = list(csv.reader(io.StringIO(table)))
     assert rows[0] == ["quantity", "g", "param", "value", "ratio", "flag"]
@@ -780,12 +781,12 @@ def test_ratio_report_fatal_flag():
     # an exhaustive eta below the published covering ratio is impossible;
     # fabricate one to check the tripwire
     fake = ExtremalResult("eta", 1, 100, None, 10, None, True, 0)
-    table = ratio_report([fake])
+    table = ratio_report(ratio_rows([fake]))
     assert "eta,1,100,10,1.000000,FATAL" in table
     unconfirmed = ExtremalResult("eta", 1, 100, None, 10, None, False, 0)
-    assert "FATAL" not in ratio_report([unconfirmed])
+    assert "FATAL" not in ratio_report(ratio_rows([unconfirmed]))
     fine = ExtremalResult("eta", 1, 100, None, 16, None, True, 0)
-    assert "FATAL" not in ratio_report([fine])
+    assert "FATAL" not in ratio_report(ratio_rows([fine]))
     assert BoundsLedger().eta_ratio_ok(16, 1, 100)
     assert not BoundsLedger().eta_ratio_ok(10, 1, 100)
 
