@@ -305,7 +305,7 @@ def _kink_sweep(f: StepFunction, sums: bool, lo: Fraction, hi: Fraction):
     J = [int(d * den) for d in jumps]
     narrow = max(map(abs, B)) < 2**62 and sum(map(abs, J)) ** 2 < 2**63
     B, J = (np.array(x, dtype=np.int64 if narrow else object) for x in (B, J))
-    kinks, weight = _pair_sums(B if sums else -B, B, J)
+    kinks, weight = _pair_sums(B if sums else -B, B, J, runs=True)
     kinks, weight = kinks.tolist(), (-weight).tolist()
     start = bisect_right(kinks, math.floor(lo * pitch))
     stop = bisect_left(kinks, math.ceil(hi * pitch))

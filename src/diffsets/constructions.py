@@ -37,8 +37,10 @@ from .core_sets import (
     GroupSpec,
     GroupSubset,
     IntSet,
+    _count_at,
     _difference_window,
     _enumerable,
+    _flat,
     _group_counts,
     _require_certificate,
     _residues,
@@ -227,13 +229,9 @@ def best_shift_union(p: int, k: int, seed: int = 0) -> ParabolaUnion:
         rng = Generator(Philox(key=seed & ((1 << 128) - 1)))
         n_targets = min(spec.order - 1, max(128, _EXHAUSTIVE_ORDER // max(1, subset.size)))
         idx = rng.choice(spec.order - 1, size=n_targets, replace=False) + 1
-        members = set(subset.elements)
-        mins = []
-        for flat in sorted(int(i) for i in idx):
-            a0, b0 = spec.unflatten(flat)
-            c = sum(1 for (x, y) in members if ((x - a0) % p, (y - b0) % p) in members)
-            mins.append(c)
-        verified_g = min(mins)
+        x = _residues(spec, subset.flat)
+        # the count at t: elements whose shift by -t lies in the union
+        verified_g = min(_count_at(subset.flat, _flat(spec, x - t)) for t in _residues(spec, idx))
         mode = "sampled"
     assert verified_g >= instance_floor, "per-instance character bound violated"
     return ParabolaUnion(
@@ -645,7 +643,6 @@ def _make_group_trial(model: RandomModel, delta: Fraction, epsilon: Fraction):
     mu_parts = [Fraction(g * size, n) for size in _probe_part_sizes(n)]
     mu_total = Fraction(g)  # E r(m) = |G| p^2 exactly, m != 0
     probe = {
-        "kind": "group",
         "shift": list(m_vec),
         "mu": mu_total,
         "mu_parts": mu_parts,
@@ -695,7 +692,6 @@ def _make_sequence_trial(model: RandomModel, delta: Fraction, epsilon: Fraction)
     mu_probe_float = sum(mu_parts) / den**2 * scale
     mu_parts_float = [q / den**2 * scale for q in mu_parts]
     probe = {
-        "kind": "sequence",
         "shift": probe_m,
         "mu": mu_probe_float,
         "mu_parts": mu_parts_float,

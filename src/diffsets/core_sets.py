@@ -18,15 +18,15 @@ All counts come from one kernel, _convolve: the indicator of the set's hull
 (or of its group, each axis padded to 2n-1) convolved with its reverse or
 itself, as one product of packed decimal integers.  libmpdec, the C library
 behind the decimal module, multiplies large operands by a number-theoretic
-transform.  Only where the k^2 ordered pairs cost less are they binned
-directly with numpy instead, by one cost rule: multiply when
-R * cells + F <= k^2.  On the line R = 128 pairs per hull cell and F = 0;
-in a group R = 3 pairs per padded cell and F = 4096 pairs, the product's
-fixed cost of about 50 us (measured constants at _CELL_PAIRS).  On the line
-the pairs take O(min(n, k^2)) memory for a window of n shifts, however wide
-the hull.  A window is handed over whole, a check of the shifts 1..N counts
-at most k(k-1)/2+1 of them, and a kernel over _ORDER_LIMIT int64 slots is
-refused.
+transform.  Only where the k^2 ordered pairs cost less are they counted
+directly instead, by one chunked numpy pair loop, _pair_sums, and one cost
+rule: multiply when R * cells + F <= k^2.  On the line R = 128 pairs per
+hull cell and F = 0; in a group R = 3 pairs per padded cell and F = 4096
+pairs, the product's fixed cost of about 50 us (measured constants at
+_CELL_PAIRS).  On the line the pairs take O(min(n, k^2)) memory for a window
+of n shifts, however wide the hull.  A window is handed over whole, a check
+of the shifts 1..N counts at most k(k-1)/2+1 of them, and a line kernel over
+_ORDER_LIMIT slots is refused; a group's padded box over it bins its pairs.
 Importing this module fails without the C decimal module: the pure-Python
 fallback would make the same products orders of magnitude slower.
 """
@@ -97,8 +97,9 @@ _CHUNK_CELLS = 1 << 18
 _CELL_PAIRS = 128
 _GROUP_CELL_PAIRS = 3
 _PRODUCT_PAIRS = 4096
-# Most int64 slots held at once (400 MB): a group's counts, a random draw or
-# shift map, or the product, window or pairs of _pair_counts.
+# Most slots held at once: int64 counts, draws, shift maps, windows or pairs,
+# or the cells of a product (a line's hull or a group's padded box), which
+# peaks at about 39 bytes per cell (2-4e6 cells measured), 1.9 GB at the limit.
 _ORDER_LIMIT = 50_000_000
 _PROFILE_LIMIT = 5_000_000  # most counts a profile lists: shifts, or group elements
 
@@ -264,10 +265,7 @@ class GroupSpec:
         return product(*(range(n) for n in self.factors))
 
     def strides(self) -> tuple[int, ...]:
-        out = [1] * self.rank
-        for i in range(self.rank - 2, -1, -1):
-            out[i] = out[i + 1] * self.factors[i + 1]
-        return tuple(out)
+        return tuple(math.prod(self.factors[i + 1 :]) for i in range(self.rank))
 
     @cached_property
     def _axes(self) -> tuple[np.ndarray, np.ndarray]:
@@ -275,22 +273,15 @@ class GroupSpec:
         return np.array(self.factors, dtype=np.int64), np.array(self.strides(), dtype=np.int64)
 
     def flatten(self, vector) -> int:
-        v = self.reduce(vector)
-        return sum(x * s for x, s in zip(v, self.strides()))
+        return int(_flat(self, self.reduce(vector))[0])
 
     def unflatten(self, index: int) -> tuple[int, ...]:
         if not 0 <= index < self.order:
             raise ValueError("index out of range")
-        out = []
-        for s, n in zip(self.strides(), self.factors):
-            out.append((index // s) % n)
-        return tuple(out)
+        return tuple(_residues(self, np.array([index], dtype=np.int64))[0].tolist())
 
     def label(self) -> str:
         return "x".join(str(n) for n in self.factors)
-
-    def to_json(self) -> list[int]:
-        return list(self.factors)
 
 
 class GroupSubset:
@@ -396,30 +387,35 @@ def _distinct(a: np.ndarray) -> np.ndarray:
     return a
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RepProfile:
-    """Representation counts over a queried domain of shifts."""
+    """Representation counts over a queried domain of shifts: a range, or a
+    group's (|G|, d) residue vectors in flat order, and their count array."""
 
     kind: str  # "difference" | "sum"
     domain: str  # human-readable description of the queried shifts
-    counts: dict
-    min_count: int
-    max_count: int
+    shifts: range | np.ndarray
+    array: np.ndarray
 
-    @classmethod
-    def build(cls, kind: str, domain: str, counts: dict) -> "RepProfile":
-        if not counts:
-            raise ValueError("no shifts queried")
-        vals = counts.values()
-        return cls(kind, domain, dict(counts), min(vals), max(vals))
+    @property
+    def counts(self) -> dict:  # keyed by int, or by residue tuple
+        keys = self.shifts if isinstance(self.shifts, range) else map(tuple, self.shifts.tolist())
+        return dict(zip(keys, self.array.tolist()))
+
+    @property
+    def min_count(self) -> int:
+        return int(self.array.min())
+
+    @property
+    def max_count(self) -> int:
+        return int(self.array.max())
 
     def to_json(self) -> dict:
-        keys = sorted(self.counts)
         return {
             "kind": self.kind,
             "domain": self.domain,
-            "shifts": [list(k) if isinstance(k, tuple) else k for k in keys],
-            "counts": [self.counts[k] for k in keys],
+            "shifts": list(self.shifts) if isinstance(self.shifts, range) else self.shifts.tolist(),
+            "counts": self.array.tolist(),
             "min_count": self.min_count,
             "max_count": self.max_count,
         }
@@ -528,29 +524,43 @@ def _decimal(rows) -> Decimal:
     return Decimal("".join(rows) if isinstance(rows, list) else rows.tobytes().decode("ascii"))
 
 
-def _pair_sums(left, right, val=None, size=None):
+def _pair_sums(left, right, val=None, size=None, runs=False, key=None):
     """Totals of val[i] * val[j] (1 if val is None) over the pairs (i, j) by
-    key left[i] + right[j], for numpy arrays (val int64 or object).
+    key left[i] + right[j], for numpy arrays (val int64 or object): the one
+    chunked pair loop, _CHUNK_CELLS cells of right per chunk.  With size,
+    sums outside 0..size-1 are dropped; a key function given instead of the
+    sum, key(left rows, right), must land in 0..size-1.
 
-    With size, the totals of keys 0..size-1 (others dropped), _CHUNK_CELLS
-    pairs per np.add.at: O(size + _CHUNK_CELLS) memory.  Without,
-    (keys, totals) over every key reached, ascending.
+    Returns the totals of keys 0..size-1, one np.add.at per chunk, or with
+    runs, (keys, totals) over the keys kept, ascending: unweighted, the run
+    lengths of the keys sorted in place; weighted, an argsort and
+    np.add.reduceat (not np.unique, which imports numpy.ma).
     """
-    if size is None:  # sorted, not np.unique, which imports numpy.ma
-        keys = np.add.outer(left, right).ravel()
-        order = np.argsort(keys)  # any order: the totals are sums
-        keys = keys[order]
-        first = np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]])
-        return keys[first], np.add.reduceat(np.multiply.outer(val, val).ravel()[order], first)
-    out = np.zeros(size, dtype=np.int64 if val is None else val.dtype)
-    rows = max(1, _CHUNK_CELLS // max(1, len(right)))
+    rows = max(1, _CHUNK_CELLS // max(1, right.size))
+    out = [] if runs else np.zeros(size, dtype=np.int64 if val is None else val.dtype)
     for i in range(0, len(left), rows):
-        keys = np.add.outer(left[i : i + rows], right).ravel()
-        keep = (keys >= 0) & (keys < size)
-        add = 1 if val is None else np.multiply.outer(val[i : i + rows], val).ravel()[keep]
-        np.add.at(out, keys[keep], add)
-        del keys, keep, add  # so the next chunk is built with none of this one alive
-    return out
+        keys = (key or np.add.outer)(left[i : i + rows], right).ravel()
+        add = 1 if val is None else np.multiply.outer(val[i : i + rows], val).ravel()
+        if size is not None and key is None:
+            keep = (keys >= 0) & (keys < size)
+            keys, add = keys[keep], add if val is None else add[keep]
+        if runs:
+            out.append((keys, add))
+        else:
+            np.add.at(out, keys, add)
+        del keys, add  # so the next chunk is built with none of this one's pairs alive
+    if not runs:
+        return out
+    keys = np.concatenate([k for k, _ in out])
+    if val is None:
+        del out  # so the in-place sort holds one copy of the keys
+        keys.sort()
+    else:
+        order = np.argsort(keys)  # any order: the totals are sums
+        keys, add = keys[order], np.concatenate([a for _, a in out])[order]
+    first = np.flatnonzero(np.r_[keys.size > 0, keys[1:] != keys[:-1]])  # run starts
+    totals = np.diff(np.r_[first, len(keys)]) if val is None else np.add.reduceat(add, first)
+    return keys[first], totals
 
 
 def _pair_counts(elements, mode: str, lo: int, hi: int):
@@ -564,8 +574,8 @@ def _pair_counts(elements, mode: str, lo: int, hi: int):
     k^2/_CELL_PAIRS cells, the k^2 pairs binned into the n-shift window when
     n <= k^2: either way the window is handed over whole, with shifts =
     range(wlo, whi + 1).  For a wider window the pairs that land in it are
-    sorted, and shifts is an array of those they reach: memory is
-    O(min(n, k^2)).  A path that would hold more than _ORDER_LIMIT int64
+    sorted (_pair_sums' runs), and shifts is an array of those they reach:
+    memory is O(min(n, k^2)).  A path that would hold more than _ORDER_LIMIT
     slots (2 span + 1 for the product, n or k^2 for the pairs) is refused
     with a ValueError.  A check of the shifts 1..N asks for no more than
     1..k(k-1)/2+1 (_difference_window).
@@ -599,16 +609,8 @@ def _pair_counts(elements, mode: str, lo: int, hi: int):
     other = (span - e if mode == "difference" else e) - (wlo - base)
     if n <= k * k:
         return shifts, _pair_sums(e, other, size=n)
-    hits = []
-    rows = max(1, _CHUNK_CELLS // k)
-    for i0 in range(0, k, rows):
-        z = np.add.outer(e[i0 : i0 + rows], other).ravel()
-        z = z[(z >= 0) & (z < n)]  # drops the unfiltered chunk before the next is built
-        hits.append(z)
-    hits = np.concatenate(hits)  # rebound, so the sort holds one copy of the pairs
-    hits.sort()  # then run lengths: not np.unique, which imports numpy.ma
-    first = np.flatnonzero(np.r_[hits.size > 0, hits[1:] != hits[:-1]])  # run starts
-    return wlo + hits[first], np.diff(np.r_[first, len(hits)])
+    reached, counts = _pair_sums(e, other, size=n, runs=True)
+    return wlo + reached, counts
 
 
 def _difference_window(a: np.ndarray, N: int):
@@ -651,26 +653,27 @@ def _group_counts(flat: np.ndarray, spec: GroupSpec, mode: str, weights=None) ->
     Each axis is padded to 2n-1 so the linear convolution of the indicators
     (or weights) cannot wrap, then folded mod n.  Where the k^2 pairs cost
     less than the product, _GROUP_CELL_PAIRS * cells + _PRODUCT_PAIRS > k^2,
-    they are binned directly instead, _CHUNK_CELLS residue cells per
-    np.add.at.
+    or the padded box has more than _ORDER_LIMIT cells, _pair_sums bins them
+    directly instead, keyed by the flat index of a + b or a - b.
     """
     if len(flat) == 0:
         raise ValueError("empty set")
     order = _enumerable(spec)
     x = _residues(spec, flat)
-    k, d = x.shape
+    k = len(x)
     factors = spec._axes[0]
     padded = tuple(2 * n - 1 for n in spec.factors)
-    w = 1 if weights is None else np.array(weights, dtype=object)
-    if weights is not None and _digits(_total(w) * int(w.max())) <= 18:
+    w = None if weights is None else np.array(weights, dtype=object)
+    if w is not None and _digits(_total(w) * int(w.max())) <= 18:
         w = w.astype(np.int64)
-    dtype = np.int64 if weights is None else w.dtype
-    if math.prod(padded) * _GROUP_CELL_PAIRS + _PRODUCT_PAIRS <= k * k:
+    dtype = np.int64 if w is None else w.dtype
+    cells = math.prod(padded)
+    if cells <= _ORDER_LIMIT and cells * _GROUP_CELL_PAIRS + _PRODUCT_PAIRS <= k * k:
         # reversing the flat indicator maps b to (n-1-b) on every axis, so
         # a - b lands at a - b + n - 1 before the fold: residue t + 1 mod n
         pstrides = np.asarray(GroupSpec(padded).strides(), dtype=np.int64)
         ind = np.zeros(int((factors - 1) @ pstrides) + 1, dtype=dtype)
-        ind[x @ pstrides] = w
+        ind[x @ pstrides] = 1 if w is None else w
         box = np.asarray(_convolve(ind, reverse=mode == "difference"), dtype=dtype).reshape(padded)
         for axis, n in enumerate(spec.factors):
             box = np.moveaxis(box, axis, 0)
@@ -680,13 +683,8 @@ def _group_counts(flat: np.ndarray, spec: GroupSpec, mode: str, weights=None) ->
                 folded = np.roll(folded, 1, axis=0)
             box = np.moveaxis(folded, 0, axis)
         return box.reshape(order)
-    out = np.zeros(order, dtype=dtype)
     y = -x if mode == "difference" else x
-    rows = max(1, _CHUNK_CELLS // (k * d))
-    for i0 in range(0, k, rows):
-        add = 1 if weights is None else np.multiply.outer(w[i0 : i0 + rows], w).ravel()
-        np.add.at(out, _flat(spec, x[i0 : i0 + rows, None, :] + y[None, :, :]), add)
-    return out
+    return _pair_sums(x, y, w, order, key=lambda a, b: _flat(spec, a[:, None] + b[None]))
 
 
 # ---------------------------------------------------------------------------
@@ -700,11 +698,11 @@ def _profile(A: IntSet, kind: str, shifts: tuple[int, int]) -> RepProfile:
     if hi - lo + 1 > _PROFILE_LIMIT:
         raise ValueError(f"shift interval too large to materialize (limit {_PROFILE_LIMIT})")
     shifts, counts = _pair_counts(A.array, kind, lo, hi)
-    if not isinstance(shifts, range):  # the sorted path's array, as ints
-        shifts = shifts.tolist()
-    table = dict.fromkeys(range(lo, hi + 1), 0)
-    table.update(zip(shifts, counts.tolist()))
-    return RepProfile.build(kind, f"[{lo},{hi}]", table)
+    if not isinstance(shifts, range) or len(shifts) <= hi - lo:  # sorted, or clipped to the reach
+        full = np.zeros(hi - lo + 1, dtype=np.int64)
+        full[np.asarray(shifts, dtype=np.int64) - lo] = counts
+        counts = full
+    return RepProfile(kind, f"[{lo},{hi}]", range(lo, hi + 1), counts)
 
 
 def rep_diff_profile(A: IntSet, shifts: tuple[int, int]) -> RepProfile:
@@ -722,9 +720,8 @@ def group_rep_profile(A: GroupSubset, mode: str = "difference") -> RepProfile:
     if mode not in ("difference", "sum"):
         raise ValueError("mode must be 'difference' or 'sum'")
     spec = A.group
-    _enumerable(spec, _PROFILE_LIMIT)
-    table = dict(zip(spec.elements(), _group_counts(A.flat, spec, mode).tolist()))
-    return RepProfile.build(mode, f"group {spec.label()}", table)
+    shifts = _residues(spec, np.arange(_enumerable(spec, _PROFILE_LIMIT)))
+    return RepProfile(mode, f"group {spec.label()}", shifts, _group_counts(A.flat, spec, mode))
 
 
 # ---------------------------------------------------------------------------
@@ -779,6 +776,13 @@ def verify_certificate(A, g: int, N: int | None = None, mode: str = "difference"
     return Verdict(witness is None, int(counts.max()), witness)
 
 
+def _count_at(have: np.ndarray, shifted: np.ndarray) -> int:
+    """How many entries of shifted lie in have (sorted, distinct): for a
+    set's elements moved by w or -w, its difference count at w."""
+    at = np.minimum(np.searchsorted(have, shifted), len(have) - 1)
+    return int((have[at] == shifted).sum())
+
+
 def _require_certificate(A, g: int | None, N: int | None = None, *, name: str) -> Verdict:
     """A's passing verdict as a g-difference set: for [N] when A is an
     IntSet, for its whole group when A is a GroupSubset.  g None claims 1,
@@ -797,9 +801,7 @@ def _require_certificate(A, g: int | None, N: int | None = None, *, name: str) -
     else:
         domain = " x ".join(f"Z/{n}" for n in A.group.factors)
         have, shifted = A.flat, _flat(A.group, _residues(A.group, A.flat) + v.witness)
-    # the pairs (b + w, b): elements b whose shift by w lies in A
-    at = np.minimum(np.searchsorted(have, shifted), len(have) - 1)
-    count = int((have[at] == shifted).sum())
+    count = _count_at(have, shifted)
     w = v.to_json()["witness"]  # a vector as a list, as the verdict prints it
     raise CertificateError(
         f"{name} is not a {claim}-difference set for {domain}: shift {w} has count {count}", v

@@ -108,6 +108,30 @@ class TestVerify:
         )
         assert code == 0 and payload["oracle"]["match"] is True
 
+    @pytest.mark.parametrize(
+        "elements, argv, oracle",
+        [
+            (
+                [1, 2, 4],
+                ["--mode", "sidon", "--g", "2", "--N", "4"],
+                {"checked": True, "achieved_g": 2, "match": True},
+            ),
+            (
+                {"invariant_factors": [7], "elements": [[1], [2], [4]]},
+                ["--mode", "sidon", "--g", "2"],
+                {"checked": True, "achieved_g": 2, "match": True},
+            ),
+            # 501^2 pairs, over the recount's 250,000
+            (list(range(1, 502)), ["--g", "1", "--N", "500"], {"checked": False, "reason": "instance too large"}),
+        ],
+        ids=["sidon-integers", "sidon-group", "too-large"],
+    )
+    def test_oracle_sidon_recounts_and_large_skip(self, capsys, tmp_path, elements, argv, oracle):
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps(elements))
+        code, payload, _ = run_json(capsys, "verify", "--set", str(path), *argv, "--oracle")
+        assert code == 0 and payload["oracle"] == oracle
+
     def test_pair_work_over_the_order_limit_is_refused(self, tmp_path):
         # 20,000 elements of [1, 10^12): a difference window of 2 * 10^8
         # shifts, or 4 * 10^8 sorted sum pairs, each past 50,000,000 slots

@@ -302,6 +302,19 @@ def test_group_count_path_follows_the_cost_rule(convolutions, factors, k, decima
     assert len(convolutions) == (len(modes) if decimal_path else 0)
 
 
+def test_group_product_is_bounded_by_the_order_limit(monkeypatch, convolutions):
+    # Z/300 pads to 599 cells, and 3 * 599 + 4096 is under the 6,400 pairs of
+    # k = 80: the cost rule alone would multiply, but the box is over the limit
+    monkeypatch.setattr(core_sets, "_ORDER_LIMIT", 400)
+    spec = GroupSpec((300,))
+    A = GroupSubset.of(spec, random.Random(300).sample(list(spec.elements()), 80))
+    for mode in ("difference", "sum"):
+        oracle = oracles.group_diff_counts if mode == "difference" else oracles.group_sum_counts
+        arr = core_sets._group_counts(A.flat, spec, mode).tolist()
+        assert dict(zip(spec.elements(), arr)) == oracle(spec.factors, A.elements)
+    assert convolutions == []
+
+
 def test_pair_paths_across_chunks(monkeypatch, add_at):
     # chunks of 64 pairs: many per count on the line and in a group, each
     # np.add.at call bounded by the chunk however wide the window
