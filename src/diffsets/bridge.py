@@ -422,7 +422,7 @@ def _correlations(nums, m_lo: int, m_hi: int) -> list[int]:
     d = np.diff(np.concatenate(([0, 0], a.astype(object) if wide else a, [0, 0])), 2)
     at = np.flatnonzero(d)
     if len(at) ** 2 > n * _CELL_PAIRS:
-        z = _convolve(a, reverse=True)[n - 1 + m_lo : n + m_hi]
+        z = _convolve(a, reverse=True, lo=n - 1 + m_lo, hi=n + m_hi)
         z = z.tolist() if isinstance(z, np.ndarray) else z
     else:
         v = d[at]
@@ -794,7 +794,8 @@ def averages_to_probs(a: AveragesSeq) -> ProbSeq:
     if total <= 0:
         raise ValueError("averages sum to zero")
     tau = a.tau_hat
-    probs = ProbSeq((a.start, [n * tau.numerator for n in a.nums], tau.denominator * total), a.N)
+    p, q = tau.numerator, tau.denominator  # Fraction properties: read once, not per entry
+    probs = ProbSeq((a.start, [n * p for n in a.nums], q * total), a.N)
     if not probs.in_unit_range():
         raise ValueError("condition (2) violated; averages not admissible")
     # normalization is algebraic; keep a defensive exact check (a cube N

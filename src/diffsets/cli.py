@@ -3,7 +3,8 @@
 Each subcommand prints one report: JSON with sorted keys and rationals as
 "p/q" strings, or a fixed-header CSV for ratio tables.  Identical inputs
 and seed reproduce identical bytes.  Exit codes: 0 success or passing
-check, 1 certificate violation found, 2 usage or input error.
+check, 1 certificate violation found, 2 usage or input error, or a command
+that ran out of memory.
 
 Each command line is parsed once, by its command's own parser; the full
 parser serves only help, usage errors and unusual forms.  Handlers import
@@ -720,8 +721,9 @@ def dispatch(argv) -> int:
         if exc.verdict is not None:
             _emit(exc.verdict.to_json(), sys.stderr)
         return 1
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ValueError, OSError, MemoryError) as exc:
+        # numpy's MemoryError names the allocation that failed; a bare one is empty
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 2
     body = payload if isinstance(payload, str) or args.json else summary + "\n"
     try:

@@ -18,14 +18,17 @@ All counts come from one kernel, _convolve: the indicator of the set's hull
 (or of its group, each axis padded to 2n-1) convolved with its reverse or
 itself, as one product of packed decimal integers.  libmpdec, the C library
 behind the decimal module, multiplies large operands by a number-theoretic
-transform.  Only where the k^2 ordered pairs cost less are they counted
-directly instead, by one chunked numpy pair loop, _pair_sums, and one cost
-rule: multiply when R * cells + F <= k^2.  On the line R = 128 pairs per
-hull cell and F = 0; in a group R = 3 pairs per padded cell and F = 4096
-pairs, the product's fixed cost of about 50 us (measured constants at
-_CELL_PAIRS).  On the line the pairs take O(min(n, k^2)) memory for a window
-of n shifts, however wide the hull.  A window is handed over whole, a check
-of the shifts 1..N counts at most k(k-1)/2+1 of them, and a line kernel over
+transform.  Only the slots of the caller's shift window are decoded, but
+the carry check sums every digit column of the product.  Only where the k^2
+ordered pairs cost less are they counted directly instead, by one chunked
+numpy pair loop, _pair_sums, and one cost rule: multiply when
+R * cells + F <= k^2.  On the line R = 128 pairs per hull cell and F = 0;
+in a group R = 3 pairs per padded cell and F = 4096 pairs, the product's
+fixed cost of about 50 us (measured constants at _CELL_PAIRS).  On the line
+the pairs take O(min(n, k^2)) memory for a window of n shifts, however wide
+the hull, and each chunk of rows meets only the columns whose shifts can
+reach the window.  A window is handed over whole, a check of the shifts
+1..N counts at most k(k-1)/2+1 of them, and a line kernel over
 _ORDER_LIMIT slots is refused; a group's padded box over it bins its pairs.
 Importing this module fails without the C decimal module: the pure-Python
 fallback would make the same products orders of magnitude slower.
@@ -35,6 +38,7 @@ from __future__ import annotations
 
 import decimal
 import math
+import operator
 import sys
 from dataclasses import dataclass
 from decimal import Decimal
@@ -98,8 +102,9 @@ _CELL_PAIRS = 128
 _GROUP_CELL_PAIRS = 3
 _PRODUCT_PAIRS = 4096
 # Most slots held at once: int64 counts, draws, shift maps, windows or pairs,
-# or the cells of a product (a line's hull or a group's padded box), which
-# peaks at about 39 bytes per cell (2-4e6 cells measured), 1.9 GB at the limit.
+# or the 2n-1 slots of a product over n cells (a line's hull or a group's
+# padded box), which peaks at about 20-24 bytes per slot on the line (hulls
+# of 2e6-1e7 cells with 5-digit slots), 1.2 GB at the limit.
 _ORDER_LIMIT = 50_000_000
 _PROFILE_LIMIT = 5_000_000  # most counts a profile lists: shifts, or group elements
 
@@ -198,7 +203,11 @@ class IntSet:
         return len(self.array)
 
     def __contains__(self, x) -> bool:
-        return x in self.elements
+        try:
+            v = operator.index(x)
+        except TypeError:  # not an integer (3.0, say): compared with each element
+            return x in self.elements
+        return _holds(self.array, v)
 
     def __iter__(self):
         return iter(self.elements)
@@ -314,7 +323,7 @@ class GroupSubset:
         return len(self.flat)
 
     def __contains__(self, v) -> bool:
-        return self.group.reduce(v) in self.elements
+        return _holds(self.flat, self.group.flatten(v))
 
     def __iter__(self):
         return iter(self.elements)
@@ -347,6 +356,12 @@ class GroupSubset:
         if not isinstance(factors, list) or not isinstance(elements, list):
             raise ValueError("invariant_factors and elements must be arrays")
         return cls(GroupSpec(tuple(factors)), elements)
+
+
+def _holds(have: np.ndarray, v: int) -> bool:
+    """Whether the integer v is an entry of have (sorted, distinct int64)."""
+    i = int(np.searchsorted(have, v)) if -(2**63) <= v < 2**63 else len(have)
+    return i < len(have) and int(have[i]) == v
 
 
 def _int64(values, rank: int | None = None) -> np.ndarray:
@@ -440,21 +455,25 @@ class Verdict:
 # Counting: one exact convolution kernel, and a pair fallback for sparse input
 
 
-def _convolve(x, *, reverse=False):
-    """Exact linear convolution z[k] = sum_i x[i] y[k-i] of a nonnegative
-    integer sequence x (an int64 array or a list of ints) with y = x itself,
-    or with y = x reversed when reverse is set, as one decimal product.
-    Every count multiplies an indicator by itself (sums) or by its reverse
-    (differences and correlations).
+def _convolve(x, *, reverse=False, lo=0, hi=None):
+    """Slots lo..hi-1 (clipped as a slice is) of the exact linear
+    convolution z[k] = sum_i x[i] y[k-i] of a nonnegative integer sequence x
+    (an int64 array or a list of ints) with y = x itself, or with y = x
+    reversed when reverse is set, as one decimal product.  Every count
+    multiplies an indicator by itself (sums) or by its reverse (differences
+    and correlations).
 
     Entry i of x fills the w-digit slot at 10^(w i) of one Decimal integer,
     where w is the digit count of sum x * max x, the largest value any z[k]
     can take; no slot can carry, so the product's slots are z.  x is packed
     once: its one Decimal is passed twice, so libmpdec squares it, or its
     digit rows are read backwards for the reverse.  The product runs in
-    _EXACT, where rounding traps, and the unpacked slots must sum to
-    (sum x)^2, which fails if any slot had carried.  Returns an int64 array
-    when w <= 18, else a list of Python ints.
+    _EXACT, where rounding traps.  Only the slots asked for are decoded, one
+    pass per digit column, but the carry check reads all 2n-1: with c_j the
+    sum of digit column j over the whole product text, sum_j 10^(w-1-j) c_j
+    is the sum of every slot as the text reads it, and must be (sum x)^2,
+    which fails if any slot had carried.  Returns an int64 array when
+    w <= 18, else a list of Python ints.
     """
     x = x if isinstance(x, np.ndarray) else np.array(x, dtype=object)
     if x.min() < 0:
@@ -462,24 +481,29 @@ def _convolve(x, *, reverse=False):
     sx = _total(x)
     w = _digits(sx * int(x.max()))
     slots = 2 * len(x) - 1
+    window = range(slots)[lo:hi]
     rows = _pack(x, w)
     px = _decimal(rows)
     product = _EXACT.multiply(px, _decimal(rows[::-1]) if reverse else px)
-    # a carry out of the top slot is cut off here; the sum check catches it
-    digits = str(product).rjust(slots * w, "0")[-slots * w :]
-    if w <= 18:
-        d = np.frombuffer(digits.encode("ascii"), dtype=np.uint8).reshape(slots, w)
-        z = np.zeros(slots, dtype=np.int64)
-        for j in range(w):
-            z = z * 10 + (d[:, j] - 48)
-        z = z[::-1].copy()
-        total = _total(z)
-    else:
-        to_int = int if _str_safe(w) else lambda s: int(Decimal(s))
-        z = [to_int(digits[i : i + w]) for i in range(len(digits) - w, -1, -w)]
-        total = sum(z)
+    text = str(product).encode("ascii")
+    # the top slots' leading zeros are not printed; a carry out of the top
+    # slot is cut off here, and the sum check catches it
+    text = (b"0" * (slots * w - len(text)) + text)[-slots * w :]
+    d = np.frombuffer(text, dtype=np.uint8).reshape(slots, w)  # slot s is row slots-1-s
+    total = 0
+    for j in range(w):
+        total = 10 * total + int(d[:, j].sum()) - 48 * slots
     if total != sx * sx:
         raise ArithmeticError("convolution slot overflow")
+    d = d[slots - window.stop : slots - window.start][::-1]  # the window's rows, slot lo first
+    if w > 18:
+        to_int = int if _str_safe(w) else lambda s: int(Decimal(s.decode("ascii")))
+        return [to_int(r.tobytes()) for r in d]
+    z = np.zeros(len(d), dtype=np.int64)
+    for j in range(w):
+        z *= 10
+        z += d[:, j]
+    z -= 48 * (10**w - 1) // 9  # the ASCII '0' of every digit; z < 57 (10^w - 1) / 9 < 2^63 before
     return z
 
 
@@ -504,19 +528,22 @@ def _total(a: np.ndarray) -> int:
 
 
 def _pack(a: np.ndarray, w: int):
-    """The w-digit slots of a, last entry first: an (n, w) array of ASCII
-    digit bytes, or a list of w-character strings when w > 18.  Only the
-    digits of a's largest entry take a pass; the slots are '0' above them,
-    so an indicator costs one pass."""
+    """The w-digit slots of a, last entry first: n items of w ASCII digit
+    bytes each (numpy void, so a reversed copy moves items, not bytes), or a
+    list of w-character strings when w > 18.  Only the digits of a's largest
+    entry take a pass; the slots are '0' above them, and the top digit needs
+    no % or //, so an indicator costs one pass."""
     if w > 18:
         to_str = str if _str_safe(w) else lambda v: str(Decimal(v))
         return [to_str(v).zfill(w) for v in a[::-1]]
     a = a[::-1].astype(np.int64, copy=False)
     d = np.full((len(a), w), 48, dtype=np.uint8)
-    for j in range(w - 1, w - 1 - _digits(int(a.max())), -1):
+    top = w - _digits(int(a.max()))  # the column of the largest entry's top digit
+    for j in range(w - 1, top, -1):
         d[:, j] = a % 10 + 48
         a = a // 10
-    return d
+    np.add(a, 48, out=d[:, top], casting="unsafe")  # every entry is below 10 now
+    return d.view(f"V{w}").ravel()
 
 
 def _decimal(rows) -> Decimal:
@@ -527,9 +554,12 @@ def _decimal(rows) -> Decimal:
 def _pair_sums(left, right, val=None, size=None, runs=False, key=None):
     """Totals of val[i] * val[j] (1 if val is None) over the pairs (i, j) by
     key left[i] + right[j], for numpy arrays (val int64 or object): the one
-    chunked pair loop, _CHUNK_CELLS cells of right per chunk.  With size,
-    sums outside 0..size-1 are dropped; a key function given instead of the
-    sum, key(left rows, right), must land in 0..size-1.
+    chunked pair loop, at most _CHUNK_CELLS pairs per chunk of left's rows
+    (or one row).  With size, sums outside 0..size-1 are dropped, and right
+    must be ascending: each chunk meets only the slice of right, found by
+    np.searchsorted, that its least and greatest rows can bring into
+    0..size-1, so the pairs formed follow the band, not k^2.  A key function
+    given instead of the sum, key(left rows, right), must land in 0..size-1.
 
     Returns the totals of keys 0..size-1, one np.add.at per chunk, or with
     runs, (keys, totals) over the keys kept, ascending: unweighted, the run
@@ -537,11 +567,18 @@ def _pair_sums(left, right, val=None, size=None, runs=False, key=None):
     np.add.reduceat (not np.unique, which imports numpy.ma).
     """
     rows = max(1, _CHUNK_CELLS // max(1, right.size))
+    band = size is not None and key is None
     out = [] if runs else np.zeros(size, dtype=np.int64 if val is None else val.dtype)
     for i in range(0, len(left), rows):
-        keys = (key or np.add.outer)(left[i : i + rows], right).ravel()
-        add = 1 if val is None else np.multiply.outer(val[i : i + rows], val).ravel()
-        if size is not None and key is None:
+        chunk = left[i : i + rows]
+        j0, j1 = 0, len(right)
+        # right ascending: only right[j0:j1] can bring a sum with the chunk
+        # into 0..size-1 (with every row in one chunk, nearly all of right)
+        if band and rows < len(left):
+            j0, j1 = np.searchsorted(right, (-chunk.max(), size - chunk.min()))
+        keys = (key or np.add.outer)(chunk, right[j0:j1]).ravel()
+        add = 1 if val is None else np.multiply.outer(val[i : i + rows], val[j0:j1]).ravel()
+        if band:
             keep = (keys >= 0) & (keys < size)
             keys, add = keys[keep], add if val is None else add[keep]
         if runs:
@@ -570,15 +607,18 @@ def _pair_counts(elements, mode: str, lo: int, hi: int):
     Returns (shifts, counts), each shift with its count; every other shift
     counts 0.  The window is first clipped to the reachable shifts wlo..whi.
     The counts are the hull's indicator convolved with its reverse
-    (differences) or itself (sums) or, for a hull of more than
-    k^2/_CELL_PAIRS cells, the k^2 pairs binned into the n-shift window when
-    n <= k^2: either way the window is handed over whole, with shifts =
-    range(wlo, whi + 1).  For a wider window the pairs that land in it are
-    sorted (_pair_sums' runs), and shifts is an array of those they reach:
-    memory is O(min(n, k^2)).  A path that would hold more than _ORDER_LIMIT
-    slots (2 span + 1 for the product, n or k^2 for the pairs) is refused
-    with a ValueError.  A check of the shifts 1..N asks for no more than
-    1..k(k-1)/2+1 (_difference_window).
+    (differences) or itself (sums), of which only the window's slots are
+    decoded, or, for a hull of more than k^2/_CELL_PAIRS cells, the pairs
+    binned into the n-shift window when n <= k^2: either way the window is
+    handed over whole, with shifts = range(wlo, whi + 1).  For a wider
+    window the pairs that land in it are sorted (_pair_sums' runs), and
+    shifts is an array of those they reach: memory is O(min(n, k^2)).  On
+    both pair paths each chunk of elements meets only the elements whose
+    shifts with it can reach the window (sorted, so one slice).  A path
+    that would hold more than _ORDER_LIMIT slots (2 span + 1 for the
+    product, n or k^2 for the pairs) is refused with a ValueError.  A check
+    of the shifts 1..N asks for no more than 1..k(k-1)/2+1
+    (_difference_window).
     """
     a = np.asarray(elements, dtype=np.int64)
     k = len(a)
@@ -603,10 +643,10 @@ def _pair_counts(elements, mode: str, lo: int, hi: int):
     if product:
         ind = np.zeros(span + 1, dtype=np.int64)
         ind[e] = 1
-        return shifts, _convolve(ind, reverse=mode == "difference")[wlo - base : whi - base + 1]
+        return shifts, _convolve(ind, reverse=mode == "difference", lo=wlo - base, hi=whi - base + 1)
     # with e the offsets from the first element, pair (a, b) lands at
     # offset e[a] + other[b] of the window
-    other = (span - e if mode == "difference" else e) - (wlo - base)
+    other = (span - e[::-1] if mode == "difference" else e) - (wlo - base)  # ascending
     if n <= k * k:
         return shifts, _pair_sums(e, other, size=n)
     reached, counts = _pair_sums(e, other, size=n, runs=True)

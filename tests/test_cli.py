@@ -31,7 +31,8 @@ def run_json(capsys, *argv):
 
 def run_in_2gb(*argv):
     """The CLI in a fresh process under 2 GB of address space, as in CI: an
-    input whose arrays outgrow it exits 1 with a MemoryError unless refused."""
+    input whose arrays outgrow it exits 2 with an error line unless refused
+    earlier."""
 
     def cap():
         hard = resource.getrlimit(resource.RLIMIT_AS)[1]
@@ -142,6 +143,38 @@ class TestVerify:
             code, out, err = run_in_2gb("verify", *argv)
             assert (code, out) == (2, ""), err
             assert err.startswith("error:") and "limit 50000000" in err
+
+    @pytest.mark.parametrize("headroom_mb", [100, 250])
+    def test_out_of_memory_exits_2(self, tmp_path, headroom_mb):
+        # 36,934 elements over [0, 10^7) for [1, 10^7]: a product over a hull
+        # of 10^7 cells.  The child caps its own address space a little above
+        # what it holds after import; numpy's or libmpdec's MemoryError must
+        # exit 2 with one error line, not 1 (a false claim) with a traceback
+        path = tmp_path / "big.json"
+        rng = random.Random(7)
+        path.write_text(json.dumps(sorted(rng.sample(range(10**7), 36_934))))
+        script = (
+            "import resource, sys\n"
+            "from diffsets.cli import dispatch\n"
+            "kib = next(int(x.split()[1]) for x in open('/proc/self/status') if x.startswith('VmSize:'))\n"
+            "hard = resource.getrlimit(resource.RLIMIT_AS)[1]\n"
+            "soft = (kib << 10) + (int(sys.argv[1]) << 20)\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (soft if hard == resource.RLIM_INFINITY else min(soft, hard), hard))\n"
+            "sys.exit(dispatch(sys.argv[2:]))\n"
+        )
+        argv = [str(headroom_mb), "verify", "--set", str(path), "--g", "1", "--N", str(10**7)]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        out = subprocess.run([sys.executable, "-c", script, *argv], capture_output=True, env=env, text=True)
+        assert (out.returncode, out.stdout) == (2, ""), out.stderr
+        assert out.stderr.startswith("error: ") and out.stderr.count("\n") == 1, out.stderr
+
+    def test_bare_memory_error_names_itself(self, capsys, monkeypatch, int_set_file):
+        def exhausted(*args):
+            raise MemoryError
+
+        monkeypatch.setattr(cli, "verify_certificate", exhausted)
+        code, out, err = run_cli(capsys, "verify", "--set", int_set_file, "--g", "1", "--N", "3")
+        assert (code, out, err) == (2, "", "error: out of memory\n")
 
     def test_sidon_mode(self, capsys, tmp_path):
         path = tmp_path / "s.json"

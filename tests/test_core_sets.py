@@ -10,7 +10,6 @@ import subprocess
 import sys
 import time
 import tracemalloc
-import types
 from bisect import bisect_right
 from fractions import Fraction
 
@@ -192,23 +191,43 @@ def test_sparse_wide_set_takes_pair_path(convolutions):
     assert convolutions == []
 
 
-@pytest.fixture
-def add_at(monkeypatch):
-    """Index count of every np.add.at call in core_sets: one per binned chunk."""
-    sizes = []
+def _record_np_add(monkeypatch, method, size):
+    """Give core_sets a numpy whose np.add.<method> records size(args,
+    result) of every call; returns the list of sizes."""
+    sizes, real = [], getattr(np.add, method)
 
-    def at(out, keys, val):
-        sizes.append(np.size(keys))
-        np.add.at(out, keys, val)
+    def recorded(*args):
+        result = real(*args)
+        sizes.append(size(args, result))
+        return result
 
-    class Numpy:  # numpy, with np.add.at recording
-        add = types.SimpleNamespace(outer=np.add.outer, reduceat=np.add.reduceat, at=at)
+    class Add:  # np.add, with one method recording
+        def __call__(self, *args, **kwargs):
+            return np.add(*args, **kwargs)
+
+        def __getattr__(self, name):
+            return recorded if name == method else getattr(np.add, name)
+
+    class Numpy:  # numpy, with that np.add
+        add = Add()
 
         def __getattr__(self, name):
             return getattr(np, name)
 
     monkeypatch.setattr(core_sets, "np", Numpy())
     return sizes
+
+
+@pytest.fixture
+def add_at(monkeypatch):
+    """Index count of every np.add.at call in core_sets: one per binned chunk."""
+    return _record_np_add(monkeypatch, "at", lambda args, _: np.size(args[1]))
+
+
+@pytest.fixture
+def pair_chunks(monkeypatch):
+    """Pair count of every np.add.outer call in core_sets: one per line chunk."""
+    return _record_np_add(monkeypatch, "outer", lambda _, keys: keys.size)
 
 
 @pytest.mark.parametrize("path", ["decimal", "pairs-dense", "pairs-sorted"])
@@ -248,6 +267,57 @@ def test_pair_counts_windows_against_oracle(convolutions, add_at, path):
             assert len(counts) <= 2 * span + 1
     assert bool(convolutions) == (path == "decimal")
     assert bool(add_at) == (path == "pairs-dense")
+
+
+@pytest.mark.parametrize("chunk", [None, 7, 64])
+def test_pair_counts_edge_windows_against_oracle(monkeypatch, convolutions, pair_chunks, chunk):
+    # windows at, across and past each end of the reach, one shift wide or
+    # the whole reach, for one-element sets, dense sets (the product) and
+    # sparse ones (the banded pairs); small chunks put chunk boundaries
+    # inside the band, and no chunk holds more than the chunk's pairs
+    if chunk is not None:
+        monkeypatch.setattr(core_sets, "_CHUNK_CELLS", chunk)
+    rng = random.Random(chunk)
+    sets = [[5], [-3], [0, 1], [-7, 7]]
+    for _ in range(6):
+        sets.append(sorted(rng.sample(range(-2000, 2000), rng.randint(2, 40))))
+        sets.append(sorted(rng.sample(range(-150, 150), rng.randint(200, 260))))
+        cluster = rng.sample(range(60), 12)
+        sets.append(sorted(c + o for o in (0, 500, 5000) for c in cluster))
+    for elems in sets:
+        k = len(elems)
+        for mode, oracle in (("difference", oracles.diff_counts), ("sum", oracles.sum_counts)):
+            want = oracle(elems)
+            first, last = min(want), max(want)
+            windows = [(first, last), (first, first), (last, last), (first - 3, last + 3), (1, 60)]
+            windows += [(first - 9, first - 1), (last + 1, last + 9)]  # past the reach
+            windows += [sorted(rng.randint(first - 5, last + 5) for _ in range(2)) for _ in range(4)]
+            for lo, hi in windows:
+                pair_chunks.clear()
+                shifts, counts = core_sets._pair_counts(tuple(elems), mode, lo, hi)
+                got = dict(zip(map(int, shifts), counts.tolist()))
+                assert all(lo <= m <= hi for m in got) and counts.dtype == np.int64
+                assert {m: c for m, c in got.items() if c} == {m: c for m, c in want.items() if lo <= m <= hi}
+                assert max(pair_chunks, default=0) <= max(core_sets._CHUNK_CELLS, k)
+    assert convolutions  # the dense sets multiplied
+
+
+def test_banded_pairs_skip_what_cannot_reach_the_window(pair_chunks):
+    # the benchmark's sparse shape: four copies of one 250-element cluster
+    # spread over 10^7.  Only pairs within a cluster can land in [1, 1000],
+    # and a chunk of rows meets its own cluster's columns and at most the
+    # next one's, so far fewer than the 10^6 pairs are formed
+    rng = random.Random(3)
+    cluster = rng.sample(range(3000), 250)
+    elems = sorted(c + o for o in (0, 2_000_000, 6_000_000, 9_990_000) for c in cluster)
+    shifts, counts = core_sets._pair_counts(tuple(elems), "difference", 1, 1000)
+    want = [0] * 1001
+    for a in elems:
+        for b in elems[bisect_right(elems, a) : bisect_right(elems, a + 1000)]:
+            want[b - a] += 1
+    assert (shifts, counts.tolist()) == (range(1, 1001), want[1:])
+    k = len(elems)
+    assert 0 < sum(pair_chunks) < k * k // 3, sum(pair_chunks)
 
 
 @pytest.mark.parametrize(
@@ -474,6 +544,27 @@ def test_convolve_matches_oracle():
     assert core_sets._convolve([0, 0]).tolist() == [0, 0, 0]
 
 
+def test_convolve_windows_against_oracle():
+    # any slice of the 2n-1 slots, clipped as a slice is, on the int64 path
+    # and on the Python-int path (slots of 19 digits or more)
+    rng = random.Random(2611)
+    operands = [[0], [1], [5, 0, 3], [999_999_999, 0, 0], [10**9, 0, 0]]  # slots of 18, then 19 digits
+    for _ in range(150):
+        top = rng.choice([1, 1, 9, 10**6, 10**12, 10**30])
+        operands.append([rng.randint(0, top) for _ in range(rng.randint(1, 30))])
+    for x in operands:
+        slots = 2 * len(x) - 1
+        wide = core_sets._digits(sum(x) * max(x)) > 18
+        for y, reverse in ((x, False), (x[::-1], True)):
+            want = oracles.convolution(x, y)
+            windows = [(0, None), (0, slots), (slots - 1, slots), (0, 1), (slots, slots + 5), (3, 2)]
+            windows += [(rng.randint(0, slots), rng.randint(0, slots + 3)) for _ in range(3)]
+            for lo, hi in windows:
+                got = core_sets._convolve(x, reverse=reverse, lo=lo, hi=hi)
+                assert isinstance(got, list) == wide
+                assert [int(v) for v in got] == want[lo:hi]
+
+
 def test_pack_fills_unused_high_digits_with_zeros():
     # digit passes run only up to the largest entry's digit count
     rng = random.Random(5)
@@ -541,8 +632,11 @@ def test_convolve_detects_a_slot_one_digit_short(monkeypatch, x, y):
     real, bound = core_sets._digits, sum(x) * max(x)
     assert bound != max(x) and max(want) >= 10 ** (real(bound) - 1)  # a slot must carry
     monkeypatch.setattr(core_sets, "_digits", lambda n: real(n) - (n == bound))
-    with pytest.raises(ArithmeticError, match="slot overflow"):
-        core_sets._convolve(x, reverse=reverse)
+    # the check reads every slot, whichever the caller asks for
+    slots = len(want)
+    for lo, hi in ((0, None), (0, 0), (slots - 1, slots), (slots // 2, slots // 2 + 1)):
+        with pytest.raises(ArithmeticError, match="slot overflow"):
+            core_sets._convolve(x, reverse=reverse, lo=lo, hi=hi)
 
 
 def test_convolve_slots_wider_than_int_str_limit():
@@ -550,6 +644,7 @@ def test_convolve_slots_wider_than_int_str_limit():
     x = [10**4999 + 3, 0, 7, 2, 10**4998]
     for y, reverse in ((x, False), (x[::-1], True)):
         assert core_sets._convolve(x, reverse=reverse) == oracles.convolution(x, y)
+        assert core_sets._convolve(x, reverse=reverse, lo=3, hi=6) == oracles.convolution(x, y)[3:6]
 
 
 def test_verify_huge_N_without_an_O_N_array():
@@ -749,6 +844,30 @@ def test_group_subset_constructor_matches_reference():
                 assert S.elements == want and S.size == len(want)
                 assert S.flat.tolist() == [spec.flatten(v) for v in want]
                 assert S.to_json()["elements"] == [list(v) for v in want]
+
+
+def test_membership_by_search_matches_the_elements(monkeypatch):
+    # the same answers as membership in .elements, found in the stored
+    # sorted array without building the elements
+    A = IntSet.of([-(2**62), -7, 0, 3, 10**12, 2**63 - 1])
+    S = GroupSubset.of(GroupSpec((5, 7)), [(1, 2), (4, 6), (0, 0)])
+    tests = [
+        (A, [3, -7, 4, -8, 2**63 - 1, 2**63, -(2**63), -(2**70), 10**12 + 1, np.int64(3), np.int8(-7)]),
+        (A, [np.uint64(2**64 - 1), np.int32(0), True, False]),
+        (S, [(1, 2), (6, 9), (-4, -5), (1, 3), [4, 6], (5, 7), (np.int64(4), np.int16(-1)), (0, 14)]),
+    ]
+    expected = [[x in X.elements if X is A else X.group.reduce(x) in X.elements for x in xs] for X, xs in tests]
+    monkeypatch.setattr(IntSet, "elements", property(lambda self: pytest.fail("elements built")))
+    monkeypatch.setattr(GroupSubset, "elements", property(lambda self: pytest.fail("elements built")))
+    assert [[x in X for x in xs] for X, xs in tests] == expected
+    assert expected[0] == [True, True, False, False, True, False, False, False, False, True, True]
+    assert 0 not in IntSet.of([]) and (0, 0) not in GroupSubset.of(GroupSpec((2, 2)), [])
+    for v, error in (((1,), ValueError), ((1, 2, 3), ValueError), (("a", 1), ValueError), (5, TypeError)):
+        with pytest.raises(error):
+            v in S
+    monkeypatch.undo()
+    # a value that is not an integer is compared with each element, as before
+    assert [x in A for x in (3.0, 3.5, Fraction(-7), "3", None)] == [True, False, True, False, False]
 
 
 def test_equal_sets_built_both_ways_hash_alike():
