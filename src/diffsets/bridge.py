@@ -35,7 +35,7 @@ from collections.abc import Mapping
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cached_property, total_ordering
-from itertools import repeat
+from itertools import compress, repeat
 from types import MappingProxyType
 
 import numpy as np
@@ -462,7 +462,7 @@ class _Numerators:
     def support(self) -> tuple[int, ...]:
         """Indices of the nonzero entries, ascending."""
         s = self.start
-        return tuple(s + j for j, n in enumerate(self.nums) if n)
+        return tuple(compress(range(s, s + len(self.nums)), self.nums))
 
     def _json_coeffs(self) -> list[str]:
         """format_fraction of each nonzero entry, reduced by one gcd.  Each
@@ -684,7 +684,7 @@ def _numerators(indices, ratios) -> tuple[int, list[int], int]:
     nonzero = [i for i, (p, _) in zip(indices, ratios) if p]
     start, stop = min(nonzero, default=0), max(nonzero, default=-1) + 1
     _check_span(stop - start)
-    den = math.lcm(*(q for p, q in ratios if p))
+    den = math.lcm(*{q for p, q in ratios if p})  # over the distinct denominators
     nums = [0] * (stop - start)
     for i, (p, q) in zip(indices, ratios):
         if p:

@@ -18,8 +18,12 @@ All counts come from one kernel, _convolve: the indicator of the set's hull
 (or of its group, each axis padded to 2n-1) convolved with its reverse or
 itself, as one product of packed decimal integers.  libmpdec, the C library
 behind the decimal module, multiplies large operands by a number-theoretic
-transform.  Only the slots of the caller's shift window are decoded, but
-the carry check sums every digit column of the product.  Only where the k^2
+transform.  Each slot is as wide as the largest count; a difference
+product's largest is its centre, sum x^2, so it first tries slots one
+digit narrower with the centre subtracted out, and is redone at the full
+width if the carry check fails.  Only the slots of the caller's shift
+window are decoded, but the carry check sums every digit column of the
+product.  Only where the k^2
 ordered pairs cost less are they counted directly instead, by one chunked
 numpy pair loop, _pair_sums, and one cost rule: multiply when
 R * cells + F <= k^2.  On the line R = 128 pairs per hull cell and F = 0;
@@ -40,6 +44,7 @@ import decimal
 import math
 import operator
 import sys
+from bisect import bisect_right
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
@@ -86,6 +91,14 @@ _EXACT = decimal.Context(
 # Pairs per numpy chunk on the pair paths (residue cells in a group): 2 MB
 # of int64 keys.
 _CHUNK_CELLS = 1 << 18
+# A banded chunk grows past the rows whose bands meet its first row's while
+# it forms fewer pairs than this: a chunk's fixed cost, about 20 us, is worth
+# some thousands of pairs.
+_FEW_PAIRS = 1 << 13
+# Neighbours per nonzero entry whose lags bound a difference product's
+# largest off-centre slot from below (_near_slot): enough for a lift's
+# repeats at 4-8 elements apart, at 1-3% of the product's time.
+_NEAR = 8
 # One cost rule picks each kernel's path: multiply when R * cells + F <= k^2,
 # the product's cost counted in ordered pairs, else bin the pairs.  Minima of
 # 20-300 calls, numpy 2.4 on a 2-core x86 host:
@@ -465,26 +478,63 @@ def _convolve(x, *, reverse=False, lo=0, hi=None):
 
     Entry i of x fills the w-digit slot at 10^(w i) of one Decimal integer,
     where w is the digit count of sum x * max x, the largest value any z[k]
-    can take; no slot can carry, so the product's slots are z.  x is packed
-    once: its one Decimal is passed twice, so libmpdec squares it, or its
-    digit rows are read backwards for the reverse.  The product runs in
-    _EXACT, where rounding traps.  Only the slots asked for are decoded, one
-    pass per digit column, but the carry check reads all 2n-1: with c_j the
-    sum of digit column j over the whole product text, sum_j 10^(w-1-j) c_j
-    is the sum of every slot as the text reads it, and must be (sum x)^2,
-    which fails if any slot had carried.  Returns an int64 array when
-    w <= 18, else a list of Python ints.
+    can take; no slot can carry, so the product's slots are z.  With the
+    reverse, that largest slot is the centre z[n-1] = sum x^2, which no
+    other slot exceeds (Cauchy-Schwarz), and the others often fit in
+    w' = w - 1 digits.  So when w <= 18 the product is first formed at w',
+    unless either of two cheap bounds already needs w digits: twice the
+    off-centre total (sum x)^2 - sum x^2 over the hull of x's nonzero
+    entries (about four times the mean off-centre slot), or _near_slot's
+    lower bound on the largest off-centre slot.  The centre
+    sum x^2 10^(w'(n-1)) is subtracted in _EXACT, the check (_product)
+    proves every other slot, and sum x^2 goes back into the decoded centre.
+    If the check fails, the product is redone at w, and a carry there
+    raises ArithmeticError.
+
+    x is packed once per width tried: its one Decimal is passed twice, so
+    libmpdec squares it, or its digit rows are read backwards for the
+    reverse.  The product runs in _EXACT, where rounding traps.  Only the
+    slots asked for are decoded, but the carry check reads all 2n-1.
+    Returns an int64 array when w <= 18, else a list of Python ints.
     """
     x = x if isinstance(x, np.ndarray) else np.array(x, dtype=object)
     if x.min() < 0:
         raise ValueError("convolution operands must be nonnegative")
     sx = _total(x)
     w = _digits(sx * int(x.max()))
-    slots = 2 * len(x) - 1
-    window = range(slots)[lo:hi]
+    window = range(2 * len(x) - 1)[lo:hi]
+    if reverse and w <= 18:
+        at = np.flatnonzero(x)
+        v = x[at].astype(np.int64)  # below 10^18, as sum x * max x is
+        sq = _total(v * v)
+        spread = 2 * (sx * sx - sq) // (int(at[-1] - at[0]) + 1 if len(at) else 1)
+        if _digits(spread) < w and _digits(_near_slot(at, v)) < w:
+            z = _product(x, w - 1, reverse, window, sx, sq)
+            if z is not None:
+                return z
+    z = _product(x, w, reverse, window, sx)
+    if z is None:
+        raise ArithmeticError("convolution slot overflow")
+    return z
+
+
+def _product(x, w, reverse, window, sx, centre=0):
+    """The window's slots of _convolve's product at slot width w, or None
+    if a slot carried.  A centre (sum x^2, with the reverse) is subtracted
+    at slot n-1 before the check and added back to the decoded slot.
+
+    With c_j the sum of digit column j over the whole product text,
+    sum_j 10^(w-1-j) c_j is the sum of every slot as the text reads it.
+    Each unit carried out of a slot lowers it by 10^w - 1, and a carry cut
+    off the top lowers it too, so it equals (sum x)^2 - centre, the true
+    total of the slots, only if no slot carried."""
+    n = len(x)
+    slots = 2 * n - 1
     rows = _pack(x, w)
     px = _decimal(rows)
     product = _EXACT.multiply(px, _decimal(rows[::-1]) if reverse else px)
+    if centre:
+        product = _EXACT.subtract(product, _EXACT.scaleb(Decimal(centre), w * (n - 1)))
     text = str(product).encode("ascii")
     # the top slots' leading zeros are not printed; a carry out of the top
     # slot is cut off here, and the sum check catches it
@@ -493,8 +543,8 @@ def _convolve(x, *, reverse=False, lo=0, hi=None):
     total = 0
     for j in range(w):
         total = 10 * total + int(d[:, j].sum()) - 48 * slots
-    if total != sx * sx:
-        raise ArithmeticError("convolution slot overflow")
+    if total != sx * sx - centre:
+        return None
     d = d[slots - window.stop : slots - window.start][::-1]  # the window's rows, slot lo first
     if w > 18:
         to_int = int if _str_safe(w) else lambda s: int(Decimal(s.decode("ascii")))
@@ -504,7 +554,28 @@ def _convolve(x, *, reverse=False, lo=0, hi=None):
         z *= 10
         z += d[:, j]
     z -= 48 * (10**w - 1) // 9  # the ASCII '0' of every digit; z < 57 (10^w - 1) / 9 < 2^63 before
+    if centre and n - 1 in window:
+        z[n - 1 - window.start] += centre
     return z
+
+
+def _near_slot(at: np.ndarray, v: np.ndarray) -> int:
+    """A lower bound on the largest off-centre slot of x with its reverse,
+    for x's nonzero entries v at the ascending positions at: the largest
+    lag total over the pairs of each entry with its next _NEAR entries.  A
+    run, or a lift's repeats of one lag among near neighbours, shows here.
+    Weighted totals are float sums, exact below 2^53: the bound decides
+    only whether a narrow product is tried, never a count."""
+    k, r = len(at), min(_NEAR, len(at) - 1)
+    lags = np.empty(r * k - r * (r + 1) // 2, dtype=np.int64)  # one buffer: no temporaries
+    weights = None if v.max() == 1 else np.empty(len(lags))
+    o = 0
+    for j in range(1, r + 1):
+        np.subtract(at[j:], at[:-j], out=lags[o : o + k - j])
+        if weights is not None:
+            np.multiply(v[j:], v[:-j], out=weights[o : o + k - j], casting="unsafe")
+        o += k - j
+    return int(np.bincount(lags, weights, minlength=1).max())
 
 
 def _digits(n: int) -> int:
@@ -555,30 +626,40 @@ def _pair_sums(left, right, val=None, size=None, runs=False, key=None):
     """Totals of val[i] * val[j] (1 if val is None) over the pairs (i, j) by
     key left[i] + right[j], for numpy arrays (val int64 or object): the one
     chunked pair loop, at most _CHUNK_CELLS pairs per chunk of left's rows
-    (or one row).  With size, sums outside 0..size-1 are dropped, and right
-    must be ascending: each chunk meets only the slice of right, found by
-    np.searchsorted, that its least and greatest rows can bring into
-    0..size-1, so the pairs formed follow the band, not k^2.  A key function
-    given instead of the sum, key(left rows, right), must land in 0..size-1.
+    (or one row).  With size, sums outside 0..size-1 are dropped; right
+    must be ascending and left sorted either way.  When the pairs fill
+    more than one chunk, each row's band is the slice of right, found by
+    np.searchsorted, that brings its sums into 0..size-1; a chunk runs from
+    its first row through the rows whose bands meet that row's
+    (_chunk_end) and meets only the union of their bands, so the pairs
+    formed follow the band, not k^2.  A key function given instead of the
+    sum, key(left rows, right), must land in 0..size-1.
 
     Returns the totals of keys 0..size-1, one np.add.at per chunk, or with
     runs, (keys, totals) over the keys kept, ascending: unweighted, the run
     lengths of the keys sorted in place; weighted, an argsort and
     np.add.reduceat (not np.unique, which imports numpy.ma).
     """
-    rows = max(1, _CHUNK_CELLS // max(1, right.size))
-    band = size is not None and key is None
+    clip = size is not None and key is None
+    band = clip and len(left) * len(right) > _CHUNK_CELLS  # one chunk meets all of right
     out = [] if runs else np.zeros(size, dtype=np.int64 if val is None else val.dtype)
-    for i in range(0, len(left), rows):
-        chunk = left[i : i + rows]
-        j0, j1 = 0, len(right)
-        # right ascending: only right[j0:j1] can bring a sum with the chunk
-        # into 0..size-1 (with every row in one chunk, nearly all of right)
-        if band and rows < len(left):
-            j0, j1 = np.searchsorted(right, (-chunk.max(), size - chunk.min()))
-        keys = (key or np.add.outer)(chunk, right[j0:j1]).ravel()
-        add = 1 if val is None else np.multiply.outer(val[i : i + rows], val[j0:j1]).ravel()
+    rows, lval = max(1, _CHUNK_CELLS // max(1, right.size)), val
+    if band:
+        if len(left) > 1 and left[0] > left[-1]:  # taken ascending, each row with its weight
+            left, lval = left[::-1], None if val is None else val[::-1]
+        j0 = np.searchsorted(right, -left)
+        j1 = np.searchsorted(right, size - left)
+        meets = np.searchsorted(-j1, -j0).tolist()  # rows before it have j1 > j0[i]
+        j0, j1 = j0.tolist(), j1.tolist()
+    i = 0
+    while i < len(left):
+        stop, a, b = i + rows, 0, len(right)
         if band:
+            stop = _chunk_end(i, j0, j1, meets)
+            a, b = j0[stop - 1], j1[i]  # the union of the chunk's bands
+        keys = (key or np.add.outer)(left[i:stop], right[a:b]).ravel()
+        add = 1 if val is None else np.multiply.outer(lval[i:stop], val[a:b]).ravel()
+        if clip:
             keep = (keys >= 0) & (keys < size)
             keys, add = keys[keep], add if val is None else add[keep]
         if runs:
@@ -586,6 +667,7 @@ def _pair_sums(left, right, val=None, size=None, runs=False, key=None):
         else:
             np.add.at(out, keys, add)
         del keys, add  # so the next chunk is built with none of this one's pairs alive
+        i = stop
     if not runs:
         return out
     keys = np.concatenate([k for k, _ in out])
@@ -598,6 +680,17 @@ def _pair_sums(left, right, val=None, size=None, runs=False, key=None):
     first = np.flatnonzero(np.r_[keys.size > 0, keys[1:] != keys[:-1]])  # run starts
     totals = np.diff(np.r_[first, len(keys)]) if val is None else np.add.reduceat(add, first)
     return keys[first], totals
+
+
+def _chunk_end(i: int, j0: list, j1: list, meets: list) -> int:
+    """Where _pair_sums' chunk from row i ends, for ascending rows whose
+    bands are right[j0[r]:j1[r]] (so j0 and j1 do not increase) and meets[i]
+    the end of the rows whose bands meet row i's, which span at most two
+    bands: there, or further while the chunk forms at most _FEW_PAIRS
+    pairs, but never past _CHUNK_CELLS (row i alone may)."""
+    formed = lambda e: (e - i) * (j1[i] - j0[e - 1])  # grows with e
+    limit = min(max(formed(max(meets[i], i + 1)), _FEW_PAIRS), _CHUNK_CELLS)
+    return i + max(1, bisect_right(range(i + 1, len(j0) + 1), limit, key=formed))
 
 
 def _pair_counts(elements, mode: str, lo: int, hi: int):

@@ -316,8 +316,11 @@ def test_banded_pairs_skip_what_cannot_reach_the_window(pair_chunks):
         for b in elems[bisect_right(elems, a) : bisect_right(elems, a + 1000)]:
             want[b - a] += 1
     assert (shifts, counts.tolist()) == (range(1, 1001), want[1:])
-    k = len(elems)
-    assert 0 < sum(pair_chunks) < k * k // 3, sum(pair_chunks)
+    # a chunk ends where the rows' bands stop meeting, so it forms at most
+    # a few times the pairs that land (68,720 of them), not a cluster's
+    # share of all the columns
+    landed = sum(want)
+    assert 0 < 2 * sum(pair_chunks) < 5 * landed, (sum(pair_chunks), landed)
 
 
 @pytest.mark.parametrize(
@@ -565,6 +568,102 @@ def test_convolve_windows_against_oracle():
                 assert [int(v) for v in got] == want[lo:hi]
 
 
+# a Golomb ruler of 12 marks: each of its differences occurs once
+_RULER = [0, 2, 6, 24, 29, 40, 43, 55, 68, 75, 76, 85]
+
+
+def _copied(marks, lag, weight=1):
+    """weight at the marks and at the marks + lag, 0 elsewhere.  With its
+    reverse, the slot at the lag holds len(marks) * weight^2, from pairs
+    len(marks) nonzero entries apart: farther than _near_slot looks."""
+    x = [0] * (marks[-1] + lag + 1)
+    for m in marks:
+        x[m] = x[m + lag] = weight
+    return x
+
+
+@pytest.fixture
+def packed(monkeypatch):
+    """Slot width of every _pack call: one per product width tried."""
+    widths, real = [], core_sets._pack
+    monkeypatch.setattr(core_sets, "_pack", lambda a, w: widths.append(w) or real(a, w))
+    return widths
+
+
+def test_narrow_products_against_oracle(packed):
+    # difference products (x with its reverse) of random indicators and
+    # weighted operands, as lists and int64 arrays, over windows that hold
+    # the centre slot n-1 or miss it.  Every path is taken: one digit
+    # fewer, one digit fewer and then the full width, and the full width
+    rng = random.Random(2706)
+    operands = [_copied(_RULER[:10], lag) for lag in (86, 200)]  # lag slot 10: carries at 1 digit
+    operands += [_copied(_RULER[:9], lag) for lag in (86, 200)]  # 9: fits
+    run = [1] * 11 + [0] * 49 + [1]  # lag 1 holds 10: _near_slot rules one digit out
+    operands += [run, [0, 0, 7, 0], [3, 0, 0, 0, 0, 0, 0, 3]]
+    for _ in range(150):
+        top = rng.choice([1, 1, 1, 3, 40, 10**4, 10**9])
+        density = rng.random()
+        operands.append([rng.randint(1, top) * (rng.random() < density) for _ in range(rng.randint(1, 90))])
+    paths = {}
+    for i, x in enumerate(operands):
+        n, want = len(x), oracles.convolution(x, x[::-1])
+        w = core_sets._digits(sum(x) * max(x))
+        windows = [(0, None), (n - 1, n), (0, n - 1), (n, None), (n - 2, n + 1), (2 * n - 1, 2 * n + 3)]
+        windows += [(rng.randint(0, 2 * n), rng.randint(0, 2 * n)) for _ in range(3)]
+        for lo, hi in windows:
+            packed.clear()
+            a = x if i % 2 or w > 18 else np.array(x, dtype=np.int64)
+            got = core_sets._convolve(a, reverse=True, lo=lo, hi=hi)
+            assert [int(v) for v in got] == want[lo:hi]
+            assert packed in ([w - 1], [w - 1, w], [w])
+            paths[len(packed), packed[0] - w] = paths.get((len(packed), packed[0] - w), 0) + 1
+        if x == _copied(_RULER[:10], 200):
+            assert packed == [1, 2]  # a slot of exactly 10^(w-1)
+        if x == _copied(_RULER[:9], 200):
+            assert packed == [1]
+        if x == run:
+            assert packed == [2]  # 10^(w-1) again, seen before the product
+    assert min(paths.get(p, 0) for p in ((1, -1), (2, -1), (1, 0))) >= 9, paths
+
+
+@pytest.mark.parametrize("factors, k", [((2000,), 300), ((37, 41), 300), ((9, 10, 11), 200)])
+def test_narrow_group_products_against_oracle(packed, factors, k):
+    # random subsets of groups of rank 1-3 on the product path, at every
+    # element: the padded box's difference product fits one digit fewer
+    spec = GroupSpec(factors)
+    A = GroupSubset.of(spec, random.Random(k).sample(list(spec.elements()), k))
+    got = group_rep_profile(A, "difference").counts
+    assert got == oracles.group_diff_counts(factors, A.elements)
+    assert packed == [core_sets._digits(k) - 1]
+
+
+def test_structured_sets_take_the_full_width(packed):
+    # an interval in Z/5000: its lag-1 slot, 1499, needs all four digits,
+    # and the spread over its hull says so: no narrow product is tried
+    spec = GroupSpec((5000,))
+    A = GroupSubset.of(spec, [[v] for v in range(1500)])
+    want = [0] * 5000
+    for d, c in oracles.diff_counts(range(1500)).items():
+        want[d % 5000] += c
+    assert core_sets._group_counts(A.flat, spec, "difference").tolist() == want
+    assert packed == [4]
+    # a pipeline's lift repeats each of its 145 plane elements s = 8 times,
+    # p = 19 apart: 1,160 elements, and the slot at lag 19 holds at least
+    # 7 * 145 = 1,015, which needs four digits.  The repeats lie farther
+    # apart than _near_slot looks, so the narrow product is tried, carries
+    # and is redone
+    from diffsets.constructions import cyclic_pipeline
+
+    lifted = cyclic_pipeline(8, 8, 19).lifted
+    packed.clear()
+    n, elems = lifted.group.order, [e for (e,) in lifted.elements]
+    want = [0] * n
+    for d, c in oracles.diff_counts(elems).items():
+        want[d % n] += c
+    assert core_sets._group_counts(lifted.flat, lifted.group, "difference").tolist() == want
+    assert (lifted.size, want[19] >= 1000, packed) == (1160, True, [3, 4])
+
+
 def test_pack_fills_unused_high_digits_with_zeros():
     # digit passes run only up to the largest entry's digit count
     rng = random.Random(5)
@@ -577,7 +676,9 @@ def test_pack_fills_unused_high_digits_with_zeros():
 
 def test_self_products_pack_once(monkeypatch):
     # every count multiplies an indicator by itself or its reverse: one
-    # packing per product, and a square for itself
+    # packing per width tried, and a square for itself.  A difference
+    # product tries one digit fewer first, unless an estimate rules it out,
+    # and is packed again at the full width if that carries
     packs, squares = [], []
     real, exact = core_sets._pack, core_sets._EXACT
 
@@ -586,16 +687,23 @@ def test_self_products_pack_once(monkeypatch):
             squares.append(a is b)
             return exact.multiply(a, b)
 
-    monkeypatch.setattr(core_sets, "_pack", lambda a, w: packs.append(len(a)) or real(a, w))
+        def __getattr__(self, name):
+            return getattr(exact, name)
+
+    monkeypatch.setattr(core_sets, "_pack", lambda a, w: packs.append((len(a), w)) or real(a, w))
     monkeypatch.setattr(core_sets, "_EXACT", Context())
-    for w_top in (1, 10**17, 10**30):
-        x = [0, 3 * w_top, 1, 0, w_top, 2]
+    plain = ([0, 3 * w_top, 1, 0, w_top, 2] for w_top in (1, 10**17, 10**30))
+    operands = [(x, [core_sets._digits(sum(x) * max(x))]) for x in plain]  # no narrow try
+    operands.append((_copied(_RULER[:9], 200), [1]))  # narrow: the copy's lag slot is 9
+    operands.append((_copied(_RULER[:10], 200), [1, 2]))  # 10 carries: redone at 2 digits
+    for x, widths in operands:
         for y, reverse in ((x, False), (x[::-1], True)):
             packs.clear()
             squares.clear()
             got = core_sets._convolve(x, reverse=reverse)
             assert [int(v) for v in got] == oracles.convolution(x, y)
-            assert packs == [len(x)] and squares == [not reverse]
+            tried = widths if reverse else [core_sets._digits(sum(x) * max(x))]
+            assert packs == [(len(x), w) for w in tried] and squares == [not reverse] * len(tried)
     elems = list(range(0, 300)) + list(range(310, 400, 2))  # dense: the decimal path
     for mode in ("difference", "sum"):
         packs.clear()
@@ -618,25 +726,36 @@ def test_digits_is_the_decimal_digit_count():
 
 
 @pytest.mark.parametrize(
-    "x, y",
-    [([9, 9], [9, 9]), ([5, 7, 3] * 20, [3, 7, 5] * 20), ([10**20, 1], [1, 10**20])],
+    "x, y, narrow",
+    [
+        pytest.param([9, 9], [9, 9], False, id="x0-y0"),
+        pytest.param([5, 7, 3] * 20, [3, 7, 5] * 20, False, id="x1-y1"),
+        pytest.param([10**20, 1], [1, 10**20], False, id="x2-y2"),
+        pytest.param(_copied(_RULER, 500, 21), _copied(_RULER, 500, 21)[::-1], True, id="x3-y3"),
+    ],
 )
-def test_convolve_detects_a_slot_one_digit_short(monkeypatch, x, y):
+def test_convolve_detects_a_slot_one_digit_short(monkeypatch, packed, x, y, narrow):
     # y is x (a square) or x reversed; slots one digit narrower than the
     # largest value carry into their neighbours, and the sum check, not
     # rounding, must catch it.  Only the slot width, the digit count of
     # sum x * max x, is cut: the packing still writes every digit of x.
+    # The last x's difference product first tries one digit fewer again
+    # (its lag-500 slot, 5,292, carries there), then the cut width, whose
+    # centre, 10,584, carries.
     reverse = y != x
     want = oracles.convolution(x, y)
     assert [int(v) for v in core_sets._convolve(x, reverse=reverse)] == want
     real, bound = core_sets._digits, sum(x) * max(x)
     assert bound != max(x) and max(want) >= 10 ** (real(bound) - 1)  # a slot must carry
     monkeypatch.setattr(core_sets, "_digits", lambda n: real(n) - (n == bound))
+    cut = real(bound) - 1
     # the check reads every slot, whichever the caller asks for
     slots = len(want)
     for lo, hi in ((0, None), (0, 0), (slots - 1, slots), (slots // 2, slots // 2 + 1)):
+        packed.clear()
         with pytest.raises(ArithmeticError, match="slot overflow"):
             core_sets._convolve(x, reverse=reverse, lo=lo, hi=hi)
+        assert packed == ([cut - 1, cut] if narrow else [cut])
 
 
 def test_convolve_slots_wider_than_int_str_limit():
