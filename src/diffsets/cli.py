@@ -475,6 +475,12 @@ def _cmd_solve(args, run):
 def _cmd_report_ratios(args, run):
     from .solver import ExtremalResult, ratio_report, ratio_rows
     results = [ExtremalResult.from_json(run.load_json(path)) for path in args.results]
+    for path, r in zip(args.results, results):  # a witness must certify its value
+        kind = "difference" if r.quantity in ("eta", "gamma") else "sidon"
+        if r.witness is not None and (
+            r.witness.size != r.value or not verify_certificate(r.witness, r.g, r.N, kind).passed
+        ):
+            raise ValueError(f"{path}: the witness is not a {r.g}-{kind} set of {r.value} elements")
     rows = ratio_rows(results)
     code = 1 if any(r["flag"] == "FATAL" for r in rows) else 0
     summary = f"{len(rows)} rows, {'all ok' if code == 0 else 'FATAL flags present'}"

@@ -37,10 +37,8 @@ counters and with a run of ones, so one Python int product of the masks
 spread into w-bit slots (Kronecker substitution) holds all N of them, and
 one add and one mask compare every slot with the bound (SWAR).  Only the
 survivors are grown.  A screened-out child still costs one node, so values,
-witnesses and node counts are those of the per-child test.  Each loop
-charges its children to the node budget before a subtree, on leaving, and as
-soon as the next child would spend past the limit, so a budget stops the
-search within one child of it.
+witnesses and node counts are those of the per-child test.  Both searches
+charge the node budget through `_charged`, which holds the charging rules.
 
 The group cover search pins more.  Fix a size k that has a cover and let L
 be the lex-first k-cover through 0.  If |G| > 1, L contains the element h of
@@ -108,9 +106,9 @@ class SearchConfig:
     """Node budget and symmetry switch.
 
     node_budget: search nodes before giving up with a non-exhaustive result,
-    at least 0; every candidate tested counts as one node.  A group's slot
-    layout is built once, in numpy, before the search, and the slot limit
-    bounds it.
+    at least 0; every candidate counts as one node, screened out or tested
+    (`_charged`).  A group's slot layout is built once, in numpy, before the
+    search, and the slot limit bounds it.
     translation_fix: pin min(A) = 0 for eta, 0 in A for gamma/alpha, and
     for gamma also the element of flat index 1, or e_1, ..., e_n in (Z/p)^n
     (see the module docstring for the lemmas).  False drops every pin (eta's
@@ -313,6 +311,31 @@ def _padded(group: GroupSpec):
     return offsets, neg, reduce, zero, live, sum(m * step for m, step in zip(factors, steps))
 
 
+def _charged(budget: _Budget, cands: range, picks=None, skip=frozenset(), end=None):
+    """Yield the picks (default: all of cands) in ascending order, charging
+    one node per candidate through each one before it is yielded, those
+    screened out included, so a budget stops the search at the first
+    candidate past its limit.  A pin in skip is no child and is not charged.
+    The scan stops at the first candidate at or past end(), read again after
+    each yield, and charges it nothing.  When the picks run out the rest of
+    cands is charged; a caller that stops early charges nothing more.
+    """
+    mark = cands.start - 1  # x - mark: the candidates through x not yet charged
+    stop = cands.stop if end is None else end()
+    for x in cands if picks is None else picks:
+        if x >= stop:
+            return
+        if x in skip:
+            mark += 1
+            continue
+        budget.charge(x - mark)
+        mark = x
+        yield x
+        if end is not None:
+            stop = end()
+    budget.charge(cands.stop - 1 - mark)
+
+
 def _cover_at_size(rule: _Rule, g: int, k: int, budget: _Budget):
     """Lexicographically first k-set through the pins with every counter at
     least g, or None.
@@ -322,9 +345,7 @@ def _cover_at_size(rule: _Rule, g: int, k: int, budget: _Budget):
     checked in its parent's loop, its levels raised only when it passes the
     deficit check; it keeps them, so backtracking undoes nothing.  The rule's
     screen, if any, drops children that fail the deficit bound before they
-    are grown; each still counts as one node.  The loop charges its children
-    to the budget before a subtree, on leaving, and as soon as the next one
-    would spend past the limit, so a budget stops within one child of it.
+    are grown; `_charged` still counts each as one node.
     """
     if len(rule.pinned) > k:
         return None
@@ -353,16 +374,8 @@ def _cover_at_size(rule: _Rule, g: int, k: int, budget: _Budget):
         pairs = step * t * (t - 1) // 2
         cands = candidates(last, t + 1)
         c = deficit - t - pairs  # at most 0: every child passes the bound
-        picks = cands if screen is None or c <= 0 else screen(state, full & ~levels, c, t)
-        mark = cands.start - 1  # x - mark: the children through x not yet charged
-        stop = mark + budget.limit - budget.spent  # the last x the budget covers
-        for x in picks:
-            if x in skip:  # not a child
-                mark += 1
-                stop += 1
-                continue
-            if x > stop:
-                budget.charge(x - mark)  # raises BudgetExceeded
+        picks = None if screen is None or c <= 0 else screen(state, full & ~levels, c, t)
+        for x in _charged(budget, cands, picks, skip):
             child, hits = grow(state, x)
             d = deficit - (hits & ~levels).bit_count()
             if t == 0:
@@ -372,17 +385,10 @@ def _cover_at_size(rule: _Rule, g: int, k: int, budget: _Budget):
                 continue
             else:
                 child_levels = lift(levels, hits)
-                if too_low(child_levels, t):
+                if too_low(child_levels, t) or not extend(x, child, child_levels, d, t):
                     continue
-                budget.charge(x - mark)
-                mark = x
-                if not extend(x, child, child_levels, d, t):
-                    stop = mark + budget.limit - budget.spent
-                    continue
-            budget.charge(x - mark)
             path.append(x)
             return True
-        budget.charge(cands.stop - 1 - mark)
         return False
 
     state, deficit = rule.start, g * (size - rule.dead.bit_count())
@@ -424,10 +430,8 @@ def _pack(rule: _Sums, g: int, budget: _Budget):
     DFS meets sets of equal size in lex order and the bound only cuts
     branches that cannot beat the best so far, so the first optimum found is
     the lex-first one.  A candidate is dropped at the first counter without
-    room, before any counter is raised.  Each candidate tested is one node,
-    charged as in `_cover_at_size`: before a subtree, on leaving, and as
-    soon as the next one would spend past the limit.  On budget exhaustion
-    the best set so far is returned.
+    room, before any counter is raised.  Each candidate tested is one node
+    (`_charged`).  On budget exhaustion the best set so far is returned.
     """
     offsets, reduce, top = rule.offsets, rule.reduce, rule.universe.stop
     counts = [0] * rule.size
@@ -452,14 +456,9 @@ def _pack(rule: _Sums, g: int, budget: _Budget):
         if s >= cap:
             return
         first = chosen[-1] + 1 if chosen else rule.universe.start
-        mark = end = first - 1  # x - mark: the candidates through x not yet charged
-        stop = mark + budget.limit - budget.spent  # the last x the budget covers
-        for x in range(first, top):
-            if min(cap, s + top - x) <= len(best):
-                break
-            end = x
-            if x > stop:
-                budget.charge(x - mark)  # raises BudgetExceeded
+        # from x on, at most min(cap, s + top - x) elements: none beats best
+        end = lambda: s + top - len(best) if cap > len(best) else first
+        for x in _charged(budget, range(first, top), end=end):
             at = offsets[x]
             if counts[reduce[at + at]] == g:
                 continue
@@ -467,8 +466,6 @@ def _pack(rule: _Sums, g: int, budget: _Budget):
                 if counts[reduce[a + at]] > g - 2:
                     break
             else:
-                budget.charge(x - mark)
-                mark = x
                 place(x, at)
                 extend()
                 chosen.pop()
@@ -476,8 +473,6 @@ def _pack(rule: _Sums, g: int, budget: _Budget):
                 counts[reduce[at + at]] -= 1
                 for a in slots:
                     counts[reduce[a + at]] -= 2
-                stop = mark + budget.limit - budget.spent
-        budget.charge(end - mark)
 
     for x in rule.pinned:
         place(x, offsets[x])

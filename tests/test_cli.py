@@ -957,6 +957,24 @@ class TestSolveAndReport:
         )
         assert code == 1 and payload["rows"][0]["flag"] == "FATAL"
 
+    @pytest.mark.parametrize(
+        "result",
+        [
+            {"quantity": "eta", "g": 1, "N": 18, "value": 7, "witness": [0, 1]},
+            {"quantity": "eta", "g": 1, "N": 3, "value": 4, "witness": [0, 1, 3]},
+            {"quantity": "beta", "g": 2, "N": 5, "value": 3, "witness": [1, 2, 3]},
+            {"quantity": "gamma", "g": 1, "group": [7], "value": 1, "witness": [[0]]},
+            {"quantity": "alpha", "g": 1, "group": [7], "value": 2, "witness": [[0], [1]]},
+        ],
+        ids=["eta-too-small", "eta-size-mismatch", "beta-not-sidon", "gamma-not-cover", "alpha-not-sidon"],
+    )
+    def test_report_checks_the_witness(self, capsys, tmp_path, result):
+        # a witness present must have value elements and pass its certificate
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({**result, "exhaustive": True}))
+        code, out, err = run_cli(capsys, "report", "ratios", "--results", str(bad))
+        assert (code, out) == (2, "") and err.startswith("error: ") and "bad.json: the witness" in err
+
     def test_report_rejects_malformed_result(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"quantity": "eta", "g": 1, "value": 3}))

@@ -234,6 +234,69 @@ def test_budget_stops_a_loop_within_one_child(monkeypatch):
     assert len(grown) <= 101
 
 
+BUDGET_SWEEP_CASES = [
+    (eta_exact, 2, 6),
+    (eta_exact, 1, 9),
+    (gamma_exact, 2, GroupSpec((2, 4))),
+    (gamma_exact, 1, GroupSpec((7,))),
+    (beta_exact, 2, 8),
+    (alpha_exact, 2, GroupSpec((4, 4))),
+]
+
+
+@pytest.mark.parametrize("pin", [True, False], ids=["pinned", "free"])
+@pytest.mark.parametrize(
+    "solve, g, domain",
+    BUDGET_SWEEP_CASES,
+    ids=["eta-2-6", "eta-1-9", "gamma-2-Z2xZ4", "gamma-1-Z7", "beta-2-8", "alpha-2-Z4xZ4"],
+)
+def test_every_budget_stops_one_node_past_it(solve, g, domain, pin):
+    # a budget b short of the full search spends b + 1 nodes and stops; from
+    # the full count on, the run is the unbudgeted one
+    full = solve(g, domain, SearchConfig(translation_fix=pin))
+    for b in range(full.nodes + 2):
+        r = solve(g, domain, SearchConfig(node_budget=b, translation_fix=pin))
+        assert (r.nodes, r.exhaustive) == (min(b + 1, full.nodes), b >= full.nodes), b
+        if b >= full.nodes:
+            assert (r.value, r.witness) == (full.value, full.witness), b
+
+
+def _scan(limit, cands, **kwargs):
+    """The picks of one charged scan, the nodes it spent, and whether it
+    ran out of budget."""
+    budget, seen = solver._Budget(limit), []
+    try:
+        for x in solver._charged(budget, cands, **kwargs):
+            seen.append(x)
+    except solver.BudgetExceeded:
+        return seen, budget.spent, True
+    return seen, budget.spent, False
+
+
+def test_charged_scan_counts_each_candidate_once():
+    # pins are passed over and not charged
+    assert _scan(100, range(0, 6), skip={0, 2}) == ([1, 3, 4, 5], 4, False)
+    # screened-out candidates count too, the tail once the picks run out
+    assert _scan(100, range(10, 20), picks=[12, 15]) == ([12, 15], 10, False)
+    # a stop at end() charges nothing past the last pick; end is re-read
+    # after each yield
+    ends = iter([16, 16, 12])
+    assert _scan(100, range(10, 20), end=lambda: next(ends)) == ([10, 11], 2, False)
+    # the limit raises at the first candidate past it, spent stopping at
+    # limit + 1, even before a screened pick
+    assert _scan(3, range(0, 10)) == ([0, 1, 2], 4, True)
+    assert _scan(3, range(0, 10), picks=[7]) == ([], 4, True)
+    assert _scan(3, range(0, 10), picks=[2]) == ([2], 4, True)  # in the tail
+
+
+def test_charged_scan_charges_nothing_after_an_early_return():
+    budget = solver._Budget(100)
+    scan = solver._charged(budget, range(0, 10), picks=[2, 5])
+    assert next(scan) == 2 and budget.spent == 3
+    scan.close()
+    assert budget.spent == 3
+
+
 def test_negative_budget_is_refused():
     with pytest.raises(ValueError, match="node budget"):
         SearchConfig(node_budget=-1)
