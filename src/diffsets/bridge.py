@@ -262,21 +262,14 @@ class StepFunction(_SqrtScale):
 def set_to_step(A: IntSet, g: int, N: int) -> StepFunction:
     """Blocks [a/N, (a+1)/N) at height sqrt(N/g) for a verified certificate."""
     _require_certificate(A, g, N, name="A")
-    # blocks with explicit zero gaps; canonicalization merges runs
-    bps: list[Fraction] = []
-    vals: list[Fraction] = []
-    prev_end = None
-    for a in A.elements:
-        lo, hi = Fraction(a, N), Fraction(a + 1, N)
-        if prev_end is None:
-            bps.append(lo)
-        elif lo > prev_end:
-            vals.append(_ZERO)
-            bps.append(lo)
-        bps.append(hi)
-        vals.append(_ONE)
-        prev_end = hi
-    return StepFunction(tuple(bps), tuple(vals), Fraction(N, g))
+    a = A.array
+    # a run ends where the next gap exceeds 1 (a certified set spans < 2^62)
+    cut = np.flatnonzero(np.diff(a) > 1) + 1
+    starts = a[np.r_[0, cut]].tolist()
+    ends = [e + 1 for e in a[np.r_[cut, len(a)] - 1].tolist()]  # ints: e may be 2^63 - 1
+    bps = tuple(Fraction(x, N) for run in zip(starts, ends) for x in run)
+    vals = (_ONE, _ZERO) * (len(starts) - 1) + (_ONE,)  # 1 on each run, 0 between
+    return StepFunction(bps, vals, Fraction(N, g))
 
 
 # 447 breakpoints at most: larger inputs are refused before any pair work.

@@ -729,6 +729,8 @@ def _summarize_tails(rows, probe, delta: Fraction, trials: int):
                 continue
             d_part = d_f * mu_f / (n_parts * mp_f)
             bound += chernoff_bound(d_part, mp_f)
+        if mu_f == 0:  # every part is skipped: the total's own bound, 2 at mean 0
+            bound = chernoff_bound(d_f, 0)
         checks.append(
             {
                 "shift": probe["shift"],

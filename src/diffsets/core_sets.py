@@ -116,8 +116,8 @@ _GROUP_CELL_PAIRS = 3
 _PRODUCT_PAIRS = 4096
 # Most slots held at once: int64 counts, draws, shift maps, windows or pairs,
 # or the 2n-1 slots of a product over n cells (a line's hull or a group's
-# padded box), which peaks at about 20-24 bytes per slot on the line (hulls
-# of 2e6-1e7 cells with 5-digit slots), 1.2 GB at the limit.
+# padded box): a line's difference product peaks at 18-23 bytes per slot (27
+# with 6-digit slots) and a sum product at 27-31, 0.9-1.6 GB at the limit.
 _ORDER_LIMIT = 50_000_000
 _PROFILE_LIMIT = 5_000_000  # most counts a profile lists: shifts, or group elements
 

@@ -184,3 +184,19 @@ def naive_window_averages(f, N, L, stretch):
 def correlations(x, lo, hi):
     """[sum_i x[i] * x[i + m] for m = lo..hi], 0 once m passes the length."""
     return [sum(a * b for a, b in zip(x, x[m:])) for m in range(lo, hi + 1)]
+
+
+def set_step_pieces(elements, N):
+    """(breakpoints, values) of the value-1 blocks [a/N, (a+1)/N), added one
+    element at a time: a block that starts where the last one ended extends
+    it, any other opens a new one after a zero piece."""
+    bps, vals = [], []
+    for a in sorted(elements):
+        if bps and bps[-1] == Fraction(a, N):
+            bps[-1] = Fraction(a + 1, N)
+            continue
+        if bps:
+            vals.append(Fraction(0))
+        bps += [Fraction(a, N), Fraction(a + 1, N)]
+        vals.append(Fraction(1))
+    return bps, vals

@@ -36,6 +36,7 @@ from diffsets.core_sets import (
     GroupSpec,
     GroupSubset,
     IntSet,
+    _CHUNK_CELLS,
     _convolve,
     format_fraction,
     group_rep_profile,
@@ -189,6 +190,35 @@ class TestSetToStep:
             assert arg.denominator in (1, N) or arg <= 1
             bridged += 1
         assert bridged >= 20  # the draw must exercise the identity often
+
+    def test_runs_match_the_block_oracle(self):
+        """One piece per run, as the block-by-block oracle builds it, on
+        runs of 1-5 elements (the first at least 2) 2-6 apart."""
+        rng = random.Random(2029)
+        cases = [([2**63 - 2, 2**63 - 1], 1, 1), ([-(2**63), 1 - 2**63], 1, 1)]
+        while len(cases) < 240:
+            x = rng.choice([0, rng.randrange(-60, 60), rng.randrange(-(2**61), 2**61)])
+            els = []
+            for i in range(rng.randrange(1, 9)):
+                length = rng.randrange(1 + (i == 0), 6)
+                els += range(x, x + length)
+                x += length + rng.randrange(1, 6)
+            counts = oracles.diff_counts(els)
+            top = next(m for m in range(1, len(els) ** 2) if not counts.get(m + 1))
+            N = rng.randrange(1, top + 1)
+            g = rng.randrange(1, min(counts[m] for m in range(1, N + 1)) + 1)
+            cases.append((els, g, N))
+        runs = []
+        for els, g, N in cases:
+            f = set_to_step(IntSet.of(els), g, N)
+            bps, vals = oracles.set_step_pieces(els, N)
+            assert f == StepFunction(tuple(bps), tuple(vals), F(N, g))
+            assert f.breakpoints == tuple(bps)  # the oracle's pieces need no merging
+            runs.append(len(bps) // 2)
+        assert runs.count(1) >= 20 and max(runs) >= 8
+        assert sum(min(els) < 0 for els, _, _ in cases) >= 50
+        with pytest.raises(CertificateError):  # one element has no difference to count
+            set_to_step(IntSet.of([5]), 1, 1)
 
 
 class TestAutocorrelation:
@@ -429,6 +459,32 @@ class TestIntCorrelations:
         n = len(vals)
         assert _correlations(vals, 0, n + 2) == oracles.correlations(vals, 0, n + 2)
         assert dtypes == [object] and spy_convolve == []
+
+    @pytest.mark.parametrize("low, high", [(1, 100), (2**31, 2**40)])
+    def test_many_nonzeros_take_the_banded_pair_loop(self, monkeypatch, spy_convolve, low, high):
+        # 200-300 isolated entries, 3 second-difference nonzeros each: S^2
+        # is over _CHUNK_CELLS yet sparse enough for the lag sums, so
+        # _pair_sums bands its rows and reverses the descending left first
+        rng = random.Random(high)
+        lefts = []
+        real = bridge._pair_sums
+        monkeypatch.setattr(bridge, "_pair_sums", lambda *a: lefts.append(a[0]) or real(*a))
+        for _ in range(3):
+            n = rng.randrange(10_000, 30_000)
+            spots = sorted(rng.sample(range(1, n - 1, 3), rng.randrange(200, 300)))
+            vals = [0] * n
+            for i in spots:
+                vals[i] = rng.randrange(low, high)
+            lo = rng.randrange(n - 100)
+            for lo, hi in ((0, n - 1), (lo, lo + rng.randrange(200)), (n - 5, n + 5)):
+                want = [0] * (hi - lo + 1)
+                for i in spots:
+                    for j in spots:
+                        if lo <= j - i <= hi:
+                            want[j - i - lo] += vals[i] * vals[j]
+                assert _correlations(vals, lo, hi) == want
+        assert len(lefts) == 9 and spy_convolve == []
+        assert all(left.size**2 > _CHUNK_CELLS and left[0] > left[-1] for left in lefts)
 
     def test_windows_past_the_support(self, spy_convolve):
         rng = random.Random(5)

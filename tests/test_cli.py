@@ -592,6 +592,23 @@ class TestRandom:
             sets.append(payload["set"])
         assert sets[0] == sets[1] == [2, 3, 8]
 
+    def test_sequence_trials_with_a_zero_mean_probe_hold_their_bound(self, capsys, tmp_path):
+        # no two indices are adjacent, so the probe at shift 1 has mean 0 and
+        # every part is empty: each tail bounds itself by the total's bound,
+        # 2 at mean 0, not by an empty sum of 0
+        path = tmp_path / "probs.json"
+        data = {"support": [3, 5, 7], "coeffs": ["1/2", "1/2", "1/2"], "cbrt_scale_n": None}
+        path.write_text(json.dumps(data))
+        code, payload, _ = run_json(
+            capsys, "random", "sequence", "--probs", str(path), "--N", "4",
+            "--trials", "4", "--delta", "1/2", "--epsilon", "1/5",
+        )
+        assert code == 0
+        assert [row["probe_count"] for row in payload["per_trial"]] == [0] * 4
+        for row in payload["tail_checks"]:
+            assert (row["hits"], row["empirical"]) == (4, 1.0)
+            assert (row["bound_raw"], row["bound"]) == (2.0, 1.0)
+
     @pytest.mark.parametrize("N", ["0", "-5"])
     def test_sequence_trials_refuse_a_shift_range_below_1(self, capsys, tmp_path, N):
         # each trial reads the count at shift 1, so [1, N] must hold it
@@ -1023,6 +1040,13 @@ class TestBounds:
         code, payload, _ = run_json(capsys, "bounds", "--g", "1", "--factors", "7")
         assert code == 0
         assert payload["trivial"]["sharper_cover_lower"] == 3
+
+    def test_g_past_the_group_order_warns(self, capsys):
+        code, payload, _ = run_json(capsys, "bounds", "--g", "3", "--factors", "2")
+        assert code == 0
+        assert payload["trivial"]["warning"] == "g exceeds |G|; no subset attains g everywhere"
+        code, payload, _ = run_json(capsys, "bounds", "--g", "2", "--factors", "2")
+        assert code == 0 and "warning" not in payload["trivial"]
 
     def test_ledger_only(self, capsys):
         code, payload, _ = run_json(capsys, "bounds")

@@ -5,6 +5,7 @@ import random
 import tracemalloc
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from diffsets import constructions
@@ -465,6 +466,23 @@ class TestRandomGroupSubset:
         u = _uniforms(9, 500)
         want = {i for i in range(500) if F(float(u[i])) ** 2 < F(g, 500)}
         assert {e[0] for e in s.elements} == want
+
+    @pytest.mark.parametrize("factors", [(9,), (3, 3)])
+    def test_border_uniforms_are_decided_exactly(self, monkeypatch, factors):
+        # at g/|G| = 1/9 the float threshold t = sqrt(1/9) has t*t == 1/9 in
+        # floats but Fraction(t)^2 < 1/9: only the exact test takes it
+        t = math.sqrt(1 / 9)
+        u = np.array([t, t - 1e-13, t + 1e-13, 0.0, 0.9, t, t + 1e-13, t - 1e-13, 0.5])
+        assert not t * t < 1 / 9 and F(t) ** 2 < F(1, 9)
+        monkeypatch.setattr(constructions, "_uniforms", lambda seed, count: u[:count])
+        want = [i for i in range(9) if F(float(u[i])) ** 2 < F(1, 9)]
+        assert want == [0, 1, 3, 5, 7]
+        group = GroupSpec(factors)
+        drawn = GroupSubset(group, [group.unflatten(i) for i in want])
+        assert random_group_subset(group, 1, seed=0) == drawn
+        model = RandomModel(kind="group-uniform", master_seed=0, group=group, g=1)
+        rep = monte_carlo_validate(model, 2, F(1, 2), F(1, 2))
+        assert [row["size"] for row in rep.per_trial] == [len(want)] * 2
 
     def test_rejects_bad_g(self):
         with pytest.raises(ValueError):
