@@ -296,17 +296,19 @@ def _cmd_construct_parabola(args, run):
 
 
 def _cmd_construct_lift(args, run):
-    from .constructions import lift_to_cyclic
+    from .constructions import _lift_counts, _plane_counts, lift_to_cyclic
     A = run.load_set(args.A, GroupSubset, "--A")
+    box = None  # the input's difference box, formed once for both claims
     if args.g is not None:
-        _require_certificate(A, args.g, name="input")
+        counts, box = _plane_counts(A)
+        _require_certificate(A, args.g, name="input", counts=counts)
     claim = 0 if args.g is None else args.g * (args.s - 1)
     C = lift_to_cyclic(A, args.s)
     modulus = C.group.factors[0]
     payload = {"modulus": modulus, "s": args.s, "size": C.size, "set": C.to_json()}
     summary = f"lifted to Z/{modulus}: {C.size} elements"
     if claim >= 1:
-        _require_certificate(C, claim, name="lift")
+        _require_certificate(C, claim, name="lift", counts=_lift_counts(C, A, args.s, box))
         payload["certified_g"] = claim
         summary += f", {claim}-difference set"
     result = 0, payload, summary

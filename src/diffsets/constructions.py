@@ -5,9 +5,10 @@ that converts into a per-instance lower bound on every difference count, a
 lift from (Z/pZ)^2 into a cyclic group, and an interval blow-up that
 multiplies certified parameters.  A union is verified exhaustively when
 (Z/pZ)^2 has order at most _EXHAUSTIVE_ORDER (10^6), and on a seeded sample
-of targets above it.  A lift up to the same order is recounted by
-core_sets._require_certificate, the one check that turns a failed
-difference claim into a CertificateError; blow_up checks both of its
+of targets above it.  A lift up to the same order is recounted from the
+plane's unfolded difference box (_lift_counts), with no product of its own,
+and judged by core_sets._require_certificate, the one check that turns a
+failed difference claim into a CertificateError; blow_up checks both of its
 inputs the same way.
 
 Randomized side: uniform inclusion in a finite abelian group and weighted
@@ -38,9 +39,11 @@ from .core_sets import (
     GroupSubset,
     IntSet,
     _count_at,
+    _difference_box,
     _difference_window,
     _enumerable,
     _flat,
+    _fold,
     _group_counts,
     _require_certificate,
     _residues,
@@ -211,6 +214,12 @@ def best_shift_union(p: int, k: int, seed: int = 0) -> ParabolaUnion:
     per-instance lower bound min r >= k^2 - 2(k-1) - S_t always holds and is
     asserted on whatever was enumerated.
     """
+    return _union_and_box(p, k, seed)[0]
+
+
+def _union_and_box(p: int, k: int, seed: int) -> tuple[ParabolaUnion, np.ndarray | None]:
+    """best_shift_union, and the union's unfolded difference box
+    (core_sets._difference_box) when it was verified exhaustively, else None."""
     p = _require_odd_prime(p)
     if not 1 <= k <= p - 1:
         raise ValueError("need 1 <= k <= p-1")
@@ -221,9 +230,11 @@ def best_shift_union(p: int, k: int, seed: int = 0) -> ParabolaUnion:
     vacuous = guaranteed < 1 or best_score * best_score >= 4 * k**3
     instance_floor = k * k - 2 * (k - 1) - best_score
     spec = subset.group
+    box = None
     if spec.order <= _EXHAUSTIVE_ORDER:
         # r(0) = |A| is the largest count: the minimum is that of a nonzero shift
-        verified_g = int(_group_counts(subset.flat, spec, "difference").min())
+        counts, box = _plane_counts(subset)
+        verified_g = int(counts.min())
         mode = "exhaustive"
     else:
         rng = Generator(Philox(key=seed & ((1 << 128) - 1)))
@@ -234,7 +245,7 @@ def best_shift_union(p: int, k: int, seed: int = 0) -> ParabolaUnion:
         verified_g = min(_count_at(subset.flat, _flat(spec, x - t)) for t in _residues(spec, idx))
         mode = "sampled"
     assert verified_g >= instance_floor, "per-instance character bound violated"
-    return ParabolaUnion(
+    union = ParabolaUnion(
         p=p,
         k=k,
         t=best_t,
@@ -245,6 +256,7 @@ def best_shift_union(p: int, k: int, seed: int = 0) -> ParabolaUnion:
         verified_g=verified_g,
         verified_mode=mode,
     )
+    return union, box
 
 
 def _best_shift(p: int, k: int) -> tuple[int, int]:
@@ -279,7 +291,12 @@ def lift_to_cyclic(A: GroupSubset, s: int) -> GroupSubset:
     """Lift a g-difference subset of (Z/pZ)^2 to Z/(p^2 s)Z.
 
     The image {a + c p + b s p : (a,b) in A, 0 <= c < s} is a g(s-1)-difference
-    set whenever A is a g-difference set; its size is |A| s exactly.
+    set whenever A is a g-difference set; its size is |A| s exactly.  Its
+    flat indices are the row-major indices of the digits (b, c, a) in
+    _lift_layout(p, s).  A lift's difference counts (_lift_counts) are read
+    from its own elements in that layout: a set holding every copy c of
+    each of its (a, b) is counted from its plane's unfolded difference box,
+    and any other set by the generic group count.
     """
     s = int(s)
     if s < 1:
@@ -295,10 +312,81 @@ def lift_to_cyclic(A: GroupSubset, s: int) -> GroupSubset:
         raise ValueError("modulus p^2 s must fit in int64")
     # a + c p + b s p <= (s p - 1) + (p - 1) s p = n - 1: already reduced
     a, b = _residues(A.group, A.flat).T
-    image = (a + b * s * p)[:, None] + p * np.arange(s, dtype=np.int64)
+    sb, sc = _lift_layout(p, s)
+    image = (a + b * sb)[:, None] + sc * np.arange(s, dtype=np.int64)
     out = GroupSubset(GroupSpec((n,)), image.reshape(-1, 1))
     assert out.size == A.size * s, "lift must be injective"
     return out
+
+
+def _lift_layout(p: int, s: int) -> tuple[int, int]:
+    """The strides (s p, p) of b and c in a lift's flat index a + c p + b s p
+    of Z/(p^2 s), for the plane point (a, b) and its copy c: the row-major
+    index of the digits (b, c, a), of radices (p, s, p)."""
+    return s * p, p
+
+
+def _plane_counts(A: GroupSubset) -> tuple[np.ndarray, np.ndarray | None]:
+    """A's difference counts over its group, by flat index, and the unfolded
+    box they were folded from (None where that box is over the limit and
+    the counts are core_sets._group_counts')."""
+    box = _difference_box(A.flat, A.group)
+    if box is None:
+        return _group_counts(A.flat, A.group, "difference"), None
+    return _fold(box, A.group, "difference"), box
+
+
+def _lift_counts(C: GroupSubset, A: GroupSubset, s: int, box=None) -> np.ndarray:
+    """The difference counts of C, a subset of Z/(p^2 s) for A's plane
+    (Z/p)^2, by flat index; box is A's unfolded difference box, if formed.
+
+    C's flat indices are read as digits (b, c, a) (_lift_layout).  When each
+    point of its projection P = {(a, b)} occurs with all s copies c, C is
+    P's lift, and as (a, b, c) -> a + c p + b s p is injective,
+    r_C(t) = sum L(da, db) (s - |dc|) over da + dc p + db s p = t mod p^2 s,
+    with L P's unfolded difference box: box when P is A, else formed here
+    (_scatter_lift).  Any other set of Z/(p^2 s), or a plane whose box is
+    over the limit, takes core_sets._group_counts.
+    """
+    p = A.group.factors[0]
+    if C.group.factors == (p * p * s,):
+        _enumerable(C.group)
+        sb, sc = _lift_layout(p, s)
+        v = np.sort(C.flat % sc * p + C.flat // sb)  # each element's (a, b) as A's flat index a p + b
+        # each (a, b) has at most s copies, so it has all s where v comes in runs of s
+        if np.array_equal(v[::s], v[s - 1 :: s]):
+            plane = v[::s]
+            if box is None or not np.array_equal(plane, A.flat):
+                box = _difference_box(plane, A.group)
+            if box is not None:
+                return _scatter_lift(box, p, s)
+    return _group_counts(C.flat, C.group, "difference")
+
+
+def _scatter_lift(box: np.ndarray, p: int, s: int) -> np.ndarray:
+    """The counts over Z/(p^2 s), by residue, of the lift of a plane set
+    whose unfolded difference box is box: L(da, db) = box[da + p - 1,
+    db + p - 1] lands at da + dc p + db s p with weight s - |dc|.
+
+    db matters only mod p (s p p = p^2 s), so the rows db and db + p are
+    summed first, and row i holds db = i + 1 mod p.  With f = da + dc p + s p
+    in [1, 2 s p - 1], the residue is f + s p i: slot (i, f) of a (p + 1) x
+    s p table, or (i + 1, f - s p) past the row's end; row p wraps to row 0.
+    """
+    sp, width = s * p, 2 * p - 1
+    rows = box[:, :p].T.copy()  # rows db + p - 1, columns da + p - 1
+    rows[: p - 1] += box[:, p:].T
+    out = np.zeros((p + 1, sp), dtype=np.int64)
+    for dc in range(1 - s, s):
+        f = p * (dc + s - 1) + 1  # f at da = 1 - p
+        weighted = rows if abs(dc) == s - 1 else (s - abs(dc)) * rows
+        cut = min(width, max(0, sp - f))  # the columns that stay in row i
+        out[:p, f : f + cut] += weighted[:, :cut]
+        if cut < width:
+            at = max(0, f - sp)
+            out[1:, at : at + width - cut] += weighted[:, cut:]
+    out[0] += out[p]
+    return out[:p].reshape(-1)
 
 
 @dataclass(frozen=True)
@@ -337,13 +425,17 @@ def cyclic_pipeline(k: int, s: int, p: int, seed: int = 0) -> CyclicPipelineRepo
     guarantee is vacuous at desk scales); the lift multiplies it by s-1.
     When the lift's order is at most _EXHAUSTIVE_ORDER, its claim goes
     through core_sets._require_certificate, whose recount is
-    verified_cyclic_g; above it, verified_cyclic_g is 0.
+    verified_cyclic_g; above it, verified_cyclic_g is 0.  The plane's
+    unfolded difference box is formed once, by one product or its pairs,
+    and gives both counts: the plane's folded, and the lift's as
+    _lift_counts reads the lift from its own elements (a set that is no
+    lift of the plane gets the generic recount).
     The asymptotic recipe suggests k = 4 s^2 parabolas.
     """
     s = int(s)
     if s < 2:
         raise ValueError("s must be >= 2 for a nonvacuous lifted certificate")
-    union = best_shift_union(p, k, seed=seed)
+    union, box = _union_and_box(p, k, seed)
     plane_g = union.verified_g if union.verified_mode == "exhaustive" else max(
         union.guaranteed_g, 0
     )
@@ -353,7 +445,8 @@ def cyclic_pipeline(k: int, s: int, p: int, seed: int = 0) -> CyclicPipelineRepo
     cyclic_g = plane_g * (s - 1)
     verified = 0
     if lifted.group.order <= _EXHAUSTIVE_ORDER:
-        verified = _require_certificate(lifted, cyclic_g, name="lift").achieved_g
+        counts = _lift_counts(lifted, union.subset, s, box)
+        verified = _require_certificate(lifted, cyclic_g, name="lift", counts=counts).achieved_g
     return CyclicPipelineReport(
         p=p,
         k=k,
@@ -645,6 +738,7 @@ def _make_group_trial(model: RandomModel, delta: Fraction, epsilon: Fraction):
     probe = {
         "shift": list(m_vec),
         "mu": mu_total,
+        "mu_exact": (mu_total, 1),
         "mu_parts": mu_parts,
         "partition": "bipartite" if n == 2 else "tripartite",
         "notes": (
@@ -694,6 +788,8 @@ def _make_sequence_trial(model: RandomModel, delta: Fraction, epsilon: Fraction)
     probe = {
         "shift": probe_m,
         "mu": mu_probe_float,
+        # mu = M n^(4/3) = (M n) n^(1/3), M = sum(mu_parts) / den^2
+        "mu_exact": (Fraction(sum(mu_parts), den**2) * (scale_n or 1), scale_n or 1),
         "mu_parts": mu_parts_float,
         "partition": "bipartite",
         "notes": (f"probe shift {probe_m} with parity partition",),
@@ -712,16 +808,25 @@ def _make_sequence_trial(model: RandomModel, delta: Fraction, epsilon: Fraction)
 
 
 def _summarize_tails(rows, probe, delta: Fraction, trials: int):
-    """Empirical frequency of |r(m*) - mu| >= d mu vs summed Chernoff bounds."""
-    mu = probe["mu"]
-    mu_f = float(mu)
+    """Empirical frequency of |r(m*) - mu| >= d mu vs summed Chernoff bounds.
+
+    Each hit is decided exactly from probe["mu_exact"] = (c, n), mu = c
+    n^(1/3) (n = 1 in a group, where mu = g, and along a sequence without
+    a symbolic scale): |r - mu| >= d mu when r >= (1 + d) mu or
+    r <= (1 - d) mu, and r - x n^(1/3) has the sign of r^3 - x^3 n, so both
+    are integer comparisons of cubes.  The bounds are floats, from
+    probe["mu"] and probe["mu_parts"]."""
+    mu_f = float(probe["mu"])
+    c, n = probe["mu_exact"]
+    cubes = [r["probe_count"] ** 3 for r in rows]
     mu_parts = probe["mu_parts"]
     n_parts = len(mu_parts)
     checks = []
     for mult in _TAIL_MULTIPLIERS:
         d = delta * mult
         d_f = float(d)
-        hits = sum(1 for r in rows if abs(r["probe_count"] - mu_f) >= d_f * mu_f)
+        above, below = ((1 + d) * c) ** 3 * n, ((1 - d) * c) ** 3 * n
+        hits = sum(1 for r3 in cubes if r3 >= above or r3 <= below)
         bound = 0.0
         for mp in mu_parts:
             mp_f = float(mp)

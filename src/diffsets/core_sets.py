@@ -34,6 +34,9 @@ the hull, and each chunk of rows meets only the columns whose shifts can
 reach the window.  A window is handed over whole, a check of the shifts
 1..N counts at most k(k-1)/2+1 of them, and a line kernel over
 _ORDER_LIMIT slots is refused; a group's padded box over it bins its pairs.
+A group's difference counts can also be had unfolded (_difference_box),
+before the fold mod each factor, for a caller that counts a larger set from
+them, as constructions._lift_counts counts a lift from its plane's.
 Importing this module fails without the C decimal module: the pure-Python
 fallback would make the same products orders of magnitude slower.
 """
@@ -783,41 +786,80 @@ def _group_counts(flat: np.ndarray, spec: GroupSpec, mode: str, weights=None) ->
     weights instead of 1: int64 while sum(w) * max(w) fits in 18 digits,
     else Python ints in an object array.
 
-    Each axis is padded to 2n-1 so the linear convolution of the indicators
-    (or weights) cannot wrap, then folded mod n.  Where the k^2 pairs cost
-    less than the product, _GROUP_CELL_PAIRS * cells + _PRODUCT_PAIRS > k^2,
-    or the padded box has more than _ORDER_LIMIT cells, _pair_sums bins them
-    directly instead, keyed by the flat index of a + b or a - b.
+    Where the product costs less (_multiplies), the padded box of
+    _product_box is folded mod each factor (_fold); else _pair_sums bins the
+    pairs directly, keyed by the flat index of a + b or a - b.
     """
     if len(flat) == 0:
         raise ValueError("empty set")
     order = _enumerable(spec)
     x = _residues(spec, flat)
-    k = len(x)
-    factors = spec._axes[0]
-    padded = tuple(2 * n - 1 for n in spec.factors)
     w = None if weights is None else np.array(weights, dtype=object)
     if w is not None and _digits(_total(w) * int(w.max())) <= 18:
         w = w.astype(np.int64)
-    dtype = np.int64 if w is None else w.dtype
-    cells = math.prod(padded)
-    if cells <= _ORDER_LIMIT and cells * _GROUP_CELL_PAIRS + _PRODUCT_PAIRS <= k * k:
-        # reversing the flat indicator maps b to (n-1-b) on every axis, so
-        # a - b lands at a - b + n - 1 before the fold: residue t + 1 mod n
-        pstrides = np.asarray(GroupSpec(padded).strides(), dtype=np.int64)
-        ind = np.zeros(int((factors - 1) @ pstrides) + 1, dtype=dtype)
-        ind[x @ pstrides] = 1 if w is None else w
-        box = np.asarray(_convolve(ind, reverse=mode == "difference"), dtype=dtype).reshape(padded)
-        for axis, n in enumerate(spec.factors):
-            box = np.moveaxis(box, axis, 0)
-            folded = box[:n].copy()
-            folded[: n - 1] += box[n:]
-            if mode == "difference":
-                folded = np.roll(folded, 1, axis=0)
-            box = np.moveaxis(folded, 0, axis)
-        return box.reshape(order)
+    if _multiplies(spec, len(x)):
+        return _fold(_product_box(x, spec, mode, w), spec, mode)
     y = -x if mode == "difference" else x
     return _pair_sums(x, y, w, order, key=lambda a, b: _flat(spec, a[:, None] + b[None]))
+
+
+def _multiplies(spec: GroupSpec, k: int) -> bool:
+    """The group cost rule: one product for k elements when its padded box,
+    each axis padded to 2n-1, has at most _ORDER_LIMIT cells and
+    _GROUP_CELL_PAIRS * cells + _PRODUCT_PAIRS <= k^2; else the pairs."""
+    cells = math.prod(2 * n - 1 for n in spec.factors)
+    return cells <= _ORDER_LIMIT and cells * _GROUP_CELL_PAIRS + _PRODUCT_PAIRS <= k * k
+
+
+def _product_box(x: np.ndarray, spec: GroupSpec, mode: str, w=None) -> np.ndarray:
+    """The unfolded counts of the (k, d) residues x, weighted by w, as one
+    _convolve over spec with each axis padded to 2n-1, so the linear
+    convolution of the indicators cannot wrap.  Reversing the flat indicator
+    maps b to n-1-b on every axis, so a difference a - b lands at
+    a - b + n - 1 on each axis, and a sum a + b at a + b."""
+    padded = tuple(2 * n - 1 for n in spec.factors)
+    pstrides = np.asarray(GroupSpec(padded).strides(), dtype=np.int64)
+    dtype = np.int64 if w is None else w.dtype
+    ind = np.zeros(int((spec._axes[0] - 1) @ pstrides) + 1, dtype=dtype)
+    ind[x @ pstrides] = 1 if w is None else w
+    return np.asarray(_convolve(ind, reverse=mode == "difference"), dtype=dtype).reshape(padded)
+
+
+def _fold(box: np.ndarray, spec: GroupSpec, mode: str) -> np.ndarray:
+    """The counts over spec, by flat index, of a padded box (_product_box's
+    layout), each axis folded mod n: a sum s in 0..2n-2 goes to s mod n,
+    and a difference d in (-n, n), at d + n - 1, to d mod n."""
+    for axis, n in enumerate(spec.factors):
+        if mode == "difference":  # d >= 0 stay, d < 0 move to d + n
+            keep, rest, to = slice(n - 1, None), slice(None, n - 1), slice(1, None)
+        else:  # s < n stay, s >= n move to s - n
+            keep, rest, to = slice(None, n), slice(n, None), slice(None, n - 1)
+        at = (slice(None),) * axis
+        folded = box[at + (keep,)].copy()
+        folded[at + (to,)] += box[at + (rest,)]
+        box = folded
+    return box.reshape(spec.order)
+
+
+def _difference_box(flat: np.ndarray, spec: GroupSpec) -> np.ndarray | None:
+    """The unfolded difference counts of the subset with these distinct flat
+    indices: entry (d1 + n1 - 1, ..., dr + nr - 1) counts the pairs whose
+    coordinate differences, as integers in (-n, n), are d1, ..., dr, and
+    _fold(box, spec, "difference") is _group_counts.  One product, or where
+    the pairs cost less (_multiplies), the pairs binned into the same box;
+    None when the padded box has more than _ORDER_LIMIT cells."""
+    if len(flat) == 0:
+        raise ValueError("empty set")
+    padded = tuple(2 * n - 1 for n in spec.factors)
+    cells = math.prod(padded)
+    if cells > _ORDER_LIMIT:
+        return None
+    x = _residues(spec, flat)
+    if _multiplies(spec, len(x)):
+        return _product_box(x, spec, "difference")
+    pstrides = np.asarray(GroupSpec(padded).strides(), dtype=np.int64)
+    y = spec._axes[0] - 1 - x  # a + (n - 1 - b) = a - b + n - 1
+    return _pair_sums(x, y, size=cells, key=lambda a, b: (a[:, None] + b[None]) @ pstrides).reshape(padded)
 
 
 # ---------------------------------------------------------------------------
@@ -872,19 +914,14 @@ def verify_certificate(A, g: int, N: int | None = None, mode: str = "difference"
     pass) or the maximum sum count (the smallest g that would pass); the
     witness is the smallest failing shift, or None when the check passes.
     """
-    g = int(g)
-    if g < 1:
-        raise ValueError("g must be a positive integer")
+    g = _positive(g)
     if mode not in ("difference", "sidon"):
         raise ValueError("mode must be 'difference' or 'sidon'")
     if isinstance(A, GroupSubset):
         if N is not None:
             raise ValueError("N applies only to integer sets")
         arr = _group_counts(A.flat, A.group, "difference" if mode == "difference" else "sum")
-        achieved, bad = (int(arr.min()), arr < g) if mode == "difference" else (int(arr.max()), arr > g)
-        i = int(bad.argmax())
-        witness = A.group.unflatten(i) if bad[i] else None
-        return Verdict(witness is None, achieved, witness)
+        return _group_verdict(A.group, arr, g, mode)
     if not isinstance(A, IntSet):
         raise TypeError("expected IntSet or GroupSubset")
     if N is None:
@@ -909,6 +946,22 @@ def verify_certificate(A, g: int, N: int | None = None, mode: str = "difference"
     return Verdict(witness is None, int(counts.max()), witness)
 
 
+def _positive(g) -> int:
+    g = int(g)
+    if g < 1:
+        raise ValueError("g must be a positive integer")
+    return g
+
+
+def _group_verdict(spec: GroupSpec, arr: np.ndarray, g: int, mode: str) -> Verdict:
+    """The verdict of a group's counts arr (by flat index) on the claim g:
+    every difference count at least g, or every sum count at most g."""
+    achieved, bad = (int(arr.min()), arr < g) if mode == "difference" else (int(arr.max()), arr > g)
+    i = int(bad.argmax())
+    witness = spec.unflatten(i) if bad[i] else None
+    return Verdict(witness is None, achieved, witness)
+
+
 def _count_at(have: np.ndarray, shifted: np.ndarray) -> int:
     """How many entries of shifted lie in have (sorted, distinct): for a
     set's elements moved by w or -w, its difference count at w."""
@@ -916,17 +969,22 @@ def _count_at(have: np.ndarray, shifted: np.ndarray) -> int:
     return int((have[at] == shifted).sum())
 
 
-def _require_certificate(A, g: int | None, N: int | None = None, *, name: str) -> Verdict:
+def _require_certificate(A, g: int | None, N: int | None = None, *, name: str, counts=None) -> Verdict:
     """A's passing verdict as a g-difference set: for [N] when A is an
     IntSet, for its whole group when A is a GroupSubset.  g None claims 1,
-    so the achieved count is at least 1.
+    so the achieved count is at least 1.  A caller that has already counted
+    a GroupSubset's differences hands them over as counts (by flat index),
+    and they are judged as verify_certificate judges its own.
 
     The one place a failed claim becomes a CertificateError, which names the
     set, the domain, the least failing shift w and the count at w, and
     carries the verdict.
     """
     claim = 1 if g is None else g
-    v = verify_certificate(A, claim, N, "difference")
+    if counts is None:
+        v = verify_certificate(A, claim, N, "difference")
+    else:
+        v = _group_verdict(A.group, counts, _positive(claim), "difference")
     if v.passed:
         return v
     if isinstance(A, IntSet):

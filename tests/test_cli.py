@@ -12,7 +12,7 @@ import time
 
 import pytest
 
-from diffsets import cli
+from diffsets import cli, core_sets
 from diffsets.cli import dispatch
 from diffsets.constructions import best_shift_union, parabola_set, random_group_subset
 from diffsets.core_sets import GroupSpec, GroupSubset
@@ -293,6 +293,39 @@ class TestSetFiles:
              "--C", path["C"]):
                 "f6e8ea9cf1c51cb86765f99a35943b19a61618f762edba43645503ef2449642e",
         }
+        # lifts counted by the generic group product before their plane's box
+        # gave them; the p = 5 and 13, k = 2 planes have no positive g, so
+        # those pipelines print nothing and exit 1
+        empty = hashlib.sha256(b"").hexdigest()
+        for (p, k, s), digest in {
+            (5, 2, 2): empty,
+            (5, 2, 3): empty,
+            (5, 3, 2): "49770654c83593c7aea22d7e25ee348da9cec4ec87280c23118a01d02646f52d",
+            (5, 3, 3): "d73f4922ab66c202e8d2a153cb46541a85f8821297490bfdb20b83fa675c1286",
+            (7, 2, 2): "3386242fa79ba2a72e8aaee20bdc05d307e85c0c3f32c9dda10d9c95e05cedd1",
+            (7, 2, 3): "ebdbc0aa5aeb152c112e4aa01c940813343be23b92ddbcc2a040c1df3bd23d41",
+            (7, 3, 2): "dfc3e729da0014b5b896fca7724c4251e08c61e8503af8fea6486bded3de8e45",
+            (7, 3, 3): "202c00190acdeb14792dca6fd273baf91f8905607fa5b763e50454c5391cf140",
+            (11, 2, 2): "b770b873d85611a5110d3c314d79a291a07a2bfc6a936a80fd9babbe0ac2f3bd",
+            (11, 2, 3): "c8b6ac326f1521b32e4c2950f00538ca4296d5138f5e003da727c6e34503e98f",
+            (11, 3, 2): "010c1fc073ba2f19193feeeb5a7b899e7e32699503aa91a39540c0be1836a159",
+            (11, 3, 3): "cd333b1c6ac53e77aa0589f15dcb9660b1b02e181789b0aedb5a8c8f355976e6",
+            (13, 2, 2): empty,
+            (13, 2, 3): empty,
+            (13, 3, 2): "9da7246d59002fc231b9c186598168344d52f54fcb8fb4a318896e253bfd8490",
+            (13, 3, 3): "eba8541e54c4b776d705812274241f619517764ad9e13917d656da35147930f4",
+        }.items():
+            pinned["construct", "pipeline", "--json", "--k", str(k), "--s", str(s), "--p", str(p)] = digest
+        # construct lift --g on a plane that bins its pairs (k = 3) and one
+        # that multiplies (k = 8)
+        for p, k, s, g, digest in (
+            (11, 3, 3, 5, "ad119859c166df79178da5ea5606b68fc93b8fb1d9409ff2c01ea5e7bd98ebd6"),
+            (11, 8, 2, 52, "360f847ac77c5b49b3226ee7c479d6c4526347e86dc8ee9e8ec7215bdba789d8"),
+        ):
+            plane = str(tmp_path / f"plane{k}.json")
+            with open(plane, "w") as fh:
+                json.dump(best_shift_union(p, k).subset.to_json(), fh)
+            pinned["construct", "lift", "--json", "--A", plane, "--s", str(s), "--g", str(g)] = digest
         for argv, digest in pinned.items():
             _, out, _ = run_cli(capsys, *argv)
             assert hashlib.sha256(out.encode()).hexdigest() == digest, argv
@@ -431,6 +464,23 @@ class TestConstruct:
         assert payload["verified_cyclic_g"] == 9
         assert payload["recommended_k"] == 16
         assert payload["oracle"]["match"] is True
+
+    def test_one_product_per_lift(self, capsys, monkeypatch, tmp_path):
+        # the plane's box gives both counts: the pipeline's one product is the
+        # plane's padded indicator, (p-1)(2p-1) + p cells, none over Z/30603
+        lengths = []
+        real = core_sets._convolve
+        monkeypatch.setattr(core_sets, "_convolve", lambda x, **kw: lengths.append(len(x)) or real(x, **kw))
+        code, payload, _ = run_json(capsys, "construct", "pipeline", "--k", "4", "--s", "3", "--p", "101")
+        assert (code, payload["modulus"], lengths) == (0, 30603, [100 * 201 + 101])
+        # construct lift --g: the 81-point plane of (Z/11)^2 multiplies, the
+        # 31-point one bins its pairs, and neither lift to Z/242 multiplies
+        for k, g, want in ((8, 52, [10 * 21 + 11]), (3, 5, [])):
+            plane = tmp_path / "plane.json"
+            plane.write_text(json.dumps(best_shift_union(11, k).subset.to_json()))
+            lengths.clear()
+            code, payload, _ = run_json(capsys, "construct", "lift", "--A", str(plane), "--s", "2", "--g", str(g))
+            assert (code, payload["certified_g"], lengths) == (0, g, want)
 
     def test_blowup_spec_example(self, capsys, int_set_file, group_set_file):
         code, payload, _ = run_json(

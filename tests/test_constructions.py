@@ -1,23 +1,30 @@
 """Tests for parabola unions, lifts, blow-ups, and randomized constructions."""
 
+import decimal
 import math
 import random
 import tracemalloc
+from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
+import oracles
 import pytest
 
-from diffsets import constructions
+from diffsets import constructions, core_sets
 from diffsets.bridge import ProbSeq, StepFunction, averages_to_probs, local_averages
 from diffsets.constructions import (
     CyclicPipelineReport,
     PairRepCount,
     ParabolaUnion,
     RandomModel,
+    _lift_counts,
     _make_group_trial,
+    _make_sequence_trial,
+    _plane_counts,
     _probe_label,
     _probe_part_sizes,
+    _summarize_tails,
     _uniforms,
     best_shift_union,
     blow_up,
@@ -307,6 +314,69 @@ class TestLift:
             lift_to_cyclic(GroupSubset.of(GroupSpec((3, 5)), [(0, 0)]), 2)
 
 
+def _oracle_lift_check(X, A, s, box):
+    """_lift_counts of X (in A's lift group) against the oracle's counts, and
+    the verdict read from them against verify_certificate's at the least
+    count and one above it."""
+    n = X.group.order
+    counts = _lift_counts(X, A, s, box)
+    want = oracles.group_diff_counts((n,), X.elements)
+    assert counts.tolist() == [want[(t,)] for t in range(n)]
+    least = min(want.values())
+    for g in {max(least, 1), least + 1}:
+        assert core_sets._group_verdict(X.group, counts, g, "difference") == verify_certificate(X, g)
+
+
+class TestLiftCounts:
+    """A lift's counts from its plane's unfolded box (one product, or the
+    pairs) against the brute-force oracle, and any other set of the lift's
+    group through the generic count."""
+
+    def test_lifts_of_random_planes_match_the_oracle(self, monkeypatch):
+        boxes = []
+        real = constructions._scatter_lift
+        monkeypatch.setattr(constructions, "_scatter_lift", lambda box, p, s: boxes.append(p) or real(box, p, s))
+        rng = random.Random(30)
+        paths = set()
+        for p in (3, 5, 7, 11, 13):
+            spec = GroupSpec((p, p))
+            # dense planes of (Z/11)^2 and (Z/13)^2 are over 3 * (2p-1)^2 + 4096
+            # pairs, so they multiply; every other plane bins its pairs
+            for density in (0.3, 0.8) if p >= 11 else (0.3,):
+                A = GroupSubset.of(spec, [v for v in spec.elements() if rng.random() < density])
+                paths.add(core_sets._multiplies(spec, A.size))
+                counts, box = _plane_counts(A)
+                assert counts.tolist() == list(oracles.group_diff_counts(spec.factors, A.elements).values())
+                for s in (1, 2, 3, 4):
+                    boxes.clear()
+                    _oracle_lift_check(lift_to_cyclic(A, s), A, s, box)
+                    assert boxes == [p]
+        assert paths == {True, False}
+
+    def test_other_sets_of_the_lift_group_match_the_oracle(self):
+        rng = random.Random(31)
+        for p, s in ((3, 1), (5, 2), (7, 3), (11, 2), (13, 4)):
+            spec = GroupSpec((p, p))
+            A = GroupSubset.of(spec, [v for v in spec.elements() if rng.random() < 0.5])
+            _, box = _plane_counts(A)
+            C = lift_to_cyclic(A, s)
+            n, elems = C.group.order, C.flat.tolist()
+            missing = next(t for t in range(n) if t not in set(elems))
+            for X in (
+                GroupSubset(C.group, [[t] for t in elems[:7] + elems[8:]]),  # a lift minus one element
+                GroupSubset(C.group, [[t] for t in elems + [missing]]),  # plus one
+                GroupSubset(C.group, [[0], [1], [3]]),
+            ):
+                _oracle_lift_check(X, A, s, box)
+
+    def test_another_planes_lift_is_counted_from_its_own_box(self):
+        # the lift of B, counted with A's box at hand or none: B's box is formed
+        A, B = parabola_set(7, 1), parabola_set(7, 2)
+        _, box = _plane_counts(A)
+        _oracle_lift_check(lift_to_cyclic(B, 3), A, 3, box)
+        _oracle_lift_check(lift_to_cyclic(B, 3), A, 3, None)
+
+
 class TestPipeline:
     def test_frozen_p11_k3_s2(self):
         rep = cyclic_pipeline(3, 2, 11)
@@ -584,6 +654,32 @@ class TestMonteCarlo:
             size_ok = F(row["size"]) ** 3 <= ((1 + F(1, 5)) * probs.sum_coeff()) ** 3 * 216**2
             count_ok = F(row["achieved_g"]) ** 3 >= rho**3 * 216
             assert row["success"] == (size_ok and count_ok)
+
+    def test_tail_hit_on_the_boundary_is_counted(self):
+        # |100 - 85| = 15 = (3/17) 85 exactly: a hit at delta 1/17 times 3,
+        # where float(3/17) * 85.0 is 15.000000000000002
+        model = RandomModel(kind="group-uniform", master_seed=0, group=GroupSpec((170,)), g=85)
+        _, probe = _make_group_trial(model, F(1, 17), F(1, 10))
+        checks = _summarize_tails([{"probe_count": 100}], probe, F(1, 17), 1)
+        assert [(c["delta"], c["hits"]) for c in checks][-1] == ("3/17", 1)
+        assert [c["hits"] for c in _summarize_tails([{"probe_count": 99}], probe, F(1, 17), 1)] == [1, 1, 1, 1, 0]
+
+    def test_sequence_tail_hits_match_the_mean_to_60_digits(self):
+        # mu = sum q_i q_(i+1) n^(4/3) with n = 20 no cube: each hit against
+        # mu evaluated to 60 digits, for counts on both sides of each edge
+        probs = ProbSeq({i: F(1, 8 + i % 4) for i in range(40)}, cbrt_n=20)
+        model = RandomModel(kind="sequence-weighted", master_seed=0, probs=probs, target_N=5)
+        _, probe = _make_sequence_trial(model, F(1, 7), F(1, 5))
+        with decimal.localcontext() as ctx:
+            ctx.prec = 60
+            q = [Decimal(1) / (8 + i % 4) for i in range(40)]
+            mu = sum(a * b for a, b in zip(q, q[1:])) * Decimal(20) ** (Decimal(4) / 3)
+            rows = [{"probe_count": r} for r in range(int(2 * mu) + 2)]
+            checks = _summarize_tails(rows, probe, F(1, 7), len(rows))
+            for mult, check in zip(constructions._TAIL_MULTIPLIERS, checks):
+                d = Decimal(mult.numerator) / (7 * mult.denominator)
+                assert check["hits"] == sum(abs(r["probe_count"] - mu) >= d * mu for r in rows)
+        assert float(mu) == pytest.approx(probe["mu"])
 
     def test_model_validation(self):
         with pytest.raises(ValueError):
