@@ -19,10 +19,20 @@ _PAIR_LIMIT breakpoint pairs are refused with a ValueError before any pair
 work.
 
 Window averages and inclusion probabilities are stored as (start, nums,
-den): integer numerators over one denominator on a contiguous index range.
-The integral sweep, the averages conditions, the probabilities and the Monte
-Carlo decisions run on these integers; rationals appear only at the edges
-(coeffs, JSON, dicts).  Over _SPAN_LIMIT indices are refused up front.
+den): integer numerators over one denominator on a contiguous index range,
+nums one read-only numpy array.  It is int64 when every numerator and den
+are below 2^53, so that n / den in floats is correctly rounded, and Python
+ints in an object array otherwise; the values fix the dtype.  Each pass
+over the entries is one numpy call, a step whose values grow (a scale, a
+product, a cube) checks its bound and takes Python ints past int64, and
+rationals appear only at the edges (coeffs, JSON, dicts).  Over
+_SPAN_LIMIT indices are refused up front.  ProbSeq.from_json reads a list
+of "p/q" entries ("p" reads as "p/1") with one np.fromstring once the
+joined list holds only ASCII digits, "/" and ",", the separators alternate
+"/", "," and 1 to 18 digits stand between them, so each side fits int64;
+any other list goes entry by entry through parse_fraction.  At N = 10^4
+this took the benchmark's `random sequence --trials 4` from 35.5 to 22.0
+ms and `bridge probs` from 17.5 to 12.7 ms on 2 cores (see README).
 """
 
 from __future__ import annotations
@@ -32,10 +42,9 @@ import operator
 import re
 from bisect import bisect_left, bisect_right
 from collections.abc import Mapping
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from fractions import Fraction
 from functools import cached_property, total_ordering
-from itertools import compress, repeat
 from types import MappingProxyType
 
 import numpy as np
@@ -51,6 +60,7 @@ from .core_sets import (
     _group_counts,
     _pair_sums,
     _require_certificate,
+    _bound,
     _total,
     format_fraction,
     parse_fraction,
@@ -405,10 +415,7 @@ def _correlations(nums, m_lo: int, m_hi: int) -> list[int]:
     Dense sequences take one _convolve of n with its reverse; no FFT.
     """
     n = len(nums)
-    try:
-        a = np.array(nums, dtype=np.int64)
-    except OverflowError:
-        a = np.array(nums, dtype=object)
+    a = _ints(nums)
     if a.min() < 0:
         raise ValueError("correlation operands must be nonnegative")
     wide = a.dtype == object or a.max() >= 2**31  # else 4a and a*a fit int64
@@ -434,37 +441,72 @@ def _check_span(span: int) -> None:
         raise ValueError(f"{span} sequence entries: over the {_SPAN_LIMIT} limit")
 
 
-def _lowest_terms(nums, den: int) -> tuple[tuple[int, ...], int]:
-    """Divide out the common factor: den becomes the least common denominator."""
-    g = math.gcd(den, *nums)
+def _ints(values) -> np.ndarray:
+    """values as an int64 array, or an object array of Python ints past int64."""
+    try:
+        return np.array(values, dtype=np.int64)
+    except OverflowError:
+        return np.array(values, dtype=object)
+
+
+def _times(a: np.ndarray, k) -> np.ndarray:
+    """a * k for an int or array k, exactly: in Python ints past int64."""
+    if a.dtype != object and max(_bound(a), 1) * _bound(k) >= 2**63:
+        a = a.astype(object)
+    return a * k
+
+
+def _lowest_terms(nums: np.ndarray, den: int) -> tuple[np.ndarray, int]:
+    """Divide out the common factor (den becomes the least common
+    denominator) and freeze nums: int64 if it and den are below 2^53."""
+    h = int(np.gcd.reduce(nums))  # 0 when every entry is, and then g = den may pass int64
+    g = math.gcd(den, h)
     if g > 1:
-        nums = [n // g for n in nums]
-    return tuple(nums), den // g
+        nums, den = nums // g if h else nums, den // g
+    nums = nums.astype(object if max(_bound(nums), den) >= 2**53 else np.int64, copy=False)
+    nums.flags.writeable = False
+    return nums, den
 
 
 class _Numerators:
-    """Entries nums[j] / den at the indices start + j; cached read-only views."""
+    """Entries nums[j] / den at the indices start + j, equal and hashed by
+    value whatever the dtype of nums; cached read-only views."""
+
+    def _key(self) -> tuple:
+        values = (getattr(self, f.name) for f in fields(self) if f.compare)
+        return tuple(tuple(v.tolist()) if isinstance(v, np.ndarray) else v for v in values)
+
+    def __eq__(self, other):
+        return self._key() == other._key() if type(other) is type(self) else NotImplemented
+
+    def __hash__(self):
+        return hash(self._key())
+
+    @cached_property
+    def _nonzero(self) -> np.ndarray:
+        return self.nums[self.nums != 0]
 
     @cached_property
     def coeffs(self) -> MappingProxyType:
         """Read-only {i: rational entry} over the support."""
-        s, den = self.start, self.den
-        return MappingProxyType({s + j: Fraction(n, den) for j, n in enumerate(self.nums) if n})
+        pairs = zip(self.support, self._nonzero.tolist())
+        return MappingProxyType({i: Fraction(n, self.den) for i, n in pairs})
 
     @cached_property
     def support(self) -> tuple[int, ...]:
-        """Indices of the nonzero entries, ascending."""
-        s = self.start
-        return tuple(compress(range(s, s + len(self.nums)), self.nums))
+        """Indices of the nonzero entries, ascending; added in Python ints
+        when start is far enough out that start + j could pass int64."""
+        s, at = self.start, np.flatnonzero(self.nums)
+        return tuple((at + s).tolist() if abs(s) < 2**62 else [s + j for j in at.tolist()])
 
     def _json_coeffs(self) -> list[str]:
-        """format_fraction of each nonzero entry, reduced by one gcd.  Each
-        reduced denominator den // gcd divides den, so it is formatted once."""
-        den = self.den
-        nums = list(filter(None, self.nums))
-        gcds = list(map(math.gcd, nums, repeat(den)))
+        """format_fraction of each nonzero entry, reduced by one np.gcd; each
+        reduced denominator den // g is formatted once, and n // g in the
+        f-string costs less than a numpy division and its tolist."""
+        den, nums = self.den, self._nonzero
+        gcds = np.gcd(nums, den).tolist()
         tails = {g: "" if g == den else f"/{den // g}" for g in set(gcds)}
-        return [f"{n // g}{tails[g]}" for n, g in zip(nums, gcds)]
+        return [f"{n // g}{tails[g]}" for n, g in zip(nums.tolist(), gcds)]
 
 
 @dataclass(frozen=True)
@@ -493,7 +535,7 @@ class ConditionsReport:
         }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AveragesSeq(_Numerators):
     """Window averages a_i = (N/2L) * integral of f over [(i-L)/N, (i+L)/N].
 
@@ -510,7 +552,7 @@ class AveragesSeq(_Numerators):
     stretch: Fraction
     radicand: Fraction
     start: int
-    nums: tuple[int, ...]
+    nums: np.ndarray
     den: int
     conditions: ConditionsReport | None = field(default=None, compare=False)
 
@@ -531,7 +573,10 @@ def _cumulative_at(f: StepFunction, stretch: Fraction, N: int, lo: int, hi: int)
     """(scale * F(j/N) for j = lo..hi, scale), F(x) the integral of the stretched f
     up to x.  The stretched breakpoints and N are scaled by their lcm P, the
     values by theirs, Dv, and scale = P * Dv; on each piece scale * F(j/N) is
-    base + slope * j, emitted as one integer range."""
+    base + slope * j, and every run of j is filled at once by np.repeat.  F
+    rises from 0 to its total, so every entry fits int64 when the total and
+    the slopes do (a piece narrower than 1/N can have a slope above the
+    total); past them, Python ints."""
     bps = [b * stretch for b in f.breakpoints]
     P = math.lcm(N, *(b.denominator for b in bps))
     Dv = math.lcm(*(v.denominator for v in f.values))
@@ -546,15 +591,17 @@ def _cumulative_at(f: StepFunction, stretch: Fraction, N: int, lo: int, hi: int)
         runs.append((b2 // step, acc - v * b1, v * step))
         acc += v * (b2 - b1)
     runs.append((hi, acc, 0))
-    out: list[int] = []
-    j = lo
+    parts, j = [], lo  # (count, first value, slope) of each run that holds a j
     for end, base, slope in runs:
         stop = min(end, hi) + 1
         if stop > j:
-            count, first = stop - j, base + slope * j
-            out.extend(range(first, first + slope * count, slope) if slope else [first] * count)
+            parts.append((stop - j, base + slope * j, slope))
             j = stop
-    return out, P * Dv
+    counts, firsts, slopes = zip(*parts)
+    dtype = object if max(acc, *slopes) >= 2**63 else np.int64
+    step = np.arange(j - lo, dtype=dtype) - np.repeat(np.cumsum(counts) - counts, counts)
+    firsts, slopes = (np.repeat(np.array(x, dtype=dtype), counts) for x in (firsts, slopes))
+    return firsts + slopes * step, P * Dv
 
 
 def local_averages(
@@ -599,8 +646,7 @@ def _window_averages(f: StepFunction, N: int, tau_hat, stretch: bool) -> Average
     _check_span(i_max - i_min + 1 + 2 * L)
     cum, scale = _cumulative_at(f, lam, N, i_min - L, i_max + L)
     # a_i = (N/2L) (F((i+L)/N) - F((i-L)/N))
-    nums = list(map(operator.sub, cum[2 * L :], cum[: len(cum) - 2 * L]))
-    nums, den = _lowest_terms(nums, 2 * L * scale // N)
+    nums, den = _lowest_terms(cum[2 * L :] - cum[: len(cum) - 2 * L], 2 * L * scale // N)
     return AveragesSeq(
         N=N, L=L, tau_hat=tau_hat, stretch=lam, radicand=f._scale_fraction(),
         start=i_min, nums=nums, den=den,
@@ -612,12 +658,12 @@ def _check_conditions(seq: AveragesSeq, f: StepFunction) -> ConditionsReport:
     exactly; (3) is the least of _correlations(seq.nums, 1, m_hi)."""
     N, L, tau, lam = seq.N, seq.L, seq.tau_hat, seq.stretch
     nums, den = seq.nums, seq.den
-    total = sum(nums)
+    total = _total(nums)
     # windows tile R exactly 2L-fold, so sum a_i = N * integral(f_stretched)
     integral = N * f.integral().coeff * lam
     sum_identity_ok = total * integral.denominator == integral.numerator * den
     # condition (2): max a_i * tau_hat * N^(2/3) <= sum a_i, cubed exactly
-    cond2_ok = (max(nums) * tau.numerator) ** 3 * N * N <= (total * tau.denominator) ** 3
+    cond2_ok = (int(nums.max()) * tau.numerator) ** 3 * N * N <= (total * tau.denominator) ** 3
     # condition (3): exact integer correlations over the contiguous support
     m_hi = max(N if lam != 1 else N - (2 * L - 1), 1)
     corr = _correlations(nums, 1, m_hi)
@@ -644,24 +690,33 @@ def _parse_ratio(text) -> tuple[int, int]:
 _RATIO_CHARS = re.compile(r"[0-9/,]+")
 
 
-def _parse_ratios(texts) -> list[tuple[int, int]]:
-    """[_parse_ratio(t) for t in texts], not always in lowest terms.  A list
-    of ASCII "p/q" and "p" strings, checked once joined, is split and read
-    with int; any other list, or one with a zero q, goes entry by entry
-    through parse_fraction, so accepted inputs and errors stay its own."""
+def _parse_ratios(texts) -> tuple:
+    """(p, q) with p[k] / q[k] = _parse_ratio(texts[k]), not always in lowest
+    terms.  A list of "p/q" and "p" entries (a bare "p" reads as "p/1") of 1
+    to 18 ASCII digits a side, checked once joined, is read by one
+    np.fromstring; any other list, or a zero q, goes entry by entry through
+    parse_fraction, so accepted inputs and errors stay its own.  (A regex
+    for the entries keeps state per entry: 1.7 MB for 10^4 of them.)"""
     try:
         joined = ",".join(texts)
     except TypeError:  # an entry that is not a string
         joined = ""
     if _RATIO_CHARS.fullmatch(joined):
-        try:  # "", "1/", "/2", "1/2/3" and "1,2" fail int
-            split = map(str.partition, texts, repeat("/"))
-            pairs = [(int(p), int(q) if slash else 1) for p, slash, q in split]
-        except ValueError:
-            pairs = []
-        if pairs and all(q for _, q in pairs):
-            return pairs
-    return list(map(_parse_ratio, texts))
+        if joined.count("/") < len(texts):  # bare "p" entries
+            joined = ",".join([t if "/" in t else t + "/1" for t in texts])
+        raw = np.frombuffer(joined.encode(), np.uint8)
+        cuts = np.flatnonzero(raw < 48)  # the "/" and "," sort below the digits
+        sides = np.diff(cuts, prepend=-1, append=len(raw)) - 1  # digits between them
+        if raw[cuts].tobytes() == b"/," * (len(texts) - 1) + b"/" and 0 < sides.min() <= sides.max() <= 18:
+            pq = np.fromstring(joined.replace("/", ","), dtype=np.int64, sep=",")
+            if pq[1::2].all():
+                return pq[::2], pq[1::2]
+    return _pairs(list(map(_parse_ratio, texts)))
+
+
+def _pairs(ratios) -> np.ndarray:
+    """The (p, q) pairs of ratios as two rows of Python ints."""
+    return np.array(ratios, dtype=object).reshape(-1, 2).T
 
 
 def _fields(data, *keys) -> list:
@@ -671,21 +726,23 @@ def _fields(data, *keys) -> list:
     return [data[k] for k in keys]
 
 
-def _numerators(indices, ratios) -> tuple[int, list[int], int]:
-    """(start, nums, den) of the entries p/q at indices, one (p, q) of ratios
-    each, over the index hull of the nonzero ones."""
-    nonzero = [i for i, (p, _) in zip(indices, ratios) if p]
-    start, stop = min(nonzero, default=0), max(nonzero, default=-1) + 1
+def _numerators(indices, p, q) -> tuple[int, np.ndarray, int]:
+    """(start, nums, den) of the entries p[k] / q[k] at indices[k], over the
+    index hull of the nonzero ones: one lcm over their distinct q (sorted,
+    not np.unique, which imports numpy.ma), one multiply, one scatter."""
+    keep = p != 0
+    at, p, q = _ints(indices)[keep], p[keep], q[keep]
+    start, stop = (int(at.min()), int(at.max()) + 1) if len(at) else (0, 0)
     _check_span(stop - start)
-    den = math.lcm(*{q for p, q in ratios if p})  # over the distinct denominators
-    nums = [0] * (stop - start)
-    for i, (p, q) in zip(indices, ratios):
-        if p:
-            nums[i - start] = p * (den // q)
-    return start, nums, den
+    distinct = np.sort(q)  # every q is positive, so the first differs from 0
+    den = math.lcm(*distinct[np.diff(distinct, prepend=0) != 0].tolist())
+    nums = _times(p, den // (q if den < 2**63 else q.astype(object)))
+    out = np.zeros(stop - start, dtype=nums.dtype)
+    out[(at - start).astype(np.int64)] = nums
+    return start, out, den
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True, init=False, eq=False)
 class ProbSeq(_Numerators):
     """Inclusion probabilities p_i, exact.
 
@@ -697,32 +754,33 @@ class ProbSeq(_Numerators):
     """
 
     start: int
-    nums: tuple[int, ...]
+    nums: np.ndarray
     den: int
     cbrt_n: int | None
 
     def __init__(self, coeffs, cbrt_n: int | None = None):
         if isinstance(coeffs, Mapping):
             ratios = [Fraction(c).as_integer_ratio() for c in coeffs.values()]
-            coeffs = _numerators(list(map(int, coeffs)), ratios)
+            coeffs = _numerators(list(map(int, coeffs)), *_pairs(ratios))
         start, nums, den = coeffs
+        nums = _ints(nums)
         if cbrt_n is not None:
             cbrt_n = int(cbrt_n)
             c = _ceil_cbrt_ratio(cbrt_n, 1)
             if c**3 == cbrt_n:  # fold n^(2/3) = c^2 into the coefficients
-                nums, cbrt_n = [n * c * c for n in nums], None
+                nums, cbrt_n = _times(nums, c * c), None
         nums, den = _lowest_terms(nums, den)
         for name, value in zip(("start", "nums", "den", "cbrt_n"), (start, nums, den, cbrt_n)):
             object.__setattr__(self, name, value)
 
     def sum_coeff(self) -> Fraction:
-        return Fraction(sum(self.nums), self.den)
+        return Fraction(_total(self.nums), self.den)
 
     @cached_property
     def _in_range(self) -> bool:
-        mx, n = max(self.nums, default=0), self.cbrt_n
+        mx, n = _bound(self.nums), self.cbrt_n
         in_unit = mx <= self.den if n is None else mx**3 * n * n <= self.den**3
-        return in_unit and min(self.nums, default=0) >= 0
+        return in_unit and not (self.nums < 0).any()
 
     def in_unit_range(self) -> bool:
         """Exact check that every p_i lies in [0, 1]."""
@@ -731,9 +789,9 @@ class ProbSeq(_Numerators):
     @cached_property
     def screen(self) -> np.ndarray:
         """float(q_i) * float(cbrt_n) ** (2/3) over the support; n / den is
-        correctly rounded, so it is the same float as float(q_i)."""
-        den = self.den
-        pf = np.array([n / den for n in self.nums if n], dtype=float)
+        correctly rounded (int64 n and den below 2^53 are exact floats), so
+        it is the same float as float(q_i)."""
+        pf = np.asarray(self._nonzero / self.den, dtype=float)
         if self.cbrt_n is not None:
             pf *= float(self.cbrt_n) ** (2.0 / 3.0)
         return pf
@@ -744,7 +802,7 @@ class ProbSeq(_Numerators):
         if u < 0:
             return True
         j = i - self.start
-        n = self.nums[j] if 0 <= j < len(self.nums) else 0
+        n = int(self.nums[j]) if 0 <= j < len(self.nums) else 0
         lhs, rhs = u.numerator * self.den, n * u.denominator
         if self.cbrt_n is None:
             return lhs < rhs
@@ -766,13 +824,13 @@ class ProbSeq(_Numerators):
             raise ValueError(f"{len(support)} support indices for {len(coeffs)} coeffs")
         if set(map(type, support)) - {int}:  # [1], null, 1.9, "2" or true
             raise ValueError("support indices must be integers")
-        ratios = _parse_ratios(coeffs)
+        p, q = _parse_ratios(coeffs)
         if len(set(support)) != len(support):
             raise ValueError("support repeats an index")
         cbrt_n = data.get("cbrt_scale_n")
         if cbrt_n is not None and type(cbrt_n) is not int:  # [1], 8.7, "8" or true
             raise ValueError("cbrt_scale_n must be null or an integer")
-        return cls(_numerators(support, ratios), cbrt_n)
+        return cls(_numerators(support, p, q), cbrt_n)
 
 
 def averages_to_probs(a: AveragesSeq) -> ProbSeq:
@@ -783,12 +841,12 @@ def averages_to_probs(a: AveragesSeq) -> ProbSeq:
     p_i equals tau_hat N^(2/3) identically; the p_i <= 1 requirement is
     exactly condition (2) and is re-checked here.
     """
-    total = sum(a.nums)
+    total = _total(a.nums)
     if total <= 0:
         raise ValueError("averages sum to zero")
     tau = a.tau_hat
     p, q = tau.numerator, tau.denominator  # Fraction properties: read once, not per entry
-    probs = ProbSeq((a.start, [n * p for n in a.nums], q * total), a.N)
+    probs = ProbSeq((a.start, _times(a.nums, p), q * total), a.N)
     if not probs.in_unit_range():
         raise ValueError("condition (2) violated; averages not admissible")
     # normalization is algebraic; keep a defensive exact check (a cube N
@@ -807,7 +865,7 @@ def prob_correlation_minimum(probs: ProbSeq, m_lo: int, m_hi: int) -> tuple[Frac
     """
     if m_lo < 1 or m_lo > m_hi:
         raise ValueError("need 1 <= m_lo <= m_hi")
-    if not probs.nums:
+    if not len(probs.nums):
         return _ZERO, m_lo
     corr = _correlations(probs.nums, m_lo, m_hi)
     best = min(range(len(corr)), key=corr.__getitem__)

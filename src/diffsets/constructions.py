@@ -25,7 +25,6 @@ run is reproducible bit for bit from its master seed.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import TYPE_CHECKING
@@ -38,6 +37,7 @@ from .core_sets import (
     GroupSpec,
     GroupSubset,
     IntSet,
+    _bound,
     _count_at,
     _difference_box,
     _difference_window,
@@ -47,6 +47,7 @@ from .core_sets import (
     _group_counts,
     _require_certificate,
     _residues,
+    _total,
     format_fraction,
     is_prime,
 )
@@ -778,9 +779,11 @@ def _make_sequence_trial(model: RandomModel, delta: Fraction, epsilon: Fraction)
     count_floor_cubed = rho**3 * N
     probe_m = 1
     # sum_i q_i q_{i+1} in integers over den^2, split by the parity of i:
-    # the two parts keep i and i+1 apart
+    # the two parts keep i and i+1 apart; int64 while every product fits
     nums, den = probs.nums, probs.den
-    pair_sums = [sum(map(operator.mul, nums[j::2], nums[j + 1 :: 2])) for j in (0, 1)]
+    if _bound(nums) ** 2 >= 2**63:
+        nums = nums.astype(object)
+    pair_sums = [_total(nums[j::2][: len(nums[j + 1 :: 2])] * nums[j + 1 :: 2]) for j in (0, 1)]
     mu_parts = pair_sums if probs.start % 2 == 0 else pair_sums[::-1]
     scale = 1.0 if scale_n is None else float(scale_n) ** (4.0 / 3.0)
     mu_probe_float = sum(mu_parts) / den**2 * scale

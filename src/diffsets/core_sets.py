@@ -601,6 +601,12 @@ def _total(a: np.ndarray) -> int:
     return (int((a >> 32).sum()) << 32) + int((a & 0xFFFFFFFF).sum())
 
 
+def _bound(a) -> int:
+    """max |x| over an int64 or object array, or an int; 0 when empty."""
+    a = np.asarray(a)
+    return max(-int(a.min()), int(a.max())) if a.size else 0
+
+
 def _pack(a: np.ndarray, w: int):
     """The w-digit slots of a, last entry first: n items of w ASCII digit
     bytes each (numpy void, so a reversed copy moves items, not bytes), or a

@@ -3,9 +3,11 @@
 import dataclasses
 import operator
 import random
+import re
 from bisect import bisect_right
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 import oracles
@@ -44,6 +46,7 @@ from diffsets.core_sets import (
     rep_diff_profile,
     verify_certificate,
 )
+from diffsets.constructions import RandomModel, _make_sequence_trial, monte_carlo_validate
 
 F = Fraction
 
@@ -433,7 +436,7 @@ class TestIntCorrelations:
             seq = local_averages(f, N, F(rng.randrange(1, 4), 2), stretch=stretch)
             c = seq.conditions
             m_hi = c.cond3_m_range[1]
-            want = oracles.correlations(seq.nums, 1, m_hi)
+            want = oracles.correlations(seq.nums.tolist(), 1, m_hi)
             assert _correlations(seq.nums, 1, m_hi) == want
             low = min(want)
             assert c.cond3_min == F(low, seq.den**2) * seq.radicand
@@ -572,6 +575,10 @@ class TestLocalAverages:
             (StepFunction((F(-1, 7), F(3, 5), F(16, 7)), (F(3, 2), F(4, 3)), F(5, 3)), 81, F(3, 4), False),
             # a zero gap of width 1/2, wider than the window 2L/N = 1/4
             (StepFunction((F(0), F(1), F(3, 2), F(5, 2)), (F(2), F(0), F(2))), 64, F(1), True),
+            # a spike of width 2/p around the grid point 1/2: its slope per
+            # grid step passes 2^63 while every integral stays below it
+            (StepFunction((F(0), F(1, 2) - F(1, 10**12 + 39), F(1, 2) + F(1, 10**12 + 39), F(2)),
+                          (F(1), F(10**7), F(1))), 100, F(1, 2), False),
         ],
     )
     def test_against_naive_window_averages(self, f, N, tau, gap, stretch):
@@ -724,7 +731,7 @@ class TestProbSeq:
         lists = [canonical, canonical[:1], edge, [canonical[0], *edge[:3]]]
         lists += [rng.sample(canonical, 50) + [rng.choice(edge)] for _ in range(20)]
         for texts in lists:
-            got = [F(p, q) for p, q in _parse_ratios(texts)]
+            got = [F(int(p), int(q)) for p, q in zip(*_parse_ratios(texts))]
             assert got == [F(*_parse_ratio(t)) for t in texts], texts
 
     def test_parse_ratios_refuses_as_parse_ratio(self):
@@ -740,6 +747,150 @@ class TestProbSeq:
     def test_rebuild_from_coeffs(self):
         for p in (ProbSeq({3: F(1, 7), -2: F(2, 5)}, 100), ProbSeq({0: F(1, 100)}, 216)):
             assert ProbSeq(p.coeffs, p.cbrt_n) == p
+
+
+def _leaves(tree):
+    """The scalars of a payload tree of dicts, lists and tuples; a Fraction
+    yields its numerator and denominator."""
+    if isinstance(tree, dict):
+        for key, value in tree.items():
+            yield key
+            yield from _leaves(value)
+    elif isinstance(tree, (list, tuple)):
+        for item in tree:
+            yield from _leaves(item)
+    elif isinstance(tree, Fraction):
+        yield tree.numerator
+        yield tree.denominator
+    else:
+        yield tree
+
+
+def _plain(tree) -> bool:
+    """No numpy scalar anywhere in tree: every leaf is a Python scalar."""
+    return all(type(x) in (int, float, str, bool, type(None)) for x in _leaves(tree))
+
+
+class TestNumeratorArrays:
+    """nums held as int64 below 2^53 and as Python ints past it, checked
+    against rationals and Python-int sums."""
+
+    @staticmethod
+    def _ratio(rng, digits):
+        width = rng.choice(digits)
+        text = str(rng.randrange(10 ** (width - 1), 10**width))
+        return "0" * rng.randrange(0, 19 - width) + text if width < 18 else text
+
+    @staticmethod
+    def _oracle(support, texts):
+        """{i: parse_fraction(t)} over the nonzero entries, or the error
+        the first refused entry raises."""
+        want = {}
+        for i, text in zip(support, texts):
+            value = parse_fraction(text)
+            if value:
+                want[i] = value
+        return want
+
+    def test_from_json_matches_parse_fraction(self):
+        rng = random.Random(3101)
+        cases = []
+        for k in range(60):
+            size = rng.randrange(1, 40)
+            digits = (1, 5, 17, 18) if k % 3 else (1, 18, 19)
+            texts = [f"{self._ratio(rng, digits)}/{self._ratio(rng, digits)}" for _ in range(size)]
+            texts[rng.randrange(size)] = rng.choice(["0/7", "000/000001", texts[0]])
+            if k % 5 == 1:
+                texts[rng.randrange(size)] = self._ratio(rng, (1, 18))  # a bare "p"
+            if k % 7 == 2:
+                texts[rng.randrange(size)] = f"{rng.randrange(10**18)}/0"
+            base = rng.choice([0, -50, 2**64])  # indices past int64 too
+            support = rng.sample(range(base, base + 3 * size), size)
+            cases.append((support, texts))
+        cases += [([], []), ([0, 1], ["1/2", "3/4,5/6"])]  # a comma inside an entry
+        fast = 0
+        for support, texts in cases:
+            data = {"support": support, "coeffs": texts, "cbrt_scale_n": None}
+            try:
+                want = self._oracle(support, texts)
+            except ValueError as refused:
+                with pytest.raises(ValueError) as err:
+                    ProbSeq.from_json(data)
+                assert str(err.value) == str(refused), texts
+                continue
+            got = ProbSeq.from_json(data)
+            assert dict(got.coeffs) == want and got.support == tuple(sorted(want)), texts
+            assert got == ProbSeq(want)
+            assert got.to_json()["coeffs"] == [format_fraction(want[i]) for i in sorted(want)]
+            # the one-pass read: every entry "p/q" with 18 digits a side at most
+            one_pass = texts and all(
+                re.fullmatch(r"[0-9]{1,18}(/[0-9]{1,18})?", t) and int(t.partition("/")[2] or 1)
+                for t in texts
+            )
+            assert (_parse_ratios(texts)[0].dtype == np.int64) == bool(one_pass), texts
+            fast += bool(one_pass)
+        assert 10 < fast < len(cases) - 10
+
+    @pytest.mark.parametrize("cbrt_n", [None, 100])
+    @pytest.mark.parametrize("den", [2**53 - 1, 2**53, 2**53 + 1, 2**63 - 1, 2**63, 2**63 + 1])
+    def test_dtype_boundaries_match_python_ints(self, den, cbrt_n):
+        edges = [1, 2**53 - 1, 2**53, 2**53 + 1, 2**63 - 1, 2**63, 2**63 + 1]
+        nums = [0, 3, *(n for n in edges if n <= den), den, 0, den // 3]
+        for start in (-3, 4, 2**64):
+            p = ProbSeq((start, nums, den), cbrt_n)
+            wide = max(nums) >= 2**53 or p.den >= 2**53
+            assert p.nums.dtype == (object if wide else np.int64)
+            want = {start + j: F(n, den) for j, n in enumerate(nums) if n}
+            keys = sorted(want)
+            assert p.to_json() == {"support": keys, "cbrt_scale_n": cbrt_n,
+                                   "coeffs": [format_fraction(want[i]) for i in keys]}
+            scale = 1.0 if cbrt_n is None else float(cbrt_n) ** (2.0 / 3.0)
+            assert p.screen.tolist() == [float(want[i]) * scale for i in keys]
+            n = cbrt_n or 1
+            assert p.in_unit_range() is all(c**3 * n * n <= 1 for c in want.values())
+            assert p.sum_coeff() == sum(want.values()) and _plain([p.sum_coeff(), dict(p.coeffs)])
+            for i in keys[:3]:
+                for u in (want[i], want[i] - F(1, 2 * den), F(1, 3)):
+                    got = p.less_than_p(i, u)
+                    assert type(got) is bool and got == (u**3 < want[i] ** 3 * n * n)
+            if not p.in_unit_range():
+                continue
+            model = RandomModel("sequence-weighted", 5, probs=p, target_N=6)
+            _, probe = _make_sequence_trial(model, F(1, 2), F(1, 5))
+            parts = [F(0), F(0)]
+            for i, c in want.items():
+                parts[i % 2] += c * want.get(i + 1, 0)
+            assert probe["mu_exact"] == (sum(parts) * n, n)
+            assert probe["mu_parts"] == [float(part) * float(n) ** (4.0 / 3.0) for part in parts]
+            assert _plain([probe, model.to_json()])
+            if start < 2**63:  # a drawn set must fit int64
+                assert _plain(monte_carlo_validate(model, 2, F(1, 2), F(1, 5)).to_json())
+
+    def test_conditions_report_holds_python_values(self):
+        # den of 58 bits with breakpoints over 999999937 and 10^9
+        big = StepFunction((F(0), F(1, 999999937), F(10**9 + 3, 10**9), F(2)), (F(1), F(7, 5), F(1)))
+        for f, N in ((StepFunction((F(0), F(2)), (F(1),)), 64), (big, 500)):
+            seq = local_averages(f, N, F(1, 2), stretch=True)
+            c = seq.conditions
+            values = [getattr(c, field.name) for field in dataclasses.fields(c)]
+            assert _plain(values) and _plain(seq.to_json()), N
+            assert seq.nums.dtype == (object if N == 500 else np.int64)
+            assert all(type(getattr(c, k)) is bool for k in ("sum_identity_ok", "cond2_ok", "cond3_ok"))
+
+    def test_equal_by_value_whatever_the_dtype(self):
+        seq = local_averages(StepFunction((F(0), F(2)), (F(1),)), 64, 2, stretch=False)
+        wide = dataclasses.replace(seq, nums=seq.nums.astype(object))
+        assert seq.nums.dtype == np.int64 and wide == seq and hash(wide) == hash(seq)
+        assert dataclasses.replace(seq, start=seq.start + 1) != seq
+        p = averages_to_probs(seq)
+        q = ProbSeq((p.start, p.nums, p.den), p.cbrt_n)
+        object.__setattr__(q, "nums", p.nums.astype(object))
+        assert q == p and hash(q) == hash(p) and len({p, q}) == 1
+        assert p != seq and p != ProbSeq((p.start + 1, p.nums, p.den))
+        # the dtype follows the values: a factor past 2^53 divides out to int64
+        reduced = ProbSeq((0, [2**70, 0, 2**71], 2**72))
+        assert reduced == ProbSeq({0: F(1, 4), 2: F(1, 2)}) and reduced.nums.dtype == np.int64
+        assert not reduced.nums.flags.writeable
 
 
 class TestAveragesToProbs:

@@ -868,6 +868,26 @@ class TestBridge:
             code, out, _ = run_cli(capsys, *argv)
             assert code == 0
             assert hashlib.sha256(out.encode()).hexdigest() == digest, argv
+        # denominators of 58 and 69 bits, past 2^53 and 2^63, whose numerators
+        # are held as Python ints; frozen from the list-of-ints sequences
+        fn.write_text(json.dumps({"breakpoints": ["0", "1/999983", "1000003/1000000", "2"],
+                                  "values": ["1", "7/5", "1"], "scale_sqrt": None}))
+        bridge = ("bridge", "probs", "--fn", str(fn), "--N", "500", "--stretch", "--json")
+        trials = ("--N", "500", "--trials", "3", "--delta", "1/2", "--epsilon", "1/5")
+        sample = "38347be08186c44becb8594b405a3232d864440631ead9229455614395b51169"
+        wide = {
+            "499/1000": ("f7624d758f1b3c01dcaed626a6e65b7cae3eab081dd171c73604e808870bc983",
+                         "9c58b3ccf574a381b0486b9fef5b4c86fc5cc02f0cab55f3aee35d337ae3498d"),
+            "1000003/2000000": ("c33529c73965cf1326c994ab57d1c24ef5beb5cf93ec394626e86a9e3c0ab23f",
+                                "0f7322878f9a1a9ab10ea4bf936457c745e2c8e83f8ea61fdf12c0c52376ef7b"),
+        }
+        for tau, (probs_digest, trials_digest) in wide.items():
+            run_cli(capsys, *bridge, "--tau-hat", tau, "--out", str(probs))
+            for argv, digest in (((*bridge, "--tau-hat", tau), probs_digest),
+                                 ((*sequence, *trials), trials_digest), (sequence, sample)):
+                code, out, _ = run_cli(capsys, *argv)
+                assert code == 0
+                assert hashlib.sha256(out.encode()).hexdigest() == digest, (tau, argv)
 
     def test_fn_check_zero_denominator(self, capsys, tmp_path):
         path = tmp_path / "fn.json"
